@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -110,7 +111,7 @@ _FLAG_RANGES = {
     "alpha": ("--alpha", "(0, 1) exclusive"),
     "window": ("--window", "a positive integer"),
     "beta": ("--beta", "(0, 1) exclusive"),
-    "theta": ("--theta", "a positive number"),
+    "theta": ("--theta", "a finite positive number"),
     "min_hits": ("--min-hits", "a positive integer"),
     "capacity": ("--capacity", "a positive integer"),
     "epsilon": ("--epsilon", "'auto', 'off', or a float in [0, 1)"),
@@ -152,7 +153,7 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
             raise bad("epsilon")
     if not 0.0 < merged["beta"] < 1.0:
         raise bad("beta")
-    if merged["theta"] <= 0.0:
+    if not 0.0 < merged["theta"] < math.inf:  # also rejects NaN
         raise bad("theta")
     if merged["min_hits"] < 1:
         raise bad("min_hits")

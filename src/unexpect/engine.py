@@ -71,8 +71,8 @@ class ChangeDetector:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValidationError(f"beta must be in (0, 1), got {self.beta}")
-        if self.theta <= 0.0:
-            raise ValidationError(f"theta must be > 0, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:  # also rejects NaN
+            raise ValidationError(f"theta must be finite and > 0, got {self.theta}")
         if self.min_hits < 1:
             raise ValidationError(f"min hits must be >= 1, got {self.min_hits}")
 
@@ -294,8 +294,18 @@ def trace_to_jsonl(record: TraceRecord) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """RFC 4180 field: quoted, with inner quotes doubled, only when needed."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def trace_to_csv(record: TraceRecord) -> str:
-    cells = [str(record.t), record.symbol]
+    cells = [str(record.t), _csv_field(record.symbol)]
     for name in ("c_stm", "c_ltm", "u_raw", "u_clamped"):
         cells.append(_num(getattr(record, name)) or "")
     cells.append("true" if record.novelty else "false")

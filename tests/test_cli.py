@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import unexpect
 from unexpect.cli import main
 
 
@@ -56,6 +58,22 @@ class TestTrack:
         assert lines[0] == "t,symbol,c_stm,c_ltm,u_raw,u_clamped,novelty,change_flag"
         assert len(lines) == 10
 
+    @pytest.mark.parametrize("symbol", ["a,b", 'say "hi"', "x\ny", "x\r\ny"])
+    def test_csv_quotes_special_symbols(self, tmp_path, capsys, symbol):
+        events = write(tmp_path / "e.jsonl",
+                       json.dumps({"t": 0, "s": symbol}) + "\n")
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys,
+            ["track", "--emit", "csv", "--input", events,
+             "--output", str(out_path)],
+        )
+        assert code == 0
+        with open(out_path, newline="", encoding="utf-8") as fh:
+            header, row = list(csv.reader(fh))
+        assert len(header) == len(row) == 8
+        assert row[1] == symbol
+
     def test_bare_token_input(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["track"], stdin_text="A\nB\nA\n",
                                monkeypatch=monkeypatch)
@@ -66,6 +84,17 @@ class TestTrack:
         code, _, err = run_cli(capsys, ["track", "--alpha", "1.5"])
         assert code == 1
         assert "--alpha" in err and "(0, 1)" in err
+
+    @pytest.mark.parametrize("source", ["nan", "inf", "config NaN"])
+    def test_non_finite_theta_names_the_flag(self, tmp_path, capsys, source):
+        if source.startswith("config"):
+            config = write(tmp_path / "cfg.json", '{"theta": NaN}')
+            argv = ["track", "--config", config]
+        else:
+            argv = ["track", "--theta", source]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "--theta" in err
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["track", "--nonsense"])
@@ -400,15 +429,20 @@ class TestPipeline:
             "kind": "stationary", "length": 5, "seed": 0,
             "symbols": ["q"], "mass": [1.0],
         }))
+        # The child imports the same package as this test, with or
+        # without PYTHONPATH set by the caller.
+        src = os.path.dirname(os.path.dirname(unexpect.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         sim = subprocess.run(
             [sys.executable, "-m", "unexpect.cli", "simulate",
              "--spec", str(spec)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert sim.returncode == 0
         track = subprocess.run(
             [sys.executable, "-m", "unexpect.cli", "track"],
-            input=sim.stdout, capture_output=True, text=True,
+            input=sim.stdout, capture_output=True, text=True, env=env,
         )
         assert track.returncode == 0
         assert len(track.stdout.strip().split("\n")) == 5

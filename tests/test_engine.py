@@ -74,6 +74,7 @@ class TestChangeDetector:
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0}, {"beta": 1.0}, {"theta": 0.0}, {"min_hits": 0},
+        {"theta": math.nan}, {"theta": math.inf},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError):

@@ -82,17 +82,30 @@ class TestStmStack:
         assert stack.items() == ["A", "B", "C"]
         assert stack.position("missing") is None
 
-    @given(st.lists(symbols, max_size=60))
-    def test_matches_naive_list_model(self, stream):
-        stack = StmStack()
-        model: list[str] = []
-        for sym in stream:
+    @given(
+        st.lists(symbols, max_size=60),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_matches_naive_list_model(self, stream, capacity, restore_at):
+        stack = StmStack(capacity)
+        model: list[str] = []  # reference: plain list, top first
+        for i, sym in enumerate(stream):
+            if i == restore_at:
+                stack = StmStack(capacity, items=stack.items())
             expected = model.index(sym) + 1 if sym in model else None
             if sym in model:
                 model.remove(sym)
             model.insert(0, sym)
+            if capacity is not None and len(model) > capacity:
+                model.pop()
             assert stack.observe(sym) == expected
+            assert len(stack) == len(model)
             assert stack.items() == model
+            for probe in "ABCDEF":
+                assert (probe in stack) == (probe in model)
+                assert stack.position(probe) == (
+                    model.index(probe) + 1 if probe in model else None)
 
     @given(st.lists(symbols, max_size=60))
     def test_no_duplicates_and_bounded_length(self, stream):
