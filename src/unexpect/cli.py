@@ -34,7 +34,14 @@ from .core import (
     UnexpectError,
     ValidationError,
 )
-from .engine import Engine, EngineConfig, TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl
+from .engine import (
+    TRACE_CSV_HEADER,
+    Engine,
+    EngineConfig,
+    _csv_field,
+    trace_to_csv,
+    trace_to_jsonl,
+)
 from .estimators import is_stable
 from .memory import read_events
 
@@ -138,34 +145,49 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         flag, rng = _FLAG_RANGES[key]
         return _fail_flag(f"{flag} must be {rng}, got {merged[key]!r}")
 
+    def typed(key, kind):
+        """merged[key] if it is a `kind`; a bool never counts as a number."""
+        value = merged[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise bad(key)
+        return value
+
+    real = (int, float)
     if merged["estimator"] not in ("iir", "fir"):
         raise bad("estimator")
-    if merged["estimator"] == "iir" and not 0.0 < merged["alpha"] < 1.0:
+    alpha, window = typed("alpha", real), typed("window", int)
+    if merged["estimator"] == "iir" and not 0.0 < alpha < 1.0:
         raise bad("alpha")
-    if merged["estimator"] == "fir" and merged["window"] < 1:
+    if merged["estimator"] == "fir" and window < 1:
         raise bad("window")
     if merged["epsilon"] not in (estimators.EPSILON_AUTO, estimators.EPSILON_OFF):
+        if isinstance(merged["epsilon"], bool):
+            raise bad("epsilon")
         try:
             merged["epsilon"] = float(merged["epsilon"])
         except (TypeError, ValueError):
             raise bad("epsilon") from None
         if not 0.0 <= merged["epsilon"] < 1.0:
             raise bad("epsilon")
-    if not 0.0 < merged["beta"] < 1.0:
+    if not 0.0 < typed("beta", real) < 1.0:
         raise bad("beta")
-    if not 0.0 < merged["theta"] < math.inf:  # also rejects NaN
+    if not 0.0 < typed("theta", real) < math.inf:  # also rejects NaN
         raise bad("theta")
-    if merged["min_hits"] < 1:
+    if typed("min_hits", int) < 1:
         raise bad("min_hits")
     if merged["warmup"] != "auto":
+        if isinstance(merged["warmup"], (bool, float)):
+            raise bad("warmup")
         try:
             merged["warmup"] = int(merged["warmup"])
         except (TypeError, ValueError):
             raise bad("warmup") from None
         if merged["warmup"] < 0:
             raise bad("warmup")
-    if merged["capacity"] is not None and merged["capacity"] < 1:
+    if merged["capacity"] is not None and typed("capacity", int) < 1:
         raise bad("capacity")
+    if not isinstance(merged["prune"], bool):
+        raise _fail_flag(f"--config: prune must be true or false, got {merged['prune']!r}")
     return EngineConfig.from_dict(merged)
 
 
@@ -182,11 +204,11 @@ def _explicit_config_flags(args: argparse.Namespace) -> list[str]:
 def _emit_trace(records, emit: str, out: IO[str]) -> None:
     if emit == "csv":
         out.write(TRACE_CSV_HEADER + "\n")
-        for record in records:
-            out.write(trace_to_csv(record) + "\n")
+        to_line = trace_to_csv
     else:
-        for record in records:
-            out.write(trace_to_jsonl(record) + "\n")
+        to_line = trace_to_jsonl
+    for record in records:
+        out.write(to_line(record) + "\n")
 
 
 def _run_engine_over(
@@ -250,9 +272,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if args.stability_m is not None:
         if args.stability_m < 1:
             raise _fail_flag(f"--stability-m must be >= 1, got {args.stability_m}")
-        if args.stability_delta < 0:
+        if not 0.0 <= args.stability_delta < math.inf:  # also rejects NaN
             raise _fail_flag(
-                f"--stability-delta must be >= 0, got {args.stability_delta}"
+                f"--stability-delta must be finite and >= 0, got {args.stability_delta}"
             )
         stability = (args.stability_m, args.stability_delta)
 
@@ -349,6 +371,16 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
             c_ltm = obj["c_ltm"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise _fail_data(f"line {lineno}: not a trace record: {exc}") from None
+        if not isinstance(symbol, str):
+            raise _fail_data(f'line {lineno}: "symbol" must be a string, got {symbol!r}')
+        if c_ltm is not None and (
+            isinstance(c_ltm, bool) or not isinstance(c_ltm, (int, float))
+            or not 0.0 <= c_ltm <= sys.float_info.max  # also rejects NaN
+        ):
+            raise _fail_data(
+                f'line {lineno}: "c_ltm" must be null or a finite number >= 0, '
+                f"got {c_ltm!r}"
+            )
         counts[symbol] += 1
         total += 1
         if c_ltm is not None:
@@ -376,8 +408,8 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
 def _cmd_divergence(args: argparse.Namespace) -> int:
     from .divergence import MachinePair, divergences
 
-    if args.tau <= 0:
-        raise _fail_flag(f"--tau must be > 0, got {args.tau}")
+    if not 0.0 < args.tau < math.inf:  # also rejects NaN
+        raise _fail_flag(f"--tau must be finite and > 0, got {args.tau}")
     if args.from_trace:
         if args.mind is not None:
             raise _fail_flag("--mind cannot be combined with --from-trace")
@@ -423,9 +455,9 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
             for key in ("h", "v", "v_hat", "v_star", "d", "d_wrel", "d_abs", "d_drel"):
                 out.write(f"{key},{render(payload[key])}\n")
             for sym, u in zip(payload["symbols"], payload["u"]):
-                out.write(f"u.{sym},{render(u)}\n")
-            out.write(f"unsound,{';'.join(payload['unsound'])}\n")
-            out.write(f"incomplete,{';'.join(payload['incomplete'])}\n")
+                out.write(f"{_csv_field(f'u.{sym}')},{render(u)}\n")
+            for key in ("unsound", "incomplete"):
+                out.write(f"{key},{_csv_field(';'.join(payload[key]))}\n")
         else:
             out.write(json.dumps(payload) + "\n")
     return 0

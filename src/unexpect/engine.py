@@ -23,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import estimators
 from .core import (
@@ -38,16 +39,18 @@ from .estimators import (
     Estimator,
     FirEstimator,
     IirEstimator,
-    ltm_complexity,
+    _auto_epsilon,
+    _ltm_bits,
     resolve_epsilon,
 )
-from .memory import Observation, StmStack, stm_complexity
+from .memory import Observation, StmStack, _stm_bits
 
 SNAPSHOT_VERSION = 1
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One scored event; an immutable tuple with named fields."""
+
     t: int
     symbol: SymbolId
     c_stm: float
@@ -176,23 +179,28 @@ class Engine:
         )
         self.warmup = self.config.resolved_warmup()
         self.last_t: Optional[int] = None
+        # "auto" follows the estimator's state; "off" and numbers are fixed.
+        epsilon = self.config.epsilon
+        self._fixed_floor: Optional[float] = (
+            None if epsilon == EPSILON_AUTO else resolve_epsilon(epsilon, 0, 0))
 
     def step(self, obs: Observation) -> TraceRecord:
         """Score one event, then let the memory and estimator learn it."""
-        if self.last_t is not None and obs.t <= self.last_t:
+        t = obs.t
+        symbol = obs.symbol
+        if self.last_t is not None and t <= self.last_t:
             raise NonMonotonicTimeError(
-                f"time {obs.t} does not increase past {self.last_t}"
+                f"time {t} does not increase past {self.last_t}"
             )
         # Measure against the state *before* this event.
-        w = self.estimator.w(obs.symbol)
-        floor = resolve_epsilon(
-            self.config.epsilon,
-            self.estimator.events_seen,
-            self.estimator.alphabet_size,
-        )
-        c_ltm = ltm_complexity(w, floor)
-        pre_position = self.stack.observe(obs.symbol)
-        c_stm = stm_complexity(pre_position)
+        estimator = self.estimator
+        w = estimator.w(symbol)
+        floor = self._fixed_floor
+        if floor is None:
+            floor = _auto_epsilon(estimator.events_seen, estimator.alphabet_size)
+        c_ltm = _ltm_bits(w, floor)
+        pre_position = self.stack.observe(symbol)
+        c_stm = _stm_bits(pre_position)
 
         novelty = pre_position is None
         if novelty:
@@ -201,18 +209,17 @@ class Engine:
             flag = self.detector.flag  # detector not updated by novelties
         else:
             u_raw = c_ltm - c_stm
-            u_clamped = max(u_raw, 0.0)
-            if math.isfinite(u_clamped) and self.estimator.events_seen >= self.warmup:
+            u_clamped = 0.0 if u_raw < 0.0 else u_raw  # max(u_raw, 0.0) without a call
+            if math.isfinite(u_clamped) and estimator.events_seen >= self.warmup:
                 flag = self.detector.update(u_clamped)
             else:
                 # Detector is still arming, or ltm cost is infinite with
                 # smoothing disabled; keep the EWMA clean either way.
                 flag = self.detector.flag
 
-        self.estimator.update(obs)
-        self.last_t = obs.t
-        return TraceRecord(obs.t, obs.symbol, c_stm, c_ltm,
-                           u_raw, u_clamped, novelty, flag)
+        estimator.update(obs)
+        self.last_t = t
+        return TraceRecord(t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, flag)
 
     # -- snapshots ---------------------------------------------------
 
@@ -277,21 +284,25 @@ def run_stream(
 TRACE_CSV_HEADER = "t,symbol,c_stm,c_ltm,u_raw,u_clamped,novelty,change_flag"
 
 
-def _num(value: Optional[float]) -> Optional[str]:
-    """Fixed 6-decimal rendering; None for absent or non-finite values."""
+def _num(value: Optional[float], absent: str) -> str:
+    """Fixed 6-decimal rendering; `absent` for None and non-finite values."""
     if value is None or not math.isfinite(value):
-        return None
-    return f"{value:.6f}"
+        return absent
+    return "%.6f" % value
+
+
+_JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
+               '"u_raw": %s, "u_clamped": %s, "novelty": %s, "change_flag": %s}')
 
 
 def trace_to_jsonl(record: TraceRecord) -> str:
-    parts = [f'"t": {record.t}', f'"symbol": {json.dumps(record.symbol)}']
-    for name in ("c_stm", "c_ltm", "u_raw", "u_clamped"):
-        rendered = _num(getattr(record, name))
-        parts.append(f'"{name}": {rendered if rendered is not None else "null"}')
-    parts.append(f'"novelty": {"true" if record.novelty else "false"}')
-    parts.append(f'"change_flag": {"true" if record.change_flag else "false"}')
-    return "{" + ", ".join(parts) + "}"
+    t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
+    # encode_basestring_ascii is what json.dumps does with a str.
+    return _JSONL_LINE % (
+        t, encode_basestring_ascii(symbol),
+        _num(c_stm, "null"), _num(c_ltm, "null"),
+        _num(u_raw, "null"), _num(u_clamped, "null"),
+        "true" if novelty else "false", "true" if change_flag else "false")
 
 
 _CSV_SPECIAL = frozenset(',"\r\n')
@@ -305,9 +316,8 @@ def _csv_field(text: str) -> str:
 
 
 def trace_to_csv(record: TraceRecord) -> str:
-    cells = [str(record.t), _csv_field(record.symbol)]
-    for name in ("c_stm", "c_ltm", "u_raw", "u_clamped"):
-        cells.append(_num(getattr(record, name)) or "")
-    cells.append("true" if record.novelty else "false")
-    cells.append("true" if record.change_flag else "false")
-    return ",".join(cells)
+    t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
+    return "%s,%s,%s,%s,%s,%s,%s,%s" % (
+        t, _csv_field(symbol),
+        _num(c_stm, ""), _num(c_ltm, ""), _num(u_raw, ""), _num(u_clamped, ""),
+        "true" if novelty else "false", "true" if change_flag else "false")

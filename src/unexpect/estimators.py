@@ -55,7 +55,13 @@ def ltm_complexity(w: float, epsilon: float = 0.0) -> BitLength:
         raise ValidationError(f"rate must be in [0, 1], got {w}")
     if epsilon < 0.0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-    floored = max(w, epsilon)
+    return _ltm_bits(w, epsilon)
+
+
+def _ltm_bits(w: float, epsilon: float) -> BitLength:
+    """ltm_complexity without the range checks, for a rate and a floor
+    the engine computed itself."""
+    floored = epsilon if epsilon > w else w  # max(w, epsilon) without a call
     if floored == 0.0:
         return math.inf
     return math.log2(1.0 / floored)
@@ -80,6 +86,12 @@ class FreqEstimate:
     support_count: int
 
 
+def _auto_epsilon(events_seen: int, alphabet_size: int) -> float:
+    """The "auto" smoothing floor: 1 / (events seen + distinct symbols seen)."""
+    seen = events_seen + alphabet_size
+    return 1.0 / (seen if seen > 1 else 1)
+
+
 def resolve_epsilon(spec: EpsilonSpec, events_seen: int, alphabet_size: int) -> float:
     """Concrete smoothing floor for a given estimator state.
 
@@ -87,7 +99,7 @@ def resolve_epsilon(spec: EpsilonSpec, events_seen: int, alphabet_size: int) -> 
     symbols seen so far). "off" (or 0) disables the floor.
     """
     if spec == EPSILON_AUTO:
-        return 1.0 / max(events_seen + alphabet_size, 1)
+        return _auto_epsilon(events_seen, alphabet_size)
     if spec == EPSILON_OFF:
         return 0.0
     value = float(spec)
@@ -207,6 +219,8 @@ class IirEstimator(_EstimatorBase):
         self._w_step: dict[SymbolId, int] = {}
         self._counts: Counter[SymbolId] = Counter()
         self._step = 0
+        # (symbol, step, rate) of the last materialized w(); not state.
+        self._decayed: tuple = (None, -1, 0.0)
 
     _PRUNE_EVERY = 1024
 
@@ -214,13 +228,19 @@ class IirEstimator(_EstimatorBase):
         stored = self._w.get(symbol)
         if stored is None:
             return 0.0
-        return stored * self.alpha ** (self._step - self._w_step[symbol])
+        rate = stored * self.alpha ** (self._step - self._w_step[symbol])
+        self._decayed = (symbol, self._step, rate)
+        return rate
 
     def update(self, obs: Observation) -> None:
         self._check_time(obs)
         self._note(obs)
         sym = obs.symbol
-        current = self.w(sym)  # new symbols start at 0 before their update
+        # The engine asks w(sym) just before update(sym); reuse that rate
+        # while no update has moved the step since.
+        decayed_sym, decayed_step, current = self._decayed
+        if decayed_step != self._step or decayed_sym != sym:
+            current = self.w(sym)  # new symbols start at 0 before their update
         self._w[sym] = (1.0 - self.alpha) + self.alpha * current
         self._w_step[sym] = self._step + 1
         self._counts[sym] += 1
@@ -236,6 +256,7 @@ class IirEstimator(_EstimatorBase):
         for sym in [s for s in self._w if self.w(s) < floor / 2.0]:
             del self._w[sym]
             del self._w_step[sym]
+        self._decayed = (None, -1, 0.0)  # may name a symbol just dropped
 
     def tracked_symbols(self) -> list[SymbolId]:
         return list(self._w)

@@ -96,6 +96,26 @@ class TestTrack:
         assert code == 1
         assert "--theta" in err
 
+    @pytest.mark.parametrize("values, flag", [
+        ({"theta": "x"}, "--theta"),
+        ({"theta": True}, "--theta"),
+        ({"beta": None}, "--beta"),
+        ({"estimator": "fir", "window": 1.5}, "--window"),
+        ({"min_hits": "3"}, "--min-hits"),
+        ({"capacity": True}, "--capacity"),
+        ({"capacity": 2.5}, "--capacity"),
+        ({"epsilon": False}, "--epsilon"),
+        ({"warmup": 2.5}, "--warmup"),
+        ({"warmup": True}, "--warmup"),
+        ({"prune": "yes"}, "--config"),
+    ])
+    def test_wrong_typed_config_value_names_the_flag(self, tmp_path, capsys,
+                                                     values, flag):
+        config = write(tmp_path / "cfg.json", json.dumps(values))
+        code, _, err = run_cli(capsys, ["track", "--config", config])
+        assert code == 1
+        assert flag in err
+
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["track", "--nonsense"])
         assert code == 1
@@ -158,6 +178,13 @@ class TestTrack:
         assert code == 0
         assert "all stable" in err
         assert "stable" not in out
+
+    @pytest.mark.parametrize("delta", ["-1", "nan", "inf"])
+    def test_stability_delta_must_be_finite(self, capsys, delta):
+        code, _, err = run_cli(
+            capsys, ["track", "--stability-m", "10", "--stability-delta", delta])
+        assert code == 1
+        assert "--stability-delta" in err
 
     def test_stability_flags_must_pair(self, capsys):
         code, _, err = run_cli(capsys, ["track", "--stability-m", "10"])
@@ -351,9 +378,44 @@ class TestDivergenceCommand:
         assert "--mind" in err
 
     def test_tau_must_be_positive(self, capsys):
-        code, _, err = run_cli(capsys, ["divergence", "--tau", "0"])
-        assert code == 1
-        assert "--tau" in err
+        for tau in ("0", "-1", "nan", "inf"):
+            code, _, err = run_cli(capsys, ["divergence", "--tau", tau])
+            assert code == 1
+            assert "--tau" in err
+
+    def test_csv_emit_quotes_symbols(self, tmp_path, capsys):
+        # Both "a,b" and 'c"d' are cheap to generate yet costly to
+        # describe at tau 1.2, so the incomplete cell joins them.
+        world = write(tmp_path / "w.json", json.dumps(
+            {"symbols": ["a,b", 'c"d', "e"], "mass": [0.45, 0.45, 0.1]}))
+        mind = write(tmp_path / "m.json", json.dumps(
+            {"symbols": ["a,b", 'c"d', "e"], "bits": [2.5, 2.5, 0.63]}))
+        code, out, _ = run_cli(
+            capsys,
+            ["divergence", "--world", world, "--mind", mind, "--tau", "1.2",
+             "--normalize-mind", "--emit", "csv"],
+        )
+        assert code == 0
+        rows = {row[0]: row[1:] for row in csv.reader(out.splitlines())}
+        assert all(len(cells) == 1 for cells in rows.values())
+        assert {"u.a,b", 'u.c"d', "u.e"} <= rows.keys()
+        assert rows["incomplete"] == ['a,b;c"d']
+
+    @pytest.mark.parametrize("line", [
+        '{"symbol": "A", "c_ltm": "x"}',
+        '{"symbol": ["A"], "c_ltm": 1.0}',
+        '{"symbol": "A", "c_ltm": true}',
+        '{"symbol": "A", "c_ltm": NaN}',
+        '{"symbol": "A", "c_ltm": -1.0}',
+    ])
+    def test_from_trace_bad_line_is_data_error(self, capsys, monkeypatch, line):
+        trace = '{"symbol": "A", "c_ltm": 1.0}\n' + line + "\n"
+        code, _, err = run_cli(
+            capsys, ["divergence", "--from-trace", "--normalize-mind"],
+            stdin_text=trace, monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "line 2" in err
 
 
 class TestSimulate:

@@ -1,8 +1,11 @@
 import json
 import math
+import struct
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unexpect.core import (
@@ -16,11 +19,14 @@ from unexpect.engine import (
     Engine,
     EngineConfig,
     TRACE_CSV_HEADER,
+    TraceRecord,
+    _csv_field,
     detect,
     run_stream,
     trace_to_csv,
     trace_to_jsonl,
 )
+from unexpect.estimators import EPSILON_AUTO, EPSILON_OFF, IirEstimator
 from unexpect.memory import Observation
 from unexpect.simgen import SourceSpec, generate
 
@@ -291,3 +297,255 @@ class TestConfigValidation:
         config = EngineConfig(estimator="fir", window=64, epsilon=0.01,
                               theta=2.0, capacity=100)
         assert EngineConfig.from_dict(config.to_dict()) == config
+
+
+# -- reference: the per-event path before it was made lean --------------
+#
+# Copied verbatim from the previous engine.py, estimators.py and
+# memory.py; only `self` became `engine` in ref_step, the names gained a
+# ref_ prefix, and docstrings were dropped. It builds a frozen-dataclass
+# record, resolves epsilon and range-checks both costs on every event,
+# recomputes the IIR rate in update, and serializes field by field.
+
+
+@dataclass(frozen=True, slots=True)
+class RefTraceRecord:
+    t: int
+    symbol: str
+    c_stm: float
+    c_ltm: float
+    u_raw: Optional[float]
+    u_clamped: Optional[float]
+    novelty: bool
+    change_flag: bool
+
+
+def ref_ltm_complexity(w: float, epsilon: float = 0.0) -> float:
+    if not 0.0 <= w <= 1.0:
+        raise ValidationError(f"rate must be in [0, 1], got {w}")
+    if epsilon < 0.0:
+        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
+    floored = max(w, epsilon)
+    if floored == 0.0:
+        return math.inf
+    return math.log2(1.0 / floored)
+
+
+def ref_resolve_epsilon(spec, events_seen: int, alphabet_size: int) -> float:
+    if spec == EPSILON_AUTO:
+        return 1.0 / max(events_seen + alphabet_size, 1)
+    if spec == EPSILON_OFF:
+        return 0.0
+    value = float(spec)
+    if value < 0.0 or value >= 1.0:
+        raise ValidationError(f"epsilon must be in [0, 1), got {value}")
+    return value
+
+
+def ref_stm_complexity(pre_position: Optional[int]) -> float:
+    if pre_position is None:
+        return math.inf
+    if pre_position < 1:
+        raise ValidationError(f"position must be >= 1, got {pre_position}")
+    return math.log2(pre_position)
+
+
+class RefIirEstimator(IirEstimator):
+    def w(self, symbol):
+        stored = self._w.get(symbol)
+        if stored is None:
+            return 0.0
+        return stored * self.alpha ** (self._step - self._w_step[symbol])
+
+    def update(self, obs):
+        self._check_time(obs)
+        self._note(obs)
+        sym = obs.symbol
+        current = self.w(sym)  # new symbols start at 0 before their update
+        self._w[sym] = (1.0 - self.alpha) + self.alpha * current
+        self._w_step[sym] = self._step + 1
+        self._counts[sym] += 1
+        self._step += 1
+        if self.prune and self._step % self._PRUNE_EVERY == 0:
+            self._sweep()
+
+
+def ref_step(engine: Engine, obs: Observation) -> RefTraceRecord:
+    if engine.last_t is not None and obs.t <= engine.last_t:
+        raise NonMonotonicTimeError(
+            f"time {obs.t} does not increase past {engine.last_t}"
+        )
+    # Measure against the state *before* this event.
+    w = engine.estimator.w(obs.symbol)
+    floor = ref_resolve_epsilon(
+        engine.config.epsilon,
+        engine.estimator.events_seen,
+        engine.estimator.alphabet_size,
+    )
+    c_ltm = ref_ltm_complexity(w, floor)
+    pre_position = engine.stack.observe(obs.symbol)
+    c_stm = ref_stm_complexity(pre_position)
+
+    novelty = pre_position is None
+    if novelty:
+        u_raw: Optional[float] = None
+        u_clamped: Optional[float] = None
+        flag = engine.detector.flag  # detector not updated by novelties
+    else:
+        u_raw = c_ltm - c_stm
+        u_clamped = max(u_raw, 0.0)
+        if math.isfinite(u_clamped) and engine.estimator.events_seen >= engine.warmup:
+            flag = engine.detector.update(u_clamped)
+        else:
+            # Detector is still arming, or ltm cost is infinite with
+            # smoothing disabled; keep the EWMA clean either way.
+            flag = engine.detector.flag
+
+    engine.estimator.update(obs)
+    engine.last_t = obs.t
+    return RefTraceRecord(obs.t, obs.symbol, c_stm, c_ltm,
+                          u_raw, u_clamped, novelty, flag)
+
+
+def ref_num(value: Optional[float]) -> Optional[str]:
+    if value is None or not math.isfinite(value):
+        return None
+    return f"{value:.6f}"
+
+
+def ref_trace_to_jsonl(record) -> str:
+    parts = [f'"t": {record.t}', f'"symbol": {json.dumps(record.symbol)}']
+    for name in ("c_stm", "c_ltm", "u_raw", "u_clamped"):
+        rendered = ref_num(getattr(record, name))
+        parts.append(f'"{name}": {rendered if rendered is not None else "null"}')
+    parts.append(f'"novelty": {"true" if record.novelty else "false"}')
+    parts.append(f'"change_flag": {"true" if record.change_flag else "false"}')
+    return "{" + ", ".join(parts) + "}"
+
+
+def ref_trace_to_csv(record) -> str:
+    cells = [str(record.t), _csv_field(record.symbol)]
+    for name in ("c_stm", "c_ltm", "u_raw", "u_clamped"):
+        cells.append(ref_num(getattr(record, name)) or "")
+    cells.append("true" if record.novelty else "false")
+    cells.append("true" if record.change_flag else "false")
+    return ",".join(cells)
+
+
+def ref_engine(engine: Engine) -> Engine:
+    """The engine with its IIR estimator swapped for the reference one."""
+    if isinstance(engine.estimator, IirEstimator):
+        engine.estimator = RefIirEstimator.from_state_dict(
+            engine.estimator.state_dict())
+    return engine
+
+
+def exact(values) -> tuple:
+    """Field values with floats as their IEEE-754 bits, so -0.0 != 0.0
+    and NaN == NaN; other values with their type."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else (type(v), v)
+                 for v in values)
+
+
+def ref_fields(record: RefTraceRecord) -> tuple:
+    return tuple(getattr(record, f.name) for f in fields(record))
+
+
+diff_configs = st.builds(
+    EngineConfig,
+    estimator=st.sampled_from(["iir", "fir"]),
+    alpha=st.sampled_from([0.5, 0.9, 0.99]),
+    window=st.integers(min_value=1, max_value=6),
+    epsilon=st.one_of(
+        st.sampled_from([EPSILON_AUTO, EPSILON_OFF]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    ),
+    theta=st.sampled_from([0.05, 0.5, 1.0]),
+    min_hits=st.integers(min_value=1, max_value=3),
+    warmup=st.just(0),
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+)
+
+# Symbols that need escaping in JSON or quoting in CSV, plus any text.
+awkward_symbols = st.one_of(
+    st.sampled_from(['a', '"', "\\", ",", "a,b", "\r", "\n", "\r\n", "\x00",
+                     "\x1f\x7f", "é", "字", "😀", "\ud800", '"q"\\,']),
+    st.text(st.characters(exclude_categories=()), max_size=6),
+)
+
+any_float = st.one_of(
+    st.none(), st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestLeanPathMatchesReference:
+    """The per-event path against the reference copy above: the same
+    records to the bit, the same serialized lines, the same snapshots."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(diff_configs,
+           st.lists(st.tuples(st.integers(min_value=1, max_value=3),
+                              st.sampled_from("ABCDEFGHIJ")), max_size=60),
+           st.integers(min_value=0, max_value=2 ** 70),
+           st.data())
+    def test_step_and_serializers(self, config, gaps, t0, data):
+        split = data.draw(st.integers(min_value=0, max_value=len(gaps)))
+        engine, reference = Engine(config), ref_engine(Engine(config))
+        t = t0
+        for i, (gap, symbol) in enumerate(gaps):
+            if i == split:
+                engine = Engine.restore_json(engine.snapshot_json())
+                reference = ref_engine(Engine.restore_json(reference.snapshot_json()))
+            obs = Observation(t, symbol)
+            record, expected = engine.step(obs), ref_step(reference, obs)
+            assert exact(record) == exact(ref_fields(expected))
+            assert trace_to_jsonl(record) == ref_trace_to_jsonl(expected)
+            assert trace_to_csv(record) == ref_trace_to_csv(expected)
+            t += gap
+        assert engine.snapshot_json() == reference.snapshot_json()
+
+    def test_prune_sweep_then_the_dropped_symbol_returns(self):
+        # The sweep at step 1024 drops "b", the last symbol it reads; the
+        # next event is "b", whose rate must restart from zero.
+        config = EngineConfig(alpha=0.99, prune=True, warmup=0)
+        engine, reference = Engine(config), ref_engine(Engine(config))
+        stream = ["a", "b"] + ["a"] * 1022 + ["b", "a", "b"]
+        for t, symbol in enumerate(stream):
+            obs = Observation(t, symbol)
+            record, expected = engine.step(obs), ref_step(reference, obs)
+            assert exact(record) == exact(ref_fields(expected))
+        assert "b" in engine.estimator.tracked_symbols()
+        assert engine.snapshot_json() == reference.snapshot_json()
+
+    @given(st.sampled_from([0.5, 0.9, 0.99]),
+           st.lists(st.tuples(st.booleans(), st.sampled_from("ABC")), max_size=40))
+    def test_iir_rate_reuse_under_any_call_order(self, alpha, calls):
+        # The engine calls w(s) right before update(s); other callers
+        # may call them in any order, and update must not reuse a rate
+        # that no longer holds.
+        estimator, reference = IirEstimator(alpha), RefIirEstimator(alpha)
+        for t, (is_update, symbol) in enumerate(calls):
+            if is_update:
+                estimator.update(Observation(t, symbol))
+                reference.update(Observation(t, symbol))
+            else:
+                assert exact([estimator.w(symbol)]) == exact([reference.w(symbol)])
+        assert estimator.state_dict() == reference.state_dict()
+
+    @settings(max_examples=500)
+    @given(st.tuples(st.integers(min_value=0, max_value=2 ** 80), awkward_symbols,
+                     *[any_float] * 4, st.booleans(), st.booleans()))
+    @example((0, "a", math.inf, 1.5, None, None, True, False))
+    @example((2 ** 64, "a,b", -0.0, 1e300, -1e-7, 5e-7, False, True))
+    def test_serializers_on_any_record(self, values):
+        record, expected = TraceRecord(*values), RefTraceRecord(*values)
+        assert trace_to_jsonl(record) == ref_trace_to_jsonl(expected)
+        assert trace_to_csv(record) == ref_trace_to_csv(expected)
+
+    def test_record_is_an_immutable_named_tuple(self):
+        record = TraceRecord(0, "a", math.inf, 1.0, None, None, True, False)
+        assert record._fields == tuple(f.name for f in fields(RefTraceRecord))
+        assert record == TraceRecord(0, "a", math.inf, 1.0, None, None, True, False)
+        with pytest.raises(AttributeError):
+            record.t = 1
