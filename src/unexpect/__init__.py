@@ -7,95 +7,50 @@ recency of last sighting). Sustained positive drops signal that the
 stream's generator changed.
 """
 
-from .causal import CausalGraph, Explanation, from_probabilities
-from .core import (
-    BitLength,
-    CodeLengthTable,
-    DiscreteDistribution,
-    SymbolId,
-    Unexpectedness,
-    UnexpectError,
-    bits_from_probability,
-    distribution_from_code,
-)
-from .divergence import (
-    DivergenceReport,
-    MachinePair,
-    cross_entropy,
-    divergences,
-    entropy,
-    kl,
-    memory_cost_ordered,
-    memory_cost_unordered,
-    soundness_completeness,
-    variety,
-    variety_hat,
-    variety_star,
-)
-from .engine import (
-    ChangeDetector,
-    Engine,
-    EngineConfig,
-    TraceRecord,
-    detect,
-    run_stream,
-)
-from .estimators import (
-    FirEstimator,
-    FreqEstimate,
-    IirEstimator,
-    expected_position,
-    is_stable,
-    ltm_complexity,
-)
-from .memory import Observation, StmStack, matches, read_events, stm_complexity
-from .simgen import SourceSpec, SplitMix64, generate, zipf_distribution
+import importlib
+
+# Public name -> the submodule that defines it. A submodule is imported
+# on the first access to one of its names (PEP 562), so a command loads
+# only the modules it runs.
+_SUBMODULE_OF = {name: module for module, names in {
+    "causal": ("CausalGraph", "Explanation", "from_probabilities"),
+    "core": (
+        "BitLength", "CodeLengthTable", "DiscreteDistribution", "SymbolId",
+        "Unexpectedness", "UnexpectError", "bits_from_probability",
+        "distribution_from_code",
+    ),
+    "divergence": (
+        "DivergenceReport", "MachinePair", "cross_entropy", "divergences",
+        "entropy", "kl", "memory_cost_ordered", "memory_cost_unordered",
+        "soundness_completeness", "variety", "variety_hat", "variety_star",
+    ),
+    "engine": (
+        "ChangeDetector", "Engine", "EngineConfig", "TraceRecord", "detect",
+        "run_stream",
+    ),
+    "estimators": (
+        "FirEstimator", "FreqEstimate", "IirEstimator", "expected_position",
+        "is_stable", "ltm_complexity",
+    ),
+    "memory": (
+        "Observation", "StmStack", "matches", "read_events", "stm_complexity",
+    ),
+    "simgen": ("SourceSpec", "SplitMix64", "generate", "zipf_distribution"),
+}.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitLength",
-    "CausalGraph",
-    "ChangeDetector",
-    "CodeLengthTable",
-    "DiscreteDistribution",
-    "DivergenceReport",
-    "Engine",
-    "EngineConfig",
-    "Explanation",
-    "FirEstimator",
-    "FreqEstimate",
-    "IirEstimator",
-    "MachinePair",
-    "Observation",
-    "SourceSpec",
-    "SplitMix64",
-    "StmStack",
-    "SymbolId",
-    "TraceRecord",
-    "Unexpectedness",
-    "UnexpectError",
-    "bits_from_probability",
-    "cross_entropy",
-    "detect",
-    "distribution_from_code",
-    "divergences",
-    "entropy",
-    "expected_position",
-    "from_probabilities",
-    "generate",
-    "is_stable",
-    "kl",
-    "ltm_complexity",
-    "matches",
-    "memory_cost_ordered",
-    "memory_cost_unordered",
-    "read_events",
-    "run_stream",
-    "soundness_completeness",
-    "stm_complexity",
-    "variety",
-    "variety_hat",
-    "variety_star",
-    "zipf_distribution",
-]
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -22,12 +22,14 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections import Counter, deque
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterator, Optional, Sequence
 
-from . import causal, estimators, simgen
+from . import estimators
 from .core import (
     CodeLengthTable,
     DiscreteDistribution,
@@ -43,7 +45,7 @@ from .engine import (
     trace_to_jsonl,
 )
 from .estimators import is_stable
-from .memory import read_events
+from .memory import _decode_json_line, read_events
 
 
 class _Exit(Exception):
@@ -69,10 +71,20 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _open_output(path: Optional[str]) -> Iterator[IO[str]]:
-    """Stdout passthrough, or atomic write-then-rename for real files."""
+    """Stdout passthrough; in-place writes to an existing FIFO or device;
+    atomic write-then-rename for regular files and new paths."""
     if path is None or path == "-":
         yield sys.stdout
         sys.stdout.flush()
+        return
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # a new path
+        in_place = False
+    if in_place:
+        # Renaming over a FIFO or a device would replace it with a file.
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".unexpect-", suffix=".tmp")
@@ -201,16 +213,6 @@ def _explicit_config_flags(args: argparse.Namespace) -> list[str]:
     return given
 
 
-def _emit_trace(records, emit: str, out: IO[str]) -> None:
-    if emit == "csv":
-        out.write(TRACE_CSV_HEADER + "\n")
-        to_line = trace_to_csv
-    else:
-        to_line = trace_to_jsonl
-    for record in records:
-        out.write(to_line(record) + "\n")
-
-
 def _run_engine_over(
     engine: Engine,
     lines: IO[str],
@@ -218,21 +220,26 @@ def _run_engine_over(
     out: IO[str],
     stability: Optional[tuple[int, float]] = None,
 ) -> None:
+    """Read, score and write one event at a time."""
+    write = out.write
+    if emit == "csv":
+        write(TRACE_CSV_HEADER + "\n")
+        to_line = trace_to_csv
+    else:
+        to_line = trace_to_jsonl
+    step = engine.step
     histories: dict[str, deque] = {}
-    def records():
+    try:
         for lineno, obs in read_events(lines):
             try:
-                record = engine.step(obs)
+                record = step(obs)
             except UnexpectError as exc:
                 raise _fail_data(f"line {lineno}: {exc}") from None
             if stability is not None:
                 histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
                     engine.estimator.w(obs.symbol)
                 )
-            yield record
-
-    try:
-        _emit_trace(records(), emit, out)
+            write(to_line(record) + "\n")
     except ValidationError as exc:
         raise _fail_data(str(exc)) from None
     if stability is not None:
@@ -308,6 +315,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 # -- explain -----------------------------------------------------------
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from . import causal
+
     if (args.graph is None) == (args.bayes is None):
         raise _fail_flag("exactly one of --graph or --bayes is required")
     if args.graph is not None:
@@ -366,7 +375,7 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_json_line(line)
             symbol = obj["symbol"]
             c_ltm = obj["c_ltm"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -476,6 +485,8 @@ def _load_distribution_file(path: str) -> DiscreteDistribution:
 # -- simulate ----------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simgen
+
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = simgen.SourceSpec.from_json(fh.read())
@@ -492,7 +503,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             fh.write(dist.to_json() + "\n")
     with _open_output(args.out) as out:
         for obs in simgen.generate(spec):
-            out.write('{"t": %d, "s": %s}\n' % (obs.t, json.dumps(obs.symbol)))
+            # encode_basestring_ascii is what json.dumps does with a str.
+            out.write('{"t": %d, "s": %s}\n'
+                      % (obs.t, encode_basestring_ascii(obs.symbol)))
     return 0
 
 

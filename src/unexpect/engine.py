@@ -123,16 +123,36 @@ class EngineConfig:
             raise ValidationError(
                 f"estimator must be 'iir' or 'fir', got {self.estimator!r}"
             )
+
+        def require(name, kind, what):
+            # Before any range check, so none compares a str; a bool never
+            # counts as a number.
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+        for name in ("alpha", "beta", "theta"):
+            require(name, (int, float), "a number")
+        for name in ("window", "min_hits"):
+            require(name, int, "an integer")
         if self.estimator == "iir" and not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.estimator == "fir" and self.window < 1:
             raise ValidationError(f"window must be >= 1, got {self.window}")
         if self.epsilon not in (EPSILON_AUTO, estimators.EPSILON_OFF):
-            resolve_epsilon(self.epsilon, 0, 0)  # validates the float form
-        if self.warmup != "auto" and (not isinstance(self.warmup, int) or self.warmup < 0):
+            require("epsilon", (int, float), "a number")
+            resolve_epsilon(self.epsilon, 0, 0)  # validates the range
+        if self.warmup != "auto" and (
+            isinstance(self.warmup, bool) or not isinstance(self.warmup, int)
+            or self.warmup < 0
+        ):
             raise ValidationError(f"warmup must be 'auto' or >= 0, got {self.warmup}")
-        if self.capacity is not None and self.capacity < 1:
-            raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
+        if self.capacity is not None:
+            require("capacity", int, "an integer")
+            if self.capacity < 1:
+                raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
+        if not isinstance(self.prune, bool):
+            raise ValidationError(f"prune must be true or false, got {self.prune!r}")
         ChangeDetector(self.beta, self.theta, self.min_hits)  # validates
 
     def build_estimator(self) -> Estimator:

@@ -122,15 +122,41 @@ class StmStack:
         return pre
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_json_line(line: str):
+    """json.loads(line): the same value, or the same error and message.
+
+    A line holding one JSON value followed by nothing but JSON
+    whitespace is decoded by a single raw_decode scan, without the
+    whitespace regex json.loads runs on both ends. Anything else (leading
+    whitespace, extra data, a syntax error) goes to json.loads, which
+    produces the canonical result or error.
+    """
+    try:
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        pass
+    else:
+        if end == len(line) or not line[end:].strip(" \t\n\r"):
+            return value
+    return json.loads(line)
+
+
 def parse_event(line: str, lineno: int) -> Observation:
     """Parse one event line: {"t": int, "s": str} or a bare token.
 
     Bare tokens get t = lineno (0-based physical line index).
     """
-    stripped = line.strip()
+    return _parse_stripped(line.strip(), lineno)
+
+
+def _parse_stripped(stripped: str, lineno: int) -> Observation:
+    """parse_event for a line already stripped of surrounding whitespace."""
     if stripped.startswith("{"):
         try:
-            obj = json.loads(stripped)
+            obj = _decode_json_line(stripped)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON event: {exc}") from None
         if "t" not in obj or "s" not in obj:
@@ -147,9 +173,10 @@ def parse_event(line: str, lineno: int) -> Observation:
 def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
     """Yield (1-based line number, Observation) pairs; blank lines skipped."""
     for i, line in enumerate(lines):
-        if not line.strip():
+        stripped = line.strip()
+        if not stripped:
             continue
         try:
-            yield i + 1, parse_event(line, i)
+            yield i + 1, _parse_stripped(stripped, i)
         except ValidationError as exc:
             raise ValidationError(f"line {i + 1}: {exc}") from None

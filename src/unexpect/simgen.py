@@ -170,6 +170,8 @@ class SourceSpec:
         if kind in ("stationary", "changepoint"):
             if "symbols" not in obj or "mass" not in obj:
                 raise InvalidSpecError('spec needs "symbols" and "mass"')
+            if not all(isinstance(symbol, str) for symbol in obj["symbols"]):
+                raise InvalidSpecError('spec "symbols" must be strings')
             kwargs["distribution"] = DiscreteDistribution(
                 tuple(obj["symbols"]), tuple(obj["mass"])
             )

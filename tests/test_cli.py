@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -190,6 +192,44 @@ class TestTrack:
         code, _, err = run_cli(capsys, ["track", "--stability-m", "10"])
         assert code == 1
         assert "--stability-delta" in err
+
+
+class TestOutputPaths:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+    def test_fifo_output_is_written_in_place(self, tmp_path, capsys):
+        events = write(tmp_path / "events.jsonl", EVENTS)
+        code, expected, _ = run_cli(capsys, ["track", "--input", events])
+        assert code == 0
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def reader():
+            with open(fifo, encoding="utf-8") as fh:
+                received.append(fh.read())
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        code, _, _ = run_cli(capsys, ["track", "--input", events,
+                                      "--output", str(fifo)])
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "the reader never saw the writer close"
+        assert code == 0
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["events.jsonl", "trace.fifo"]
+
+    def test_regular_file_is_replaced_whole_or_not_at_all(self, tmp_path, capsys):
+        events = write(tmp_path / "events.jsonl", EVENTS)
+        bad = write(tmp_path / "bad.jsonl", EVENTS + "{\n")
+        out = write(tmp_path / "trace.jsonl", "stale\n" * 100)
+        assert run_cli(capsys, ["track", "--input", bad, "--output", out])[0] == 2
+        assert (tmp_path / "trace.jsonl").read_text() == "stale\n" * 100
+        code, expected, _ = run_cli(capsys, ["track", "--input", events])
+        assert run_cli(capsys, ["track", "--input", events, "--output", out])[0] == 0
+        assert (tmp_path / "trace.jsonl").read_text() == expected
+        assert sorted(os.listdir(tmp_path)) == ["bad.jsonl", "events.jsonl",
+                                                "trace.jsonl"]
 
 
 class TestSnapshotReplay:
@@ -454,6 +494,16 @@ class TestSimulate:
         )
         assert code == 1
         assert "--dist-out" in err
+
+    def test_non_string_symbols_are_a_data_error(self, tmp_path, capsys):
+        spec = write(tmp_path / "spec.json", json.dumps({
+            "kind": "stationary", "length": 3, "seed": 1,
+            "symbols": ["x", 2], "mass": [0.5, 0.5],
+        }))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", spec])
+        assert code == 2
+        assert out == ""
+        assert '"symbols" must be strings' in err
 
     def test_bad_spec_is_data_error(self, tmp_path, capsys):
         spec = write(tmp_path / "spec.json", json.dumps({"kind": "weird",

@@ -293,6 +293,35 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             EngineConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"estimator": "fir", "window": 2.5}, "window"),
+        ({"estimator": "fir", "window": True}, "window"),
+        ({"capacity": True}, "capacity"),
+        ({"capacity": 2.0}, "capacity"),
+        ({"capacity": "8"}, "capacity"),
+        ({"min_hits": 3.0}, "min_hits"),
+        ({"min_hits": False}, "min_hits"),
+        ({"warmup": 2.0}, "warmup"),
+        ({"warmup": True}, "warmup"),
+        ({"theta": "x"}, "theta"),
+        ({"theta": True}, "theta"),
+        ({"beta": "0.5"}, "beta"),
+        ({"alpha": None}, "alpha"),
+        ({"estimator": "fir", "alpha": "x"}, "alpha"),
+        ({"epsilon": "0.1"}, "epsilon"),
+        ({"epsilon": False}, "epsilon"),
+        ({"prune": 1}, "prune"),
+        ({"prune": "yes"}, "prune"),
+    ])
+    def test_rejects_wrong_types(self, kwargs, field):
+        with pytest.raises(ValidationError, match=field):
+            EngineConfig(**kwargs)
+
+    def test_accepts_ints_for_numbers(self):
+        config = EngineConfig(theta=2, beta=0.5, epsilon=0, warmup=0,
+                              capacity=3, prune=True)
+        assert Engine(config).step(Observation(0, "A")).novelty
+
     def test_dict_round_trip(self):
         config = EngineConfig(estimator="fir", window=64, epsilon=0.01,
                               theta=2.0, capacity=100)

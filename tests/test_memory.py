@@ -1,13 +1,15 @@
+import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unexpect.core import ValidationError
 from unexpect.memory import (
     Observation,
     StmStack,
+    _decode_json_line,
     matches,
     parse_event,
     read_events,
@@ -146,3 +148,127 @@ class TestEventParsing:
             (3, Observation(9, "B")),
             (4, Observation(3, "C")),
         ]
+
+
+# -- reference: event parsing through json.loads -----------------------
+#
+# parse_event and read_events as they were before the line decoder:
+# json.loads on every event line, and a second strip per line.
+
+
+def ref_parse_event(line, lineno):
+    stripped = line.strip()
+    if stripped.startswith("{"):
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON event: {exc}") from None
+        if "t" not in obj or "s" not in obj:
+            raise ValidationError('event object must have "t" and "s" fields')
+        t, s = obj["t"], obj["s"]
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValidationError(f'"t" must be an integer, got {t!r}')
+        if not isinstance(s, str):
+            raise ValidationError(f'"s" must be a string, got {s!r}')
+        return Observation(t, s)
+    return Observation(lineno, stripped)
+
+
+def ref_read_events(lines):
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            yield i + 1, ref_parse_event(line, i)
+        except ValidationError as exc:
+            raise ValidationError(f"line {i + 1}: {exc}") from None
+
+
+def outcome(fn, *args):
+    """("ok", repr of the value) or (exception type, message, details)."""
+    try:
+        value = fn(*args)
+    except json.JSONDecodeError as exc:
+        return ("JSONDecodeError", str(exc), exc.msg, exc.pos, exc.lineno, exc.colno)
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+    # repr, so that NaN equals NaN and -0.0 differs from 0.0
+    return ("ok", repr(value))
+
+
+# Whitespace JSON allows around a value, and whitespace that str.strip
+# removes but JSON rejects.
+JSON_SPACE = st.sampled_from([" ", "\t", "\n", "\r"])
+OTHER_SPACE = st.sampled_from(["\x0c", "\x0b", "\xa0", "\u2028", "\u3000", "\x1c"])
+padding = st.lists(st.one_of(JSON_SPACE, OTHER_SPACE), max_size=3).map("".join)
+
+texts = st.text(st.characters(codec=None, exclude_categories=()), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | texts
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=6,
+)
+events = st.fixed_dictionaries(
+    {"t": st.integers(-2, 2**70) | json_values, "s": texts | json_values},
+    optional={"x": json_values},
+)
+# Fragments that make or break a line: bad escapes, escaped and raw lone
+# surrogates, literals JSON does not have, stray and missing brackets.
+FRAGMENTS = ['\\q', '\\ud800', '\\udfff', '\ud800', '\\u12', 'NaN', '-Infinity',
+             '"', '{', '}', ',', ':', '[]', 'x', '0', '\ufeff']
+
+
+@st.composite
+def json_lines(draw):
+    value = draw(events | json_values)
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from([None, (",", ":")])))
+    edit = draw(st.sampled_from(["none", "none", "insert", "cut", "extra"]))
+    if edit == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(FRAGMENTS)) + text[at:]
+    elif edit == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif edit == "extra":
+        text += draw(padding) + draw(st.sampled_from(FRAGMENTS + ["{}", "1"]))
+    return draw(padding) + text + draw(padding)
+
+
+class TestLineDecoderMatchesJsonLoads:
+    @given(json_lines())
+    @example("")
+    @example(" \n")
+    @example('{"t": 1, "s": "a"}')
+    @example('{"t": 1, "s": "a"}\r\n')
+    @example(' {"t": 1, "s": "a"}')
+    @example('{"t": 1, "s": "a"}\x0c')
+    @example('{"t": 1, "s": "a"}\xa0')
+    @example('{"t": 1, "s": "a"} {}')
+    @example('{"t": 1, "s": "a"}x')
+    @example('\ufeff{"t": 1}')
+    @example('{"s": "\\q"}')
+    @example('{"s": "\\ud800"}')
+    @example('{"s": "\ud800"}')
+    @example("[1, 2]\n")
+    @example("NaN")
+    def test_decoder_returns_what_json_loads_returns(self, line):
+        assert outcome(_decode_json_line, line) == outcome(json.loads, line)
+
+    @given(json_lines(), st.integers(0, 5))
+    @example('{"t": 3, "s": "a"}\x0c', 0)
+    @example('{"t": 3, "s": "a"} x', 0)
+    @example('{"t": -1, "s": "a"}', 0)
+    @example('{"t": true, "s": "a"}', 0)
+    @example('{"t": 3, "s": 4}', 0)
+    @example('{"t": 3}', 0)
+    @example("\xa0token\n", 2)
+    def test_parse_event_matches_reference(self, line, lineno):
+        assert outcome(parse_event, line, lineno) == outcome(
+            ref_parse_event, line, lineno)
+
+    @given(st.lists(json_lines() | texts, max_size=5))
+    def test_read_events_matches_reference(self, lines):
+        assert outcome(lambda: list(read_events(lines))) == outcome(
+            lambda: list(ref_read_events(lines)))
