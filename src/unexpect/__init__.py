@@ -16,8 +16,7 @@ _SUBMODULE_OF = {name: module for module, names in {
     "causal": ("CausalGraph", "Explanation", "from_probabilities"),
     "core": (
         "BitLength", "CodeLengthTable", "DiscreteDistribution", "SymbolId",
-        "Unexpectedness", "UnexpectError", "bits_from_probability",
-        "distribution_from_code",
+        "UnexpectError", "bits_from_probability", "distribution_from_code",
     ),
     "divergence": (
         "DivergenceReport", "MachinePair", "cross_entropy", "divergences",
@@ -25,15 +24,14 @@ _SUBMODULE_OF = {name: module for module, names in {
         "soundness_completeness", "variety", "variety_hat", "variety_star",
     ),
     "engine": (
-        "ChangeDetector", "Engine", "EngineConfig", "TraceRecord", "detect",
-        "run_stream",
+        "ChangeDetector", "Engine", "EngineConfig", "TraceRecord", "run_stream",
     ),
     "estimators": (
-        "FirEstimator", "FreqEstimate", "IirEstimator", "expected_position",
-        "is_stable", "ltm_complexity",
+        "FirEstimator", "IirEstimator", "expected_position", "is_stable",
+        "ltm_complexity",
     ),
     "memory": (
-        "Observation", "StmStack", "matches", "read_events", "stm_complexity",
+        "Observation", "StmStack", "read_events", "stm_complexity",
     ),
     "simgen": ("SourceSpec", "SplitMix64", "generate", "zipf_distribution"),
 }.items() for name in names}

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -25,18 +24,26 @@ from .core import (
     UnknownNodeError,
     UnreachableError,
     ValidationError,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class Explanation:
-    target: SymbolId
-    best_cause: Optional[SymbolId]   # None when the prior alone is cheapest
-    chain: tuple[SymbolId, ...]      # root .. target along the minimal path
-    generation_cost: BitLength
-    c_d: BitLength
-    u_raw: float
-    u_clamped: float
+class Explanation(_Value):
+    __slots__ = ("target", "best_cause", "chain", "generation_cost", "c_d",
+                 "u_raw", "u_clamped")
+
+    def __init__(
+        self,
+        target: SymbolId,
+        best_cause: Optional[SymbolId],   # None when the prior alone is cheapest
+        chain: tuple[SymbolId, ...],      # root .. target along the minimal path
+        generation_cost: BitLength,
+        c_d: BitLength,
+        u_raw: float,
+        u_clamped: float,
+    ):
+        self._fill(target, best_cause, chain, generation_cost, c_d, u_raw,
+                   u_clamped)
 
 
 class CausalGraph:

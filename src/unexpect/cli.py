@@ -70,28 +70,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _open_output(path: Optional[str]) -> Iterator[IO[str]]:
+def _open_output(path: Optional[str], flag: str) -> Iterator[IO[str]]:
     """Stdout passthrough; in-place writes to an existing FIFO or device;
-    atomic write-then-rename for regular files and new paths."""
+    atomic write-then-rename for regular files and new paths. A path that
+    cannot be opened or replaced exits 1 naming `flag`."""
     if path is None or path == "-":
         yield sys.stdout
         sys.stdout.flush()
         return
+
+    def unwritable(exc: OSError) -> _Exit:
+        return _fail_flag(f"{flag}: cannot write {path}: {exc.strerror}")
+
     try:
         in_place = not stat.S_ISREG(os.stat(path).st_mode)
     except OSError:  # a new path
         in_place = False
     if in_place:
         # Renaming over a FIFO or a device would replace it with a file.
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:  # e.g. a directory
+            raise unwritable(exc) from None
+        with fh:
             yield fh
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".unexpect-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".unexpect-",
+                                   suffix=".tmp")
+    except OSError as exc:  # e.g. a missing directory
+        raise unwritable(exc) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise unwritable(exc) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -239,7 +255,11 @@ def _run_engine_over(
                 histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
                     engine.estimator.w(obs.symbol)
                 )
-            write(to_line(record) + "\n")
+            try:
+                write(to_line(record) + "\n")
+            except UnicodeEncodeError as exc:  # e.g. a lone surrogate in CSV
+                raise _fail_data(f"line {lineno}: cannot write symbol "
+                                 f"{obs.symbol!r}: {exc.reason}") from None
     except ValidationError as exc:
         raise _fail_data(str(exc)) from None
     if stability is not None:
@@ -256,7 +276,7 @@ def _run_engine_over(
 
 
 def _save_snapshot(engine: Engine, path: str) -> None:
-    with _open_output(path) as fh:
+    with _open_output(path, "--snapshot-out") as fh:
         fh.write(engine.snapshot_json() + "\n")
 
 
@@ -296,7 +316,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     else:
         engine = Engine(_build_config(args))
 
-    with _open_input(args.input) as lines, _open_output(args.output) as out:
+    with _open_input(args.input) as lines, _open_output(args.output, "--output") as out:
         _run_engine_over(engine, lines, args.emit, out, stability)
     if args.snapshot_out is not None:
         _save_snapshot(engine, args.snapshot_out)
@@ -305,7 +325,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     engine = _load_snapshot(args.snapshot)
-    with _open_input(args.input) as lines, _open_output(args.output) as out:
+    with _open_input(args.input) as lines, _open_output(args.output, "--output") as out:
         _run_engine_over(engine, lines, args.emit, out)
     if args.snapshot_out is not None:
         _save_snapshot(engine, args.snapshot_out)
@@ -359,7 +379,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         "u_clamped_bits": explanation.u_clamped,
         "posterior": 2.0 ** -explanation.u_raw,
     }
-    with _open_output(args.output) as out:
+    with _open_output(args.output, "--output") as out:
         out.write(json.dumps(result) + "\n")
     return 0
 
@@ -450,7 +470,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
     except UnexpectError as exc:
         raise _fail_data(str(exc)) from None
 
-    with _open_output(args.output) as out:
+    with _open_output(args.output, "--output") as out:
         payload = report.to_dict()
         if args.emit == "csv":
             def render(v):
@@ -464,7 +484,11 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
             for key in ("h", "v", "v_hat", "v_star", "d", "d_wrel", "d_abs", "d_drel"):
                 out.write(f"{key},{render(payload[key])}\n")
             for sym, u in zip(payload["symbols"], payload["u"]):
-                out.write(f"{_csv_field(f'u.{sym}')},{render(u)}\n")
+                try:
+                    out.write(f"{_csv_field(f'u.{sym}')},{render(u)}\n")
+                except UnicodeEncodeError as exc:  # e.g. a lone surrogate
+                    raise _fail_data(
+                        f"cannot write symbol {sym!r}: {exc.reason}") from None
             for key in ("unsound", "incomplete"):
                 out.write(f"{key},{_csv_field(';'.join(payload[key]))}\n")
         else:
@@ -499,9 +523,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             dist = simgen.stationary_distribution(spec)
         except UnexpectError as exc:
             raise _fail_flag(f"--dist-out: {exc}") from None
-        with _open_output(args.dist_out) as fh:
+        with _open_output(args.dist_out, "--dist-out") as fh:
             fh.write(dist.to_json() + "\n")
-    with _open_output(args.out) as out:
+    with _open_output(args.out, "--out") as out:
         for obs in simgen.generate(spec):
             # encode_basestring_ascii is what json.dumps does with a str.
             out.write('{"t": %d, "s": %s}\n'

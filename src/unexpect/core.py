@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import Iterable
 
 SymbolId = str
 BitLength = float
@@ -82,27 +82,63 @@ def bits_from_probability(p: float) -> BitLength:
     return math.log2(1.0 / p)
 
 
-@dataclass(frozen=True)
-class Unexpectedness:
-    """Signed complexity drop and its cognitive-economy clamp."""
+class _Value:
+    """Base of the package's value types.
 
-    raw: float
-    clamped: float = field(init=False)
+    A subclass lists its fields in ``__slots__``, in ``__init__`` order,
+    and its ``__init__`` stores each field once with ``_fill``; a subclass
+    of that keeps the same fields. Instances equal instances of the same
+    class only, with equal fields; hash and repr are those of the fields;
+    assignment and deletion raise AttributeError; pickling and copying
+    call the class with the fields. Hand-written, because generating
+    these methods at import time would cost every CLI start several
+    milliseconds.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "clamped", max(self.raw, 0.0))
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("__slots__") or cls._fields
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(_Value):
     """Probability masses over an ordered, duplicate-free support."""
 
-    support: tuple[SymbolId, ...]
-    mass: tuple[float, ...]
+    __slots__ = ("support", "mass")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "mass", tuple(float(m) for m in self.mass))
+    def __init__(self, support: Iterable[SymbolId], mass: Iterable[float]):
+        self._fill(tuple(support), tuple(float(m) for m in mass))
         if len(self.support) != len(self.mass):
             raise ValidationError("support and mass must be parallel arrays")
         if len(set(self.support)) != len(self.support):
@@ -139,20 +175,17 @@ class DiscreteDistribution:
         return cls(tuple(obj["symbols"]), tuple(obj["mass"]))
 
 
-@dataclass(frozen=True)
-class CodeLengthTable:
+class CodeLengthTable(_Value):
     """Per-symbol code lengths in bits; finite and nonnegative.
 
     A table is a proper (prefix-realizable) code when its Kraft sum
     sum_i 2^-L_i does not exceed 1; it is complete when the sum equals 1.
     """
 
-    support: tuple[SymbolId, ...]
-    length: tuple[BitLength, ...]
+    __slots__ = ("support", "length")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "length", tuple(float(v) for v in self.length))
+    def __init__(self, support: Iterable[SymbolId], length: Iterable[BitLength]):
+        self._fill(tuple(support), tuple(float(v) for v in length))
         if len(self.support) != len(self.length):
             raise ValidationError("support and length must be parallel arrays")
         if len(set(self.support)) != len(self.support):
@@ -211,13 +244,3 @@ def distribution_from_code(
             f"masses sum to {total!r}; pass normalize=True to rescale"
         )
     return DiscreteDistribution(table.support, tuple(raw))
-
-
-def load_distribution(path: str) -> DiscreteDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DiscreteDistribution.from_json(fh.read())
-
-
-def load_code_table(path: str) -> CodeLengthTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CodeLengthTable.from_json(fh.read())

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -32,6 +31,7 @@ from .core import (
     SupportMismatchError,
     SymbolId,
     ValidationError,
+    _Value,
     distribution_from_code,
 )
 
@@ -113,35 +113,43 @@ def memory_cost_ordered(n: int) -> BitLength:
     return math.lgamma(n + 1) / math.log(2.0) + math.log2(n)
 
 
-@dataclass(frozen=True)
-class MachinePair:
+class MachinePair(_Value):
     """World distribution and mind code table over one ordered support."""
 
-    world: DiscreteDistribution
-    mind: CodeLengthTable
+    __slots__ = ("world", "mind")
 
-    def __post_init__(self):
-        if self.world.support != self.mind.support:
+    def __init__(self, world: DiscreteDistribution, mind: CodeLengthTable):
+        self._fill(world, mind)
+        if world.support != mind.support:
             raise SupportMismatchError(
                 "world and mind must share the same support, in the same order"
             )
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    support: tuple[SymbolId, ...]
-    h: BitLength
-    v: BitLength
-    v_hat: BitLength
-    v_star: BitLength
-    d: BitLength
-    d_wrel: BitLength
-    d_abs: BitLength
-    d_drel: BitLength
-    per_symbol_u: tuple[float, ...]
-    unsound_symbols: tuple[SymbolId, ...]
-    incomplete_symbols: tuple[SymbolId, ...]
-    zero_mass_symbols: tuple[SymbolId, ...]
+class DivergenceReport(_Value):
+    __slots__ = ("support", "h", "v", "v_hat", "v_star", "d", "d_wrel", "d_abs",
+                 "d_drel", "per_symbol_u", "unsound_symbols",
+                 "incomplete_symbols", "zero_mass_symbols")
+
+    def __init__(
+        self,
+        support: tuple[SymbolId, ...],
+        h: BitLength,
+        v: BitLength,
+        v_hat: BitLength,
+        v_star: BitLength,
+        d: BitLength,
+        d_wrel: BitLength,
+        d_abs: BitLength,
+        d_drel: BitLength,
+        per_symbol_u: tuple[float, ...],
+        unsound_symbols: tuple[SymbolId, ...],
+        incomplete_symbols: tuple[SymbolId, ...],
+        zero_mass_symbols: tuple[SymbolId, ...],
+    ):
+        self._fill(support, h, v, v_hat, v_star, d, d_wrel, d_abs, d_drel,
+                   per_symbol_u, unsound_symbols, incomplete_symbols,
+                   zero_mass_symbols)
 
     def to_dict(self) -> dict:
         def enc(x: float) -> Optional[float]:

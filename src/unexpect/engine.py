@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -32,6 +31,7 @@ from .core import (
     SymbolId,
     ValidationError,
     VersionMismatchError,
+    _Value,
 )
 from .estimators import (
     EPSILON_AUTO,
@@ -61,23 +61,32 @@ class TraceRecord(NamedTuple):
     change_flag: bool
 
 
-@dataclass
-class ChangeDetector:
-    """EWMA of u_clamped with an m-consecutive-hits threshold rule."""
+class ChangeDetector(_Value):
+    """EWMA of u_clamped with an m-consecutive-hits threshold rule.
 
-    beta: float = 0.95
-    theta: float = 1.0
-    min_hits: int = 20
-    ewma: float = 0.0
-    hits: int = 0
+    The one mutable value type: update() moves ewma and hits, so it has
+    plain attribute writes and no hash.
+    """
 
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValidationError(f"beta must be in (0, 1), got {self.beta}")
-        if not 0.0 < self.theta < math.inf:  # also rejects NaN
-            raise ValidationError(f"theta must be finite and > 0, got {self.theta}")
-        if self.min_hits < 1:
-            raise ValidationError(f"min hits must be >= 1, got {self.min_hits}")
+    __slots__ = ("beta", "theta", "min_hits", "ewma", "hits")
+    # Both object's own, so that writes take the generic fast path.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, beta: float = 0.95, theta: float = 1.0,
+                 min_hits: int = 20, ewma: float = 0.0, hits: int = 0):
+        if not 0.0 < beta < 1.0:
+            raise ValidationError(f"beta must be in (0, 1), got {beta}")
+        if not 0.0 < theta < math.inf:  # also rejects NaN
+            raise ValidationError(f"theta must be finite and > 0, got {theta}")
+        if min_hits < 1:
+            raise ValidationError(f"min hits must be >= 1, got {min_hits}")
+        self.beta = beta
+        self.theta = theta
+        self.min_hits = min_hits
+        self.ewma = ewma
+        self.hits = hits
 
     @property
     def flag(self) -> bool:
@@ -99,26 +108,25 @@ class ChangeDetector:
         return cls(**state)
 
 
-def detect(detector: ChangeDetector, u_clamped: float) -> tuple[bool, ChangeDetector]:
-    """Functional wrapper around ChangeDetector.update."""
-    flag = detector.update(u_clamped)
-    return flag, detector
+class EngineConfig(_Value):
+    __slots__ = ("estimator", "alpha", "window", "epsilon", "beta", "theta",
+                 "min_hits", "warmup", "capacity", "prune")
 
-
-@dataclass(frozen=True)
-class EngineConfig:
-    estimator: str = "iir"          # "iir" | "fir"
-    alpha: float = 0.999            # IIR decay
-    window: int = 10000             # FIR window
-    epsilon: EpsilonSpec = EPSILON_AUTO
-    beta: float = 0.95
-    theta: float = 1.0
-    min_hits: int = 20
-    warmup: Union[int, str] = "auto"  # events before the detector arms
-    capacity: Optional[int] = None  # STM stack bound; None = unbounded
-    prune: bool = False
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        estimator: str = "iir",          # "iir" | "fir"
+        alpha: float = 0.999,            # IIR decay
+        window: int = 10000,             # FIR window
+        epsilon: EpsilonSpec = EPSILON_AUTO,
+        beta: float = 0.95,
+        theta: float = 1.0,
+        min_hits: int = 20,
+        warmup: Union[int, str] = "auto",  # events before the detector arms
+        capacity: Optional[int] = None,  # STM stack bound; None = unbounded
+        prune: bool = False,
+    ):
+        self._fill(estimator, alpha, window, epsilon, beta, theta, min_hits,
+                   warmup, capacity, prune)
         if self.estimator not in ("iir", "fir"):
             raise ValidationError(
                 f"estimator must be 'iir' or 'fir', got {self.estimator!r}"
@@ -174,16 +182,11 @@ class EngineConfig:
         return math.ceil(3.0 / (1.0 - self.alpha) - 1e-9)
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator, "alpha": self.alpha,
-            "window": self.window, "epsilon": self.epsilon,
-            "beta": self.beta, "theta": self.theta, "min_hits": self.min_hits,
-            "warmup": self.warmup, "capacity": self.capacity, "prune": self.prune,
-        }
+        return dict(zip(self._fields, self._values()))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EngineConfig":
-        known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
+        known = {f: obj[f] for f in cls._fields if f in obj}
         return cls(**known)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -77,13 +76,6 @@ def is_stable(history: Sequence[float], window: int, delta: float) -> bool:
         )
     tail = history[-window:]
     return max(tail) - min(tail) <= delta
-
-
-@dataclass(frozen=True)
-class FreqEstimate:
-    symbol: SymbolId
-    w: float
-    support_count: int
 
 
 def _auto_epsilon(events_seen: int, alphabet_size: int) -> float:
@@ -171,9 +163,6 @@ class FirEstimator(_EstimatorBase):
         extra = sorted(self._registered - self._counts.keys())
         return list(self._counts) + extra
 
-    def estimate(self, symbol: SymbolId) -> FreqEstimate:
-        return FreqEstimate(symbol, self.w(symbol), self._counts.get(symbol, 0))
-
     def state_dict(self) -> dict:
         return {
             "kind": "fir",
@@ -260,9 +249,6 @@ class IirEstimator(_EstimatorBase):
 
     def tracked_symbols(self) -> list[SymbolId]:
         return list(self._w)
-
-    def estimate(self, symbol: SymbolId) -> FreqEstimate:
-        return FreqEstimate(symbol, self.w(symbol), self._counts.get(symbol, 0))
 
     def state_dict(self) -> dict:
         return {

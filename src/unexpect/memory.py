@@ -10,27 +10,27 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import SymbolId, ValidationError
+from .core import SymbolId, ValidationError, _Value
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(_Value):
     """One stream event: symbol seen at integer time t."""
 
-    t: int
-    symbol: SymbolId
+    __slots__ = ("t", "symbol")
 
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError(f"time index must be >= 0, got {self.t}")
+    def __init__(self, t: int, symbol: SymbolId):
+        if t < 0:
+            raise ValidationError(f"time index must be >= 0, got {t}")
+        _set_t(self, t)
+        _set_symbol(self, symbol)
 
 
-def matches(observation: Observation, reference: SymbolId) -> bool:
-    """Determination test: exact identity, independent of time."""
-    return observation.symbol == reference
+# The slots' own setters: the parser makes one Observation per event
+# line, and two direct calls cost less than _fill's loop.
+_set_t = Observation.t.__set__
+_set_symbol = Observation.symbol.__set__
 
 
 def stm_complexity(pre_position: Optional[int]) -> float:
@@ -167,6 +167,10 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
         if not isinstance(s, str):
             raise ValidationError(f'"s" must be a string, got {s!r}')
         return Observation(t, s)
+    if stripped.startswith("\ufeff"):
+        # str.strip() keeps a byte order mark, so a marked JSON line
+        # would otherwise be scored as one bare token.
+        raise ValidationError("event starts with a byte order mark (U+FEFF)")
     return Observation(lineno, stripped)
 
 

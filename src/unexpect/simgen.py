@@ -20,10 +20,9 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DiscreteDistribution, InvalidSpecError, SymbolId
+from .core import DiscreteDistribution, InvalidSpecError, SymbolId, _Value
 from .memory import Observation
 
 _MASK64 = (1 << 64) - 1
@@ -83,24 +82,31 @@ def zipf_distribution(alphabet: int, exponent: float = 1.0) -> DiscreteDistribut
     )
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+class SourceSpec(_Value):
     """Parameters of one synthetic stream."""
 
-    kind: str
-    length: int
-    seed: int
-    distribution: Optional[DiscreteDistribution] = None        # stationary, changepoint
-    distribution_after: Optional[DiscreteDistribution] = None  # changepoint
-    t_star: Optional[int] = None                               # changepoint
-    base_labels: Optional[int] = None                          # bifurcation
-    base_mass: Optional[tuple[float, ...]] = None              # bifurcation
-    offset_values: Optional[tuple[int, ...]] = None            # bifurcation
-    offset_mass: Optional[tuple[float, ...]] = None            # bifurcation
-    alphabet: Optional[int] = None                             # zipf
-    exponent: float = 1.0                                      # zipf
+    __slots__ = ("kind", "length", "seed", "distribution", "distribution_after",
+                 "t_star", "base_labels", "base_mass", "offset_values",
+                 "offset_mass", "alphabet", "exponent")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: str,
+        length: int,
+        seed: int,
+        distribution: Optional[DiscreteDistribution] = None,  # stationary, changepoint
+        distribution_after: Optional[DiscreteDistribution] = None,  # changepoint
+        t_star: Optional[int] = None,                     # changepoint
+        base_labels: Optional[int] = None,                # bifurcation
+        base_mass: Optional[tuple[float, ...]] = None,    # bifurcation
+        offset_values: Optional[tuple[int, ...]] = None,  # bifurcation
+        offset_mass: Optional[tuple[float, ...]] = None,  # bifurcation
+        alphabet: Optional[int] = None,                   # zipf
+        exponent: float = 1.0,                            # zipf
+    ):
+        self._fill(kind, length, seed, distribution, distribution_after, t_star,
+                   base_labels, base_mass, offset_values, offset_mass, alphabet,
+                   exponent)
         if self.length < 0:
             raise InvalidSpecError(f"length must be >= 0, got {self.length}")
         if self.kind == "stationary":

@@ -147,6 +147,36 @@ class TestTrack:
         assert not out_path.exists()
         assert not list(tmp_path.glob(".unexpect-*"))  # temp cleaned up
 
+    @pytest.mark.parametrize("text, lineno", [
+        ('\ufeff{"t": 1, "s": "a"}\n', 1),
+        ("a\n\ufeffb\n", 2),
+    ])
+    def test_byte_order_mark_line_is_a_data_error(self, capsys, monkeypatch,
+                                                  text, lineno):
+        code, _, err = run_cli(capsys, ["track"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 2
+        assert f"line {lineno}:" in err and "byte order mark" in err
+
+    def test_unwritable_symbol_in_csv_is_a_data_error(self, tmp_path, capsys):
+        # A lone surrogate is valid JSON; JSONL escapes it, CSV cannot.
+        head = write(tmp_path / "head.jsonl", '{"t": 0, "s": "a"}\n')
+        tail = write(tmp_path / "tail.jsonl",
+                     '{"t": 1, "s": "a"}\n{"t": 2, "s": "\\ud800"}\n')
+        snap = str(tmp_path / "snap.json")
+        assert run_cli(capsys, ["track", "-i", head, "--snapshot-out", snap,
+                                "-o", str(tmp_path / "head.trace")])[0] == 0
+        code, _, _ = run_cli(capsys, ["replay", "--snapshot", snap, "-i", tail,
+                                      "-o", str(tmp_path / "tail.trace")])
+        assert code == 0
+        for argv in (["track", "-i", tail], ["replay", "--snapshot", snap, "-i", tail]):
+            out = tmp_path / "trace.csv"
+            code, _, err = run_cli(capsys, [*argv, "--emit", "csv", "-o", str(out)])
+            assert code == 2
+            assert "line 2:" in err and "'\\ud800'" in err
+            assert not out.exists()
+            assert not list(tmp_path.glob(".unexpect-*"))
+
     def test_config_file_merges_under_flags(self, tmp_path, capsys):
         config = write(tmp_path / "cfg.json",
                        json.dumps({"alpha": 0.5, "theta": 9.0}))
@@ -230,6 +260,32 @@ class TestOutputPaths:
         assert (tmp_path / "trace.jsonl").read_text() == expected
         assert sorted(os.listdir(tmp_path)) == ["bad.jsonl", "events.jsonl",
                                                 "trace.jsonl"]
+
+
+    @pytest.mark.parametrize("missing_dir", [False, True],
+                             ids=["directory", "missing-directory"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["track", "-i", "{events}", "-o", "{out}"], "--output"),
+        (["track", "-i", "{events}", "--snapshot-out", "{out}"], "--snapshot-out"),
+        (["simulate", "--spec", "{spec}", "--out", "{out}"], "--out"),
+        (["simulate", "--spec", "{spec}", "--dist-out", "{out}"], "--dist-out"),
+    ], ids=["track-output", "track-snapshot-out", "simulate-out",
+            "simulate-dist-out"])
+    def test_unwritable_path_names_the_flag(self, tmp_path, capsys, argv, flag,
+                                            missing_dir):
+        paths = {
+            "events": write(tmp_path / "events.jsonl", EVENTS),
+            "spec": write(tmp_path / "spec.json", json.dumps(
+                {"kind": "zipf", "length": 5, "alphabet": 3})),
+            "out": str(tmp_path / ("missing/out" if missing_dir else "adir")),
+        }
+        (tmp_path / "adir").mkdir()
+        code, _, err = run_cli(capsys, [a.format(**paths) for a in argv])
+        assert code == 1
+        assert err.startswith(f"error: {flag}: cannot write {paths['out']}: ")
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["adir", "events.jsonl", "spec.json"]
+        assert os.listdir(tmp_path / "adir") == []
 
 
 class TestSnapshotReplay:
@@ -440,6 +496,20 @@ class TestDivergenceCommand:
         assert all(len(cells) == 1 for cells in rows.values())
         assert {"u.a,b", 'u.c"d', "u.e"} <= rows.keys()
         assert rows["incomplete"] == ['a,b;c"d']
+
+    def test_csv_emit_unwritable_symbol_is_a_data_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        trace = "".join(json.dumps({"symbol": s, "c_ltm": 1.0}) + "\n"
+                        for s in ("a", "\ud800"))
+        out = tmp_path / "report.csv"
+        code, _, err = run_cli(
+            capsys, ["divergence", "--from-trace", "--normalize-mind",
+                     "--emit", "csv", "-o", str(out)],
+            stdin_text=trace, monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "cannot write symbol '\\ud800'" in err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("line", [
         '{"symbol": "A", "c_ltm": "x"}',

@@ -10,21 +10,10 @@ from unexpect.core import (
     ImproperDistributionError,
     KraftViolationError,
     SupportMismatchError,
-    Unexpectedness,
     ValidationError,
     bits_from_probability,
     distribution_from_code,
 )
-
-
-class TestUnexpectedness:
-    def test_clamp_floors_at_zero(self):
-        assert Unexpectedness(-2.5).clamped == 0.0
-        assert Unexpectedness(-2.5).raw == -2.5
-
-    def test_positive_passes_through(self):
-        u = Unexpectedness(3.25)
-        assert u.clamped == u.raw == 3.25
 
 
 class TestBitsFromProbability:

@@ -21,7 +21,6 @@ from unexpect.engine import (
     TRACE_CSV_HEADER,
     TraceRecord,
     _csv_field,
-    detect,
     run_stream,
     trace_to_csv,
     trace_to_jsonl,
@@ -68,11 +67,6 @@ class TestChangeDetector:
         assert det.hits == 4
         assert not det.update(0.0)  # ewma 0.9375 dips under theta
         assert det.hits == 0
-
-    def test_detect_wrapper(self):
-        det = ChangeDetector(beta=0.5, theta=0.1, min_hits=1)
-        flag, same = detect(det, 5.0)
-        assert flag and same is det
 
     def test_rejects_negative_input(self):
         with pytest.raises(ValidationError):

@@ -10,25 +10,12 @@ from unexpect.memory import (
     Observation,
     StmStack,
     _decode_json_line,
-    matches,
     parse_event,
     read_events,
     stm_complexity,
 )
 
 symbols = st.sampled_from(["A", "B", "C", "D", "E", "F"])
-
-
-class TestMatches:
-    def test_identity_matches(self):
-        assert matches(Observation(3, "A"), "A")
-
-    def test_mismatch(self):
-        assert not matches(Observation(3, "A"), "B")
-
-    @given(st.integers(min_value=0, max_value=10**9))
-    def test_time_independent(self, t):
-        assert matches(Observation(t, "A"), "A")
 
 
 class TestStmComplexity:
@@ -153,7 +140,8 @@ class TestEventParsing:
 # -- reference: event parsing through json.loads -----------------------
 #
 # parse_event and read_events as they were before the line decoder:
-# json.loads on every event line, and a second strip per line.
+# json.loads on every event line, and a second strip per line; plus the
+# later rule that a line starting with a byte order mark is rejected.
 
 
 def ref_parse_event(line, lineno):
@@ -171,6 +159,8 @@ def ref_parse_event(line, lineno):
         if not isinstance(s, str):
             raise ValidationError(f'"s" must be a string, got {s!r}')
         return Observation(t, s)
+    if stripped.startswith("\ufeff"):
+        raise ValidationError("event starts with a byte order mark (U+FEFF)")
     return Observation(lineno, stripped)
 
 
@@ -264,6 +254,8 @@ class TestLineDecoderMatchesJsonLoads:
     @example('{"t": 3, "s": 4}', 0)
     @example('{"t": 3}', 0)
     @example("\xa0token\n", 2)
+    @example('\ufeff{"t": 1, "s": "a"}', 0)
+    @example(" \ufefftoken", 0)
     def test_parse_event_matches_reference(self, line, lineno):
         assert outcome(parse_event, line, lineno) == outcome(
             ref_parse_event, line, lineno)

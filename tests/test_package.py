@@ -41,24 +41,40 @@ class TestLazyPackage:
             exec("from unexpect import no_such_name", {})
         assert not hasattr(unexpect, "parse_event")
 
-    def test_track_loads_only_what_it_runs(self):
-        # A fresh interpreter, so that other tests' imports do not count.
+    def test_track_loads_only_what_it_runs(self, tmp_path):
+        """Each CLI stage, in a fresh interpreter started without `site`
+        (so only the package's own imports count), loads only the
+        submodules it runs, and neither `dataclasses` nor `inspect`."""
         src = os.path.dirname(os.path.dirname(unexpect.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        script = (
-            "import json, sys\n"
-            "from unexpect.cli import main\n"
-            "code = main(['track'])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules"
-            " if m.startswith('unexpect'))]))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], input="", capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        code, loaded = json.loads(result.stdout)
-        assert code == 0
-        assert loaded == ["unexpect", "unexpect.cli", "unexpect.core",
-                          "unexpect.engine", "unexpect.estimators",
-                          "unexpect.memory"]
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "zipf", "length": 20, "alphabet": 5}')
+        events, trace, snap = (str(tmp_path / name)
+                               for name in ("events", "trace", "snap"))
+        base = ["unexpect", "unexpect.cli", "unexpect.core", "unexpect.engine",
+                "unexpect.estimators", "unexpect.memory"]
+        stages = [
+            (["simulate", "--spec", str(spec), "--out", events],
+             base + ["unexpect.simgen"]),
+            (["track", "-i", events, "-o", trace, "--snapshot-out", snap], base),
+            (["replay", "--snapshot", snap, "-i", os.devnull, "-o", os.devnull],
+             base),
+            (["divergence", "--from-trace", "--normalize-mind", "-i", trace,
+              "-o", os.devnull], base + ["unexpect.divergence"]),
+        ]
+        for argv, expected in stages:
+            script = (
+                "import json, sys\n"
+                "from unexpect.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(json.dumps([code, sorted(m for m in sys.modules if"
+                " m.startswith('unexpect') or m in ('dataclasses', 'inspect'))]))\n"
+            )
+            result = subprocess.run(
+                [sys.executable, "-S", "-c", script], capture_output=True,
+                text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            code, loaded = json.loads(result.stdout)
+            assert code == 0, argv[0]
+            assert loaded == sorted(expected), argv[0]
