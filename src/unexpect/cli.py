@@ -444,22 +444,15 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
             raise _fail_flag("--mind cannot be combined with --from-trace")
         world = None
         if args.world is not None:
-            world = _load_distribution_file(args.world)
+            world = _load_table(args.world, "world file", DiscreteDistribution,
+                                "mass")
         with _open_input(args.input) as lines:
             pair = _pair_from_trace(lines, world)
     else:
         if args.world is None or args.mind is None:
             raise _fail_flag("--world and --mind are required (or use --from-trace)")
-        world = _load_distribution_file(args.world)
-        mind_obj = _read_json_file(args.mind, "mind file")
-        try:
-            mind = CodeLengthTable(
-                tuple(mind_obj["symbols"]), tuple(mind_obj["bits"])
-            )
-        except (KeyError, TypeError) as exc:
-            raise _fail_data(f"mind file {args.mind}: malformed: {exc}") from None
-        except UnexpectError as exc:
-            raise _fail_data(f"mind file {args.mind}: {exc}") from None
+        world = _load_table(args.world, "world file", DiscreteDistribution, "mass")
+        mind = _load_table(args.mind, "mind file", CodeLengthTable, "bits")
         try:
             pair = MachinePair(world, mind)
         except UnexpectError as exc:
@@ -496,14 +489,21 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_distribution_file(path: str) -> DiscreteDistribution:
-    obj = _read_json_file(path, "world file")
+def _load_table(path: str, what: str, cls, values: str):
+    """A {"symbols": [str, ...], values: [number, ...]} file as `cls`;
+    anything else exits 2 naming the file."""
+    obj = _read_json_file(path, what)
     try:
-        return DiscreteDistribution(tuple(obj["symbols"]), tuple(obj["mass"]))
-    except (KeyError, TypeError) as exc:
-        raise _fail_data(f"world file {path}: malformed: {exc}") from None
+        symbols = tuple(obj["symbols"])
+        for symbol in symbols:
+            if not isinstance(symbol, str):
+                raise _fail_data(
+                    f'{what} {path}: "symbols" must be strings, got {symbol!r}')
+        return cls(symbols, tuple(obj[values]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _fail_data(f"{what} {path}: malformed: {exc}") from None
     except UnexpectError as exc:
-        raise _fail_data(f"world file {path}: {exc}") from None
+        raise _fail_data(f"{what} {path}: {exc}") from None
 
 
 # -- simulate ----------------------------------------------------------

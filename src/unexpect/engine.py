@@ -21,8 +21,8 @@ infinities.
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring_ascii
+from math import ceil, inf, isfinite, log2
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import estimators
@@ -39,13 +39,11 @@ from .estimators import (
     Estimator,
     FirEstimator,
     IirEstimator,
-    _auto_epsilon,
-    _ltm_bits,
     resolve_epsilon,
 )
-from .memory import Observation, StmStack, _stm_bits
+from .memory import Observation, StmStack
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class TraceRecord(NamedTuple):
@@ -78,7 +76,7 @@ class ChangeDetector(_Value):
                  min_hits: int = 20, ewma: float = 0.0, hits: int = 0):
         if not 0.0 < beta < 1.0:
             raise ValidationError(f"beta must be in (0, 1), got {beta}")
-        if not 0.0 < theta < math.inf:  # also rejects NaN
+        if not 0.0 < theta < inf:  # also rejects NaN
             raise ValidationError(f"theta must be finite and > 0, got {theta}")
         if min_hits < 1:
             raise ValidationError(f"min hits must be >= 1, got {min_hits}")
@@ -166,7 +164,7 @@ class EngineConfig(_Value):
     def build_estimator(self) -> Estimator:
         if self.estimator == "fir":
             return FirEstimator(self.window)
-        return IirEstimator(self.alpha, prune=self.prune, epsilon=self.epsilon)
+        return IirEstimator(self.alpha)
 
     def resolved_warmup(self) -> int:
         """Events the detector waits out while the estimator converges.
@@ -179,7 +177,7 @@ class EngineConfig(_Value):
             return self.warmup
         if self.estimator == "fir":
             return self.window
-        return math.ceil(3.0 / (1.0 - self.alpha) - 1e-9)
+        return ceil(3.0 / (1.0 - self.alpha) - 1e-9)
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))
@@ -191,7 +189,15 @@ class EngineConfig(_Value):
 
 
 class Engine:
-    """Single-stream scorer: one stack, one estimator, one detector."""
+    """Single-stream scorer: one stack, one estimator, one detector.
+
+    The engine alone keeps the stream's clock (last_t), the count of
+    events scored (events_seen) and the set of symbols ever seen, from
+    which the "auto" smoothing floor and the IIR prune sweep's floor
+    are computed.
+    """
+
+    _PRUNE_EVERY = 1024  # events between IIR prune sweeps
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
@@ -202,38 +208,47 @@ class Engine:
         )
         self.warmup = self.config.resolved_warmup()
         self.last_t: Optional[int] = None
-        # "auto" follows the estimator's state; "off" and numbers are fixed.
+        self.events_seen = 0
+        # A superset of the stack's symbols: a bounded stack forgets.
+        self._seen: set[SymbolId] = set()
+        # "auto" follows the counts above; "off" and numbers are fixed.
         epsilon = self.config.epsilon
         self._fixed_floor: Optional[float] = (
             None if epsilon == EPSILON_AUTO else resolve_epsilon(epsilon, 0, 0))
+        self._prune = self.config.prune and self.config.estimator == "iir"
 
     def step(self, obs: Observation) -> TraceRecord:
         """Score one event, then let the memory and estimator learn it."""
         t = obs.t
         symbol = obs.symbol
-        if self.last_t is not None and t <= self.last_t:
-            raise NonMonotonicTimeError(
-                f"time {t} does not increase past {self.last_t}"
-            )
+        last_t = self.last_t
+        if last_t is not None and t <= last_t:
+            raise NonMonotonicTimeError(f"time {t} does not increase past {last_t}")
         # Measure against the state *before* this event.
         estimator = self.estimator
+        events_seen = self.events_seen
         w = estimator.w(symbol)
+        # ltm_complexity(w, floor), without a call or a range check.
         floor = self._fixed_floor
-        if floor is None:
-            floor = _auto_epsilon(estimator.events_seen, estimator.alphabet_size)
-        c_ltm = _ltm_bits(w, floor)
+        if floor is None:  # resolve_epsilon("auto", ...), inline
+            seen = events_seen + len(self._seen)
+            floor = 1.0 / (seen if seen > 1 else 1)
+        if w > floor:
+            floor = w
+        c_ltm = log2(1.0 / floor) if floor != 0.0 else inf
         pre_position = self.stack.observe(symbol)
-        c_stm = _stm_bits(pre_position)
 
         novelty = pre_position is None
         if novelty:
-            u_raw: Optional[float] = None
-            u_clamped: Optional[float] = None
+            self._seen.add(symbol)  # only a novelty can be a new symbol
+            c_stm = inf
+            u_raw = u_clamped = None
             flag = self.detector.flag  # detector not updated by novelties
         else:
+            c_stm = log2(pre_position)
             u_raw = c_ltm - c_stm
             u_clamped = 0.0 if u_raw < 0.0 else u_raw  # max(u_raw, 0.0) without a call
-            if math.isfinite(u_clamped) and estimator.events_seen >= self.warmup:
+            if isfinite(u_clamped) and events_seen >= self.warmup:
                 flag = self.detector.update(u_clamped)
             else:
                 # Detector is still arming, or ltm cost is infinite with
@@ -242,6 +257,10 @@ class Engine:
 
         estimator.update(obs)
         self.last_t = t
+        self.events_seen = events_seen = events_seen + 1
+        if self._prune and events_seen % self._PRUNE_EVERY == 0:
+            estimator.sweep(resolve_epsilon(self.config.epsilon, events_seen,
+                                            len(self._seen)))
         return TraceRecord(t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, flag)
 
     # -- snapshots ---------------------------------------------------
@@ -252,6 +271,9 @@ class Engine:
             "format_version": SNAPSHOT_VERSION,
             "config": self.config.to_dict(),
             "last_t": self.last_t,
+            "events_seen": self.events_seen,
+            # Empty unless a bounded stack has evicted symbols.
+            "seen_off_stack": sorted(self._seen.difference(self.stack.items())),
             "stack": self.stack.items(),
             "estimator": self.estimator.state_dict(),
             "detector": self.detector.state_dict(),
@@ -259,22 +281,41 @@ class Engine:
 
     @classmethod
     def restore(cls, snapshot: dict) -> "Engine":
+        """Rebuild an engine from a version 2 snapshot, or from a version 1
+        one, which kept the event count and the seen set in `estimator`."""
         if not isinstance(snapshot, dict) or "format_version" not in snapshot:
             raise VersionMismatchError("not an engine snapshot")
-        if snapshot["format_version"] != SNAPSHOT_VERSION:
+        version = snapshot["format_version"]
+        if type(version) is not int or version not in (1, SNAPSHOT_VERSION):
             raise VersionMismatchError(
-                f"snapshot version {snapshot['format_version']!r}, "
-                f"expected {SNAPSHOT_VERSION}"
+                f"snapshot version {version!r}, expected 1 or {SNAPSHOT_VERSION}"
             )
         try:
             config = EngineConfig.from_dict(snapshot["config"])
             engine = cls(config)
-            engine.stack = StmStack(capacity=config.capacity,
-                                    items=snapshot["stack"])
+            stack = _symbols(snapshot, "stack")
+            engine.stack = StmStack(capacity=config.capacity, items=stack)
             engine.estimator = estimators.estimator_from_state(snapshot["estimator"])
             engine.detector = ChangeDetector.from_state_dict(snapshot["detector"])
-            engine.last_t = snapshot["last_t"]
-        except (KeyError, TypeError) as exc:
+            if snapshot["last_t"] is not None:
+                engine.last_t = _count(snapshot, "last_t")
+            if version == 1:
+                engine.events_seen = _count(snapshot["estimator"], "events_seen")
+                off_stack = _symbols(snapshot["estimator"], "alphabet")
+            else:
+                engine.events_seen = _count(snapshot, "events_seen")
+                off_stack = _symbols(snapshot, "seen_off_stack")
+                repeated = sorted(set(stack).intersection(off_stack))
+                if repeated:
+                    raise VersionMismatchError(
+                        f"seen_off_stack repeats stack symbol {repeated[0]!r}")
+                if off_stack and config.capacity is None:
+                    raise VersionMismatchError(
+                        "seen_off_stack must be empty for an unbounded stack")
+            engine._seen = set(stack).union(off_stack)
+        except KeyError as exc:
+            raise VersionMismatchError(f"{exc.args[0]} is missing") from None
+        except (TypeError, ValueError) as exc:  # e.g. a w_step of "x"
             raise VersionMismatchError(f"malformed snapshot: {exc}") from None
         return engine
 
@@ -288,6 +329,27 @@ class Engine:
         except json.JSONDecodeError as exc:
             raise VersionMismatchError(f"unreadable snapshot: {exc}") from None
         return cls.restore(obj)
+
+
+def _count(state: dict, name: str) -> int:
+    value = state[name]
+    if type(value) is not int or value < 0:
+        raise VersionMismatchError(
+            f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _symbols(state: dict, name: str) -> list:
+    """state[name] as a list of distinct strings."""
+    value = state[name]
+    if type(value) is not list:
+        raise VersionMismatchError(f"{name} must be a list, got {value!r}")
+    for symbol in value:
+        if type(symbol) is not str:
+            raise VersionMismatchError(f"{name} holds a non-string symbol {symbol!r}")
+    if len(set(value)) != len(value):
+        raise VersionMismatchError(f"{name} repeats a symbol")
+    return value
 
 
 def run_stream(
@@ -309,7 +371,7 @@ TRACE_CSV_HEADER = "t,symbol,c_stm,c_ltm,u_raw,u_clamped,novelty,change_flag"
 
 def _num(value: Optional[float], absent: str) -> str:
     """Fixed 6-decimal rendering; `absent` for None and non-finite values."""
-    if value is None or not math.isfinite(value):
+    if value is None or not isfinite(value):
         return absent
     return "%.6f" % value
 

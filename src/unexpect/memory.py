@@ -35,16 +35,10 @@ _set_symbol = Observation.symbol.__set__
 
 def stm_complexity(pre_position: Optional[int]) -> float:
     """log2 of the pre-move position; None (never seen) costs infinity."""
-    if pre_position is not None and pre_position < 1:
-        raise ValidationError(f"position must be >= 1, got {pre_position}")
-    return _stm_bits(pre_position)
-
-
-def _stm_bits(pre_position: Optional[int]) -> float:
-    """stm_complexity without the range check, for a position the stack
-    itself returned."""
     if pre_position is None:
         return math.inf
+    if pre_position < 1:
+        raise ValidationError(f"position must be >= 1, got {pre_position}")
     return math.log2(pre_position)
 
 

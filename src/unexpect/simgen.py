@@ -82,6 +82,10 @@ def zipf_distribution(alphabet: int, exponent: float = 1.0) -> DiscreteDistribut
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class SourceSpec(_Value):
     """Parameters of one synthetic stream."""
 
@@ -107,6 +111,18 @@ class SourceSpec(_Value):
         self._fill(kind, length, seed, distribution, distribution_after, t_star,
                    base_labels, base_mass, offset_values, offset_mass, alphabet,
                    exponent)
+        # Types first, so that no check below compares a str; a bool is
+        # not a number. The kind's own checks reject a missing field.
+        for name in ("length", "seed", "t_star", "base_labels", "alphabet"):
+            value = getattr(self, name)
+            if (value is not None or name in ("length", "seed")) and not _is_int(value):
+                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+        if self.offset_values is not None and not all(
+                _is_int(v) for v in self.offset_values):
+            raise InvalidSpecError(
+                f"offset_values must be integers, got {list(self.offset_values)!r}")
+        if isinstance(self.exponent, bool) or not isinstance(self.exponent, (int, float)):
+            raise InvalidSpecError(f"exponent must be a number, got {self.exponent!r}")
         if self.length < 0:
             raise InvalidSpecError(f"length must be >= 0, got {self.length}")
         if self.kind == "stationary":
@@ -172,32 +188,35 @@ class SourceSpec(_Value):
             seed = obj.get("seed", 0)
         except (KeyError, TypeError) as exc:
             raise InvalidSpecError(f"spec missing field: {exc}") from None
-        kwargs: dict = {}
-        if kind in ("stationary", "changepoint"):
-            if "symbols" not in obj or "mass" not in obj:
-                raise InvalidSpecError('spec needs "symbols" and "mass"')
-            if not all(isinstance(symbol, str) for symbol in obj["symbols"]):
-                raise InvalidSpecError('spec "symbols" must be strings')
-            kwargs["distribution"] = DiscreteDistribution(
-                tuple(obj["symbols"]), tuple(obj["mass"])
-            )
-        if kind == "changepoint":
-            if "mass_after" not in obj:
-                raise InvalidSpecError('changepoint spec needs "mass_after"')
-            kwargs["distribution_after"] = DiscreteDistribution(
-                tuple(obj["symbols"]), tuple(obj["mass_after"])
-            )
-            kwargs["t_star"] = obj.get("t_star")
-        if kind == "bifurcation":
-            kwargs["base_labels"] = obj.get("base_labels")
-            if obj.get("base_mass") is not None:
-                kwargs["base_mass"] = tuple(obj["base_mass"])
-            kwargs["offset_values"] = tuple(obj.get("offset_values", ()))
-            kwargs["offset_mass"] = tuple(obj.get("offset_mass", ()))
-        if kind == "zipf":
-            kwargs["alphabet"] = obj.get("alphabet")
-            kwargs["exponent"] = obj.get("exponent", 1.0)
-        return cls(kind=kind, length=length, seed=seed, **kwargs)
+        try:
+            kwargs: dict = {}
+            if kind in ("stationary", "changepoint"):
+                if "symbols" not in obj or "mass" not in obj:
+                    raise InvalidSpecError('spec needs "symbols" and "mass"')
+                if not all(isinstance(symbol, str) for symbol in obj["symbols"]):
+                    raise InvalidSpecError('spec "symbols" must be strings')
+                kwargs["distribution"] = DiscreteDistribution(
+                    tuple(obj["symbols"]), tuple(obj["mass"])
+                )
+            if kind == "changepoint":
+                if "mass_after" not in obj:
+                    raise InvalidSpecError('changepoint spec needs "mass_after"')
+                kwargs["distribution_after"] = DiscreteDistribution(
+                    tuple(obj["symbols"]), tuple(obj["mass_after"])
+                )
+                kwargs["t_star"] = obj.get("t_star")
+            if kind == "bifurcation":
+                kwargs["base_labels"] = obj.get("base_labels")
+                if obj.get("base_mass") is not None:
+                    kwargs["base_mass"] = tuple(obj["base_mass"])
+                kwargs["offset_values"] = tuple(obj.get("offset_values", ()))
+                kwargs["offset_mass"] = tuple(obj.get("offset_mass", ()))
+            if kind == "zipf":
+                kwargs["alphabet"] = obj.get("alphabet")
+                kwargs["exponent"] = obj.get("exponent", 1.0)
+            return cls(kind=kind, length=length, seed=seed, **kwargs)
+        except (TypeError, ValueError) as exc:  # e.g. a mass of "x" or 5
+            raise InvalidSpecError(f"malformed spec: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "SourceSpec":

@@ -340,6 +340,42 @@ class TestSnapshotReplay:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("events_seen", -1, "events_seen must be a nonnegative integer, got -1"),
+        ("events_seen", 2.5, "events_seen must be a nonnegative integer, got 2.5"),
+        ("events_seen", True, "events_seen must be a nonnegative integer, got True"),
+        ("last_t", "24", "last_t must be a nonnegative integer, got '24'"),
+        ("seen_off_stack", [1], "seen_off_stack holds a non-string symbol 1"),
+        ("seen_off_stack", ["B", "A"], "seen_off_stack repeats stack symbol 'A'"),
+        ("seen_off_stack", ["B", "B"], "seen_off_stack repeats a symbol"),
+        ("config", {"capacity": None},
+         "seen_off_stack must be empty for an unbounded stack"),
+        ("stack", [None], "stack holds a non-string symbol None"),
+        ("stack", "A", "stack must be a list, got 'A'"),
+        *[(field, None, f"{field} is missing")
+          for field in ("config", "last_t", "events_seen", "seen_off_stack",
+                        "stack", "estimator", "detector")],
+    ])
+    def test_hand_edited_snapshot_names_the_field(self, tmp_path, capsys, field,
+                                                  value, message):
+        # Capacity 1: after A, B, ..., A the stack holds A and B is off it.
+        _, head, tail = self.make_stream(tmp_path)
+        snap = tmp_path / "snap.json"
+        run_cli(capsys, ["track", "--input", head, "--capacity", "1",
+                         "--snapshot-out", str(snap), "--output", os.devnull])
+        state = json.loads(snap.read_text())
+        assert (state["stack"], state["seen_off_stack"]) == (["A"], ["B"])
+        if message.endswith("is missing"):
+            del state[field]
+        else:
+            state[field] = value
+        snap.write_text(json.dumps(state))
+        code, out, err = run_cli(
+            capsys, ["replay", "--snapshot", str(snap), "--input", tail])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: snapshot {snap}: {message}\n"
+
     def test_corrupt_snapshot_exits_two(self, tmp_path, capsys):
         snap = write(tmp_path / "snap.json", '{"format_version": 7}')
         code, _, err = run_cli(capsys, ["replay", "--snapshot", snap])
@@ -511,6 +547,41 @@ class TestDivergenceCommand:
         assert "cannot write symbol '\\ud800'" in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("emit", ["json", "csv"])
+    @pytest.mark.parametrize("bad", ["world", "mind"])
+    def test_non_string_symbols_are_a_data_error(self, tmp_path, capsys, bad,
+                                                 emit):
+        # Masses and bits that land symbol 2 in both the unsound and the
+        # incomplete lists, which the CSV emit joins as text.
+        symbols = {"world": ["1", "2"], "mind": ["1", "2"]}
+        symbols[bad] = [1, 2]
+        world = write(tmp_path / "world.json", json.dumps(
+            {"symbols": symbols["world"], "mass": [0.999, 0.001]}))
+        mind = write(tmp_path / "mind.json", json.dumps(
+            {"symbols": symbols["mind"], "bits": [5.0, 0.0014]}))
+        code, out, err = run_cli(
+            capsys, ["divergence", "--world", world, "--mind", mind,
+                     "--normalize-mind", "--emit", emit])
+        assert code == 2
+        assert out == ""
+        path = {"world": world, "mind": mind}[bad]
+        assert err == (f'error: {bad} file {path}: "symbols" must be strings, '
+                       f"got 1\n")
+
+    @pytest.mark.parametrize("bad", ["world", "mind"])
+    def test_non_numeric_value_is_a_data_error(self, tmp_path, capsys, bad):
+        values = {"world": [0.5, 0.5], "mind": [1.0, 1.0]}
+        values[bad] = [0.5, "x"]
+        world = write(tmp_path / "world.json", json.dumps(
+            {"symbols": ["a", "b"], "mass": values["world"]}))
+        mind = write(tmp_path / "mind.json", json.dumps(
+            {"symbols": ["a", "b"], "bits": values["mind"]}))
+        code, _, err = run_cli(
+            capsys, ["divergence", "--world", world, "--mind", mind])
+        assert code == 2
+        path = {"world": world, "mind": mind}[bad]
+        assert err.startswith(f"error: {bad} file {path}: malformed: ")
+
     @pytest.mark.parametrize("line", [
         '{"symbol": "A", "c_ltm": "x"}',
         '{"symbol": ["A"], "c_ltm": 1.0}',
@@ -574,6 +645,37 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert '"symbols" must be strings' in err
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"length": 2.5}, "length"),
+        ({"length": "5"}, "length"),
+        ({"length": True}, "length"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": None}, "seed"),
+        ({"alphabet": 2.5}, "alphabet"),
+        ({"alphabet": "3"}, "alphabet"),
+        ({"alphabet": False}, "alphabet"),
+        ({"exponent": "x"}, "exponent"),
+        ({"kind": "changepoint", "t_star": 2.5}, "t_star"),
+        ({"kind": "changepoint", "t_star": "2"}, "t_star"),
+        ({"kind": "bifurcation", "base_labels": 2.0}, "base_labels"),
+        ({"kind": "bifurcation", "base_labels": True}, "base_labels"),
+        ({"kind": "bifurcation", "offset_values": [1.5, 2]}, "offset_values"),
+        ({"kind": "stationary", "mass": ["x", 0.5]}, "malformed spec"),
+        ({"kind": "stationary", "mass": 5}, "malformed spec"),
+    ])
+    def test_wrong_typed_number_is_a_data_error(self, tmp_path, capsys, fields,
+                                                field):
+        spec = {"kind": "zipf", "length": 5, "seed": 1, "alphabet": 3,
+                "symbols": ["x", "y"], "mass": [0.5, 0.5],
+                "mass_after": [0.25, 0.75], "t_star": 2, "base_labels": 2,
+                "offset_values": [0, 2], "offset_mass": [0.5, 0.5], **fields}
+        path = write(tmp_path / "spec.json", json.dumps(spec))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: spec {path}: {field}")
 
     def test_bad_spec_is_data_error(self, tmp_path, capsys):
         spec = write(tmp_path / "spec.json", json.dumps({"kind": "weird",

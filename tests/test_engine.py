@@ -29,6 +29,8 @@ from unexpect.estimators import EPSILON_AUTO, EPSILON_OFF, IirEstimator
 from unexpect.memory import Observation
 from unexpect.simgen import SourceSpec, generate
 
+import engine_v1 as v1
+
 symbols = st.sampled_from(["A", "B", "C", "D"])
 
 
@@ -40,6 +42,28 @@ def small_config(**overrides):
     defaults = dict(estimator="iir", alpha=0.9, warmup=0)
     defaults.update(overrides)
     return EngineConfig(**defaults)
+
+
+# Snapshot format 1, as the engine of that format wrote them after the
+# events A, B, C, A at t = 0..3 (capacity 2, so "B" was evicted).
+V1_IIR_SNAPSHOT = (
+    '{"config": {"alpha": 0.5, "beta": 0.95, "capacity": 2, "epsilon": "auto", '
+    '"estimator": "iir", "min_hits": 20, "prune": false, "theta": 1.0, '
+    '"warmup": 0, "window": 10000}, "detector": {"beta": 0.95, "ewma": 0.0, '
+    '"hits": 0, "min_hits": 20, "theta": 1.0}, "estimator": {"alpha": 0.5, '
+    '"alphabet": ["A", "B", "C"], "counts": {"A": 2, "B": 1, "C": 1}, '
+    '"epsilon": "auto", "events_seen": 4, "kind": "iir", "last_t": 3, '
+    '"prune": false, "step": 4, "w": {"A": 0.5625, "B": 0.5, "C": 0.5}, '
+    '"w_step": {"A": 4, "B": 2, "C": 3}}, "format_version": 1, "last_t": 3, '
+    '"stack": ["A", "C"]}')
+V1_FIR_SNAPSHOT = (
+    '{"config": {"alpha": 0.999, "beta": 0.95, "capacity": 2, '
+    '"epsilon": "auto", "estimator": "fir", "min_hits": 20, "prune": false, '
+    '"theta": 1.0, "warmup": 0, "window": 3}, "detector": {"beta": 0.95, '
+    '"ewma": 0.0, "hits": 0, "min_hits": 20, "theta": 1.0}, "estimator": '
+    '{"alphabet": ["A", "B", "C"], "buffer": ["B", "C", "A"], "events_seen": 4, '
+    '"kind": "fir", "last_t": 3, "registered": [], "window": 3}, '
+    '"format_version": 1, "last_t": 3, "stack": ["A", "C"]}')
 
 
 class TestChangeDetector:
@@ -128,6 +152,38 @@ class TestStep:
         engine.step(Observation(5, "A"))
         with pytest.raises(NonMonotonicTimeError):
             engine.step(Observation(5, "B"))
+
+    @pytest.mark.parametrize("estimator", ["iir", "fir"])
+    def test_time_check_comes_before_any_layer_learns(self, estimator):
+        # The engine is the one owner of time: a rejected event leaves
+        # the stack, the estimator, the detector and the counts as they were.
+        engine = Engine(small_config(estimator=estimator, window=4))
+        engine.step(Observation(5, "A"))
+        before = engine.snapshot_json()
+        for t in (5, 4):
+            with pytest.raises(NonMonotonicTimeError, match="past 5"):
+                engine.step(Observation(t, "B"))
+            assert engine.snapshot_json() == before
+        assert engine.step(Observation(6, "B")).novelty
+
+    def test_auto_floor_counts_events_and_every_symbol_ever_seen(self):
+        # With a 1-slot stack "A" is a novelty twice but one symbol: after
+        # A, B, A the floor is 1 / (3 events + 2 symbols).
+        engine = Engine(small_config(capacity=1))
+        records = [engine.step(o) for o in observations(["A", "B", "A"])]
+        assert [r.novelty for r in records] == [True, True, True]
+        assert engine.events_seen == 3
+        assert engine.snapshot()["seen_off_stack"] == ["B"]
+        assert engine.step(Observation(3, "C")).c_ltm == math.log2(5)
+
+    def test_prune_sweeps_every_prune_every_events(self):
+        engine = Engine(small_config(alpha=0.5, prune=True, epsilon=0.01))
+        engine._PRUNE_EVERY = 8
+        for t, symbol in enumerate(["A"] + ["B"] * 6):
+            engine.step(Observation(t, symbol))
+        assert "A" in engine.estimator.tracked_symbols()  # 7 events, no sweep
+        engine.step(Observation(7, "B"))  # w(A) = 0.5 ** 8 < 0.01 / 2
+        assert engine.estimator.tracked_symbols() == ["B"]
 
     def test_infinite_ltm_skips_detector(self):
         # smoothing off: a symbol still on the stack but faded from the
@@ -230,6 +286,33 @@ class TestSnapshots:
         assert prefix + suffix == full
         assert resumed.snapshot() == full_engine.snapshot()
 
+    def test_snapshot_holds_each_fact_once(self):
+        engine = Engine(small_config())
+        for obs in observations(["A", "B", "A", "C"]):
+            engine.step(obs)
+        snap = engine.snapshot()
+        assert snap["format_version"] == 2
+        assert (snap["last_t"], snap["events_seen"]) == (3, 4)
+        assert snap["stack"] == ["C", "A", "B"]
+        assert snap["seen_off_stack"] == []  # an unbounded stack holds them all
+        assert sorted(snap["estimator"]) == ["alpha", "kind", "step", "w", "w_step"]
+
+    @pytest.mark.parametrize("snapshot, config", [
+        (V1_IIR_SNAPSHOT, small_config(alpha=0.5, capacity=2)),
+        (V1_FIR_SNAPSHOT, EngineConfig(estimator="fir", window=3, capacity=2,
+                                       warmup=0)),
+    ], ids=["iir", "fir"])
+    def test_version_1_snapshot_resumes_byte_identically(self, snapshot, config):
+        # Written at format 1 after the events A, B, C, A at t = 0..3.
+        stream = observations("ABCADBEA")
+        whole = Engine(config)
+        expected = [whole.step(obs) for obs in stream]
+        resumed = Engine.restore_json(snapshot)
+        assert resumed.events_seen == 4
+        assert resumed.snapshot()["seen_off_stack"] == ["B"]
+        assert [resumed.step(obs) for obs in stream[4:]] == expected[4:]
+        assert resumed.snapshot_json() == whole.snapshot_json()
+
     def test_version_mismatch(self):
         engine = Engine(small_config())
         snap = engine.snapshot()
@@ -322,13 +405,13 @@ class TestConfigValidation:
         assert EngineConfig.from_dict(config.to_dict()) == config
 
 
-# -- reference: the per-event path before it was made lean --------------
+# -- references ---------------------------------------------------------
 #
-# Copied verbatim from the previous engine.py, estimators.py and
-# memory.py; only `self` became `engine` in ref_step, the names gained a
-# ref_ prefix, and docstrings were dropped. It builds a frozen-dataclass
-# record, resolves epsilon and range-checks both costs on every event,
-# recomputes the IIR rate in update, and serializes field by field.
+# engine_v1 is the engine of snapshot format 1, copied verbatim (see its
+# docstring). The serializers and RefIirEstimator below are the per-event
+# path from before that engine was made lean, copied verbatim with a ref_
+# or Ref prefix: a frozen-dataclass record, fields rendered one by one,
+# and an IIR update that recomputes the rate instead of reusing it.
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,37 +426,7 @@ class RefTraceRecord:
     change_flag: bool
 
 
-def ref_ltm_complexity(w: float, epsilon: float = 0.0) -> float:
-    if not 0.0 <= w <= 1.0:
-        raise ValidationError(f"rate must be in [0, 1], got {w}")
-    if epsilon < 0.0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-    floored = max(w, epsilon)
-    if floored == 0.0:
-        return math.inf
-    return math.log2(1.0 / floored)
-
-
-def ref_resolve_epsilon(spec, events_seen: int, alphabet_size: int) -> float:
-    if spec == EPSILON_AUTO:
-        return 1.0 / max(events_seen + alphabet_size, 1)
-    if spec == EPSILON_OFF:
-        return 0.0
-    value = float(spec)
-    if value < 0.0 or value >= 1.0:
-        raise ValidationError(f"epsilon must be in [0, 1), got {value}")
-    return value
-
-
-def ref_stm_complexity(pre_position: Optional[int]) -> float:
-    if pre_position is None:
-        return math.inf
-    if pre_position < 1:
-        raise ValidationError(f"position must be >= 1, got {pre_position}")
-    return math.log2(pre_position)
-
-
-class RefIirEstimator(IirEstimator):
+class RefIirEstimator(v1.IirEstimator):
     def w(self, symbol):
         stored = self._w.get(symbol)
         if stored is None:
@@ -391,43 +444,6 @@ class RefIirEstimator(IirEstimator):
         self._step += 1
         if self.prune and self._step % self._PRUNE_EVERY == 0:
             self._sweep()
-
-
-def ref_step(engine: Engine, obs: Observation) -> RefTraceRecord:
-    if engine.last_t is not None and obs.t <= engine.last_t:
-        raise NonMonotonicTimeError(
-            f"time {obs.t} does not increase past {engine.last_t}"
-        )
-    # Measure against the state *before* this event.
-    w = engine.estimator.w(obs.symbol)
-    floor = ref_resolve_epsilon(
-        engine.config.epsilon,
-        engine.estimator.events_seen,
-        engine.estimator.alphabet_size,
-    )
-    c_ltm = ref_ltm_complexity(w, floor)
-    pre_position = engine.stack.observe(obs.symbol)
-    c_stm = ref_stm_complexity(pre_position)
-
-    novelty = pre_position is None
-    if novelty:
-        u_raw: Optional[float] = None
-        u_clamped: Optional[float] = None
-        flag = engine.detector.flag  # detector not updated by novelties
-    else:
-        u_raw = c_ltm - c_stm
-        u_clamped = max(u_raw, 0.0)
-        if math.isfinite(u_clamped) and engine.estimator.events_seen >= engine.warmup:
-            flag = engine.detector.update(u_clamped)
-        else:
-            # Detector is still arming, or ltm cost is infinite with
-            # smoothing disabled; keep the EWMA clean either way.
-            flag = engine.detector.flag
-
-    engine.estimator.update(obs)
-    engine.last_t = obs.t
-    return RefTraceRecord(obs.t, obs.symbol, c_stm, c_ltm,
-                          u_raw, u_clamped, novelty, flag)
 
 
 def ref_num(value: Optional[float]) -> Optional[str]:
@@ -455,14 +471,6 @@ def ref_trace_to_csv(record) -> str:
     return ",".join(cells)
 
 
-def ref_engine(engine: Engine) -> Engine:
-    """The engine with its IIR estimator swapped for the reference one."""
-    if isinstance(engine.estimator, IirEstimator):
-        engine.estimator = RefIirEstimator.from_state_dict(
-            engine.estimator.state_dict())
-    return engine
-
-
 def exact(values) -> tuple:
     """Field values with floats as their IEEE-754 bits, so -0.0 != 0.0
     and NaN == NaN; other values with their type."""
@@ -470,8 +478,18 @@ def exact(values) -> tuple:
                  for v in values)
 
 
-def ref_fields(record: RefTraceRecord) -> tuple:
-    return tuple(getattr(record, f.name) for f in fields(record))
+def sweeping_every(engine, events: int):
+    """The engine, with its IIR prune sweep every `events` events."""
+    if isinstance(engine, v1.Engine):
+        engine.estimator._PRUNE_EVERY = events
+    else:
+        engine._PRUNE_EVERY = events
+    return engine
+
+
+def as_v2(reference: v1.Engine) -> str:
+    """The reference's state, read back and written as a v2 snapshot."""
+    return Engine.restore_json(reference.snapshot_json()).snapshot_json()
 
 
 diff_configs = st.builds(
@@ -485,8 +503,9 @@ diff_configs = st.builds(
     ),
     theta=st.sampled_from([0.05, 0.5, 1.0]),
     min_hits=st.integers(min_value=1, max_value=3),
-    warmup=st.just(0),
+    warmup=st.sampled_from([0, 3]),
     capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    prune=st.booleans(),
 )
 
 # Symbols that need escaping in JSON or quoting in CSV, plus any text.
@@ -503,43 +522,66 @@ any_float = st.one_of(
 
 
 class TestLeanPathMatchesReference:
-    """The per-event path against the reference copy above: the same
-    records to the bit, the same serialized lines, the same snapshots."""
+    """The engine against the format-1 engine and the older per-event
+    path: the same records to the bit, the same serialized lines, and
+    the same state after a resume from either snapshot format."""
 
     @settings(deadline=None, max_examples=300)
     @given(diff_configs,
-           st.lists(st.tuples(st.integers(min_value=1, max_value=3),
+           st.sampled_from([1, 2, 3, 5, 1024]),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                               st.sampled_from("ABCDEFGHIJ")), max_size=60),
            st.integers(min_value=0, max_value=2 ** 70),
            st.data())
-    def test_step_and_serializers(self, config, gaps, t0, data):
+    def test_step_and_serializers(self, config, prune_every, gaps, t0, data):
+        # The reference runs uninterrupted. At the split the engine goes
+        # on as two: one restored from its own (v2) snapshot, one from
+        # the reference's (v1) snapshot. A gap of 0 repeats a time, which
+        # every engine must reject without learning the event.
         split = data.draw(st.integers(min_value=0, max_value=len(gaps)))
-        engine, reference = Engine(config), ref_engine(Engine(config))
+        reference = sweeping_every(v1.Engine(config), prune_every)
+        engines = [sweeping_every(Engine(config), prune_every)]
+
+        def resume():
+            return [sweeping_every(Engine.restore_json(text), prune_every)
+                    for text in (engines[0].snapshot_json(),
+                                 reference.snapshot_json())]
+
         t = t0
         for i, (gap, symbol) in enumerate(gaps):
             if i == split:
-                engine = Engine.restore_json(engine.snapshot_json())
-                reference = ref_engine(Engine.restore_json(reference.snapshot_json()))
+                engines = resume()
             obs = Observation(t, symbol)
-            record, expected = engine.step(obs), ref_step(reference, obs)
-            assert exact(record) == exact(ref_fields(expected))
-            assert trace_to_jsonl(record) == ref_trace_to_jsonl(expected)
-            assert trace_to_csv(record) == ref_trace_to_csv(expected)
+            try:
+                expected = reference.step(obs)
+            except NonMonotonicTimeError as exc:
+                for engine in engines:
+                    with pytest.raises(NonMonotonicTimeError) as raised:
+                        engine.step(obs)
+                    assert str(raised.value) == str(exc)
+            else:
+                for engine in engines:
+                    record = engine.step(obs)
+                    assert exact(record) == exact(expected)
+                    assert trace_to_jsonl(record) == ref_trace_to_jsonl(expected)
+                    assert trace_to_csv(record) == ref_trace_to_csv(expected)
             t += gap
-        assert engine.snapshot_json() == reference.snapshot_json()
+        if split == len(gaps):
+            engines = resume()
+        for engine in engines:
+            assert engine.snapshot_json() == as_v2(reference)
 
     def test_prune_sweep_then_the_dropped_symbol_returns(self):
         # The sweep at step 1024 drops "b", the last symbol it reads; the
         # next event is "b", whose rate must restart from zero.
         config = EngineConfig(alpha=0.99, prune=True, warmup=0)
-        engine, reference = Engine(config), ref_engine(Engine(config))
+        engine, reference = Engine(config), v1.Engine(config)
         stream = ["a", "b"] + ["a"] * 1022 + ["b", "a", "b"]
         for t, symbol in enumerate(stream):
             obs = Observation(t, symbol)
-            record, expected = engine.step(obs), ref_step(reference, obs)
-            assert exact(record) == exact(ref_fields(expected))
+            assert exact(engine.step(obs)) == exact(reference.step(obs))
         assert "b" in engine.estimator.tracked_symbols()
-        assert engine.snapshot_json() == reference.snapshot_json()
+        assert engine.snapshot_json() == as_v2(reference)
 
     @given(st.sampled_from([0.5, 0.9, 0.99]),
            st.lists(st.tuples(st.booleans(), st.sampled_from("ABC")), max_size=40))
@@ -554,7 +596,9 @@ class TestLeanPathMatchesReference:
                 reference.update(Observation(t, symbol))
             else:
                 assert exact([estimator.w(symbol)]) == exact([reference.w(symbol)])
-        assert estimator.state_dict() == reference.state_dict()
+        expected = reference.state_dict()
+        assert estimator.state_dict() == {
+            key: expected[key] for key in ("kind", "alpha", "step", "w", "w_step")}
 
     @settings(max_examples=500)
     @given(st.tuples(st.integers(min_value=0, max_value=2 ** 80), awkward_symbols,
