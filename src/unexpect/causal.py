@@ -81,10 +81,6 @@ class CausalGraph:
     def nodes(self) -> frozenset[SymbolId]:
         return frozenset(self._nodes)
 
-    @property
-    def roots(self) -> frozenset[SymbolId]:
-        return frozenset(self._priors)
-
     def prior(self, node: SymbolId) -> Optional[BitLength]:
         return self._priors.get(node)
 

@@ -398,7 +398,8 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
             obj = _decode_json_line(line)
             symbol = obj["symbol"]
             c_ltm = obj["c_ltm"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError,
+                ValidationError) as exc:
             raise _fail_data(f"line {lineno}: not a trace record: {exc}") from None
         if not isinstance(symbol, str):
             raise _fail_data(f'line {lineno}: "symbol" must be a string, got {symbol!r}')

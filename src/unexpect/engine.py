@@ -378,11 +378,25 @@ def _num(value: Optional[float], absent: str) -> str:
 
 _JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
                '"u_raw": %s, "u_clamped": %s, "novelty": %s, "change_flag": %s}')
+# Nearly every record is a non-novelty with four finite costs, which
+# both serializers render with one format and no _num call. The guard:
+# no cost is None and their sum is finite (NaN and inf carry into the
+# sum; finite costs whose sum overflows take the general template,
+# which renders them the same).
+_JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
+                 '"u_raw": %.6f, "u_clamped": %.6f, "novelty": false, '
+                 '"change_flag": %s}')
 
 
 def trace_to_jsonl(record: TraceRecord) -> str:
     t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
     # encode_basestring_ascii is what json.dumps does with a str.
+    if (not novelty and c_stm is not None and c_ltm is not None
+            and u_raw is not None and u_clamped is not None
+            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
+        return _JSONL_FINITE % (
+            t, encode_basestring_ascii(symbol), c_stm, c_ltm, u_raw, u_clamped,
+            "true" if change_flag else "false")
     return _JSONL_LINE % (
         t, encode_basestring_ascii(symbol),
         _num(c_stm, "null"), _num(c_ltm, "null"),
@@ -402,6 +416,13 @@ def _csv_field(text: str) -> str:
 
 def trace_to_csv(record: TraceRecord) -> str:
     t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
+    # The guard of trace_to_jsonl's fast path.
+    if (not novelty and c_stm is not None and c_ltm is not None
+            and u_raw is not None and u_clamped is not None
+            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
+        return "%s,%s,%.6f,%.6f,%.6f,%.6f,false,%s" % (
+            t, _csv_field(symbol), c_stm, c_ltm, u_raw, u_clamped,
+            "true" if change_flag else "false")
     return "%s,%s,%s,%s,%s,%s,%s,%s" % (
         t, _csv_field(symbol),
         _num(c_stm, ""), _num(c_ltm, ""), _num(u_raw, ""), _num(u_clamped, ""),

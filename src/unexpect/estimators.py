@@ -128,6 +128,9 @@ class FirEstimator:
     def from_state_dict(cls, state: dict) -> "FirEstimator":
         est = cls(state["window"])
         est._buffer = deque(state["buffer"])
+        if len(est._buffer) > est.window:  # it would never shrink
+            raise ValidationError(f"buffer holds {len(est._buffer)} symbols, "
+                                  f"more than the window of {est.window}")
         est._counts = dict(Counter(est._buffer))
         return est
 
@@ -199,6 +202,11 @@ class IirEstimator:
         est = cls(state["alpha"])
         est._step = state["step"]
         est._w = dict(state["w"])
+        for symbol, rate in est._w.items():
+            if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                    or not 0.0 <= rate <= 1.0):  # also rejects NaN
+                raise ValidationError(
+                    f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
         est._w_step = {k: int(v) for k, v in state["w_step"].items()}
         return est
 

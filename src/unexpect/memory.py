@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
@@ -126,16 +128,25 @@ def _decode_json_line(line: str):
     whitespace is decoded by a single raw_decode scan, without the
     whitespace regex json.loads runs on both ends. Anything else (leading
     whitespace, extra data, a syntax error) goes to json.loads, which
-    produces the canonical result or error.
+    produces the canonical result or error. The one exception: an
+    integer longer than int() converts raises ValidationError, where
+    json.loads raises a bare ValueError.
     """
     try:
-        value, end = _raw_decode(line)
+        try:
+            value, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if end == len(line) or not line[end:].strip(" \t\n\r"):
+                return value
+        return json.loads(line)
     except json.JSONDecodeError:
-        pass
-    else:
-        if end == len(line) or not line[end:].strip(" \t\n\r"):
-            return value
-    return json.loads(line)
+        raise
+    except ValueError:  # from int(), past sys.get_int_max_str_digits()
+        raise ValidationError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_event(line: str, lineno: int) -> Observation:
@@ -168,9 +179,23 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
     return Observation(lineno, stripped)
 
 
+# The line `simulate` writes. JSON decodes a line this matches to the
+# same t and s: it allows no leading zero and no raw control character,
+# and the string holds no escape. At most 19 digits, so int() always
+# converts t; any other line goes through _parse_stripped.
+_CANONICAL_EVENT = re.compile(
+    r'\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f]*)"\}\n?')
+
+
 def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
     """Yield (1-based line number, Observation) pairs; blank lines skipped."""
+    canonical = _CANONICAL_EVENT.fullmatch
     for i, line in enumerate(lines):
+        match = canonical(line)
+        if match is not None:
+            t, symbol = match.groups()
+            yield i + 1, Observation(int(t), symbol)
+            continue
         stripped = line.strip()
         if not stripped:
             continue

@@ -136,6 +136,20 @@ class TestTrack:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("line", [
+        '{"t": %s, "s": "A"}' % ("1" * 5000),   # the canonical spacing
+        '{"t":%s,"s":"A"}' % ("1" * 5000),      # any other
+        '{"t": 2, "s": "A", "x": %s}' % ("1" * 5000),
+    ], ids=["canonical", "compact", "extra-key"])
+    def test_huge_integer_exits_two_with_line(self, capsys, monkeypatch, line):
+        # int() converts at most sys.get_int_max_str_digits() digits.
+        text = '{"t": 0, "s": "A"}\n' + line + "\n"
+        code, _, err = run_cli(capsys, ["track"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 2
+        assert err == ("error: line 2: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
     def test_failed_run_leaves_no_output_file(self, tmp_path, capsys):
         events = write(tmp_path / "bad.jsonl",
                        '{"t": 3, "s": "A"}\n{"t": 1, "s": "B"}\n')
@@ -376,6 +390,32 @@ class TestSnapshotReplay:
         assert out == ""
         assert err == f"error: snapshot {snap}: {message}\n"
 
+    @pytest.mark.parametrize("flags, field, value, message", [
+        (["--alpha", "0.9"], "w", {"A": "x", "B": 0.5},
+         "w must hold rates in [0, 1], got 'x' for 'A'"),
+        (["--alpha", "0.9"], "w", {"A": 0.5, "B": 1.5},
+         "w must hold rates in [0, 1], got 1.5 for 'B'"),
+        (["--alpha", "0.9"], "w", {"A": True, "B": 0.5},
+         "w must hold rates in [0, 1], got True for 'A'"),
+        (["--estimator", "fir", "--window", "2"], "buffer", ["A"] * 4,
+         "buffer holds 4 symbols, more than the window of 2"),
+    ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer"])
+    def test_hand_edited_estimator_state_names_the_field(
+            self, tmp_path, capsys, flags, field, value, message):
+        # Restored as given, a rate of "x" failed at the first A, and a
+        # buffer past its window never shrank: rates went above 1.
+        _, head, tail = self.make_stream(tmp_path)
+        snap = tmp_path / "snap.json"
+        run_cli(capsys, ["track", "--input", head, *flags,
+                         "--snapshot-out", str(snap), "--output", os.devnull])
+        state = json.loads(snap.read_text())
+        state["estimator"][field] = value
+        snap.write_text(json.dumps(state))
+        code, out, err = run_cli(
+            capsys, ["replay", "--snapshot", str(snap), "--input", tail])
+        assert (code, out) == (2, "")
+        assert err == f"error: snapshot {snap}: {message}\n"
+
     def test_corrupt_snapshot_exits_two(self, tmp_path, capsys):
         snap = write(tmp_path / "snap.json", '{"format_version": 7}')
         code, _, err = run_cli(capsys, ["replay", "--snapshot", snap])
@@ -597,6 +637,16 @@ class TestDivergenceCommand:
         )
         assert code == 2
         assert "line 2" in err
+
+    def test_from_trace_huge_integer_names_the_line(self, capsys, monkeypatch):
+        trace = '{"t": %s, "symbol": "A", "c_ltm": 1.0}\n' % ("1" * 5000)
+        code, _, err = run_cli(
+            capsys, ["divergence", "--from-trace", "--normalize-mind"],
+            stdin_text=trace, monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert err == ("error: line 1: not a trace record: an integer has more "
+                       f"than {sys.get_int_max_str_digits()} digits\n")
 
 
 class TestSimulate:

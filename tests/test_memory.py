@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -151,6 +152,9 @@ def ref_parse_event(line, lineno):
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON event: {exc}") from None
+        except ValueError:  # int() refuses this many digits
+            raise ValidationError("an integer has more than "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
         if "t" not in obj or "s" not in obj:
             raise ValidationError('event object must have "t" and "s" fields')
         t, s = obj["t"], obj["s"]
@@ -261,6 +265,20 @@ class TestLineDecoderMatchesJsonLoads:
             ref_parse_event, line, lineno)
 
     @given(st.lists(json_lines() | texts, max_size=5))
+    # Edges of the canonical-line fast path: what it must leave to JSON.
+    @example(['{"t": 0, "s": ""}\n', '{"t": 10, "s": "a"}\n'])
+    @example(['{"t": 01, "s": "a"}'])
+    @example(['{"t": -0, "s": "a"}'])
+    @example(['{"t": 1.0, "s": "a"}'])
+    @example(['{"t": true, "s": "a"}'])
+    @example(['{"t": 1, "s": "a\\"b"}', '{"t": 2, "s": "\\u0041"}'])
+    @example(['{"t": 1, "s": "\x1f"}'])
+    @example(['{"t": 1, "s": "\x7f"}'])
+    @example(['{"t": 1, "s": "é字😀"}', '{"t": 2, "s": "\ud800"}'])
+    @example(['{"t":  1, "s": "a"}', '{"t": 2,  "s": "a"}', '{"t": 3, "s":  "a"}'])
+    @example(['{"t": 1, "s": "a"}\n\n', '{"t": 2, "s": "a"}\r\n'])
+    @example(['{"t": %s, "s": "a"}' % ("9" * n) for n in (19, 20)])
+    @example(['{"t": %s, "s": "a"}' % ("1" * 5000)])
     def test_read_events_matches_reference(self, lines):
         assert outcome(lambda: list(read_events(lines))) == outcome(
             lambda: list(ref_read_events(lines)))
