@@ -22,6 +22,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -38,6 +39,7 @@ from .core import (
 )
 from .engine import (
     TRACE_CSV_HEADER,
+    _JSONL_PATTERN,
     Engine,
     EngineConfig,
     _csv_field,
@@ -130,11 +132,13 @@ def _open_input(path: Optional[str]) -> Iterator[IO[str]]:
 def _read_json_file(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = _decode_json_line(fh.read())
     except OSError as exc:
         raise _fail_data(f"cannot read {what} {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise _fail_data(f"{what} {path}: invalid JSON at line {exc.lineno}") from None
+    except ValidationError as exc:  # an integer int() refuses
+        raise _fail_data(f"{what} {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise _fail_data(f"{what} {path}: expected a JSON object")
     return obj
@@ -391,16 +395,26 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
     counts: Counter[str] = Counter()
     last_c_ltm: dict[str, float] = {}
     total = 0
+    # A line as trace_to_jsonl writes it is one match; any other takes
+    # the JSON path. Compiled here, so that no other command pays for it.
+    canonical = re.compile(_JSONL_PATTERN).fullmatch
     for lineno, line in enumerate(lines, 1):
-        if not line.strip():
+        match = canonical(line)
+        if match is not None:
+            symbol, c_ltm = match.groups()
+            if c_ltm is not None:
+                c_ltm = float(c_ltm)
+        elif not line.strip():
             continue
-        try:
-            obj = _decode_json_line(line)
-            symbol = obj["symbol"]
-            c_ltm = obj["c_ltm"]
-        except (json.JSONDecodeError, KeyError, TypeError,
-                ValidationError) as exc:
-            raise _fail_data(f"line {lineno}: not a trace record: {exc}") from None
+        else:
+            try:
+                obj = _decode_json_line(line)
+                symbol = obj["symbol"]
+                c_ltm = obj["c_ltm"]
+            except (json.JSONDecodeError, KeyError, TypeError,
+                    ValidationError) as exc:
+                raise _fail_data(
+                    f"line {lineno}: not a trace record: {exc}") from None
         if not isinstance(symbol, str):
             raise _fail_data(f'line {lineno}: "symbol" must be a string, got {symbol!r}')
         if c_ltm is not None and (

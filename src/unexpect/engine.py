@@ -41,7 +41,7 @@ from .estimators import (
     IirEstimator,
     resolve_epsilon,
 )
-from .memory import Observation, StmStack
+from .memory import Observation, StmStack, _decode_json_line
 
 SNAPSHOT_VERSION = 2
 
@@ -103,7 +103,15 @@ class ChangeDetector(_Value):
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "ChangeDetector":
-        return cls(**state)
+        detector = cls(**state)
+        ewma, hits = detector.ewma, detector.hits
+        # update() keeps ewma finite and >= 0: it averages finite u >= 0.
+        if (isinstance(ewma, bool) or not isinstance(ewma, (int, float))
+                or not 0.0 <= ewma < inf):  # also rejects NaN
+            raise ValidationError(f"ewma must be a finite number >= 0, got {ewma!r}")
+        if type(hits) is not int or hits < 0:
+            raise ValidationError(f"hits must be a nonnegative integer, got {hits!r}")
+        return detector
 
 
 class EngineConfig(_Value):
@@ -295,8 +303,14 @@ class Engine:
             engine = cls(config)
             stack = _symbols(snapshot, "stack")
             engine.stack = StmStack(capacity=config.capacity, items=stack)
-            engine.estimator = estimators.estimator_from_state(snapshot["estimator"])
-            engine.detector = ChangeDetector.from_state_dict(snapshot["detector"])
+            estimator, detector = snapshot["estimator"], snapshot["detector"]
+            rate = "alpha" if config.estimator == "iir" else "window"
+            _same_as_config(estimator, config, "estimator",
+                            {"kind": "estimator", rate: rate})
+            _same_as_config(detector, config, "detector",
+                            {name: name for name in ("beta", "theta", "min_hits")})
+            engine.estimator = estimators.estimator_from_state(estimator)
+            engine.detector = ChangeDetector.from_state_dict(detector)
             if snapshot["last_t"] is not None:
                 engine.last_t = _count(snapshot, "last_t")
             if version == 1:
@@ -325,7 +339,7 @@ class Engine:
     @classmethod
     def restore_json(cls, text: str) -> "Engine":
         try:
-            obj = json.loads(text)
+            obj = _decode_json_line(text)
         except json.JSONDecodeError as exc:
             raise VersionMismatchError(f"unreadable snapshot: {exc}") from None
         return cls.restore(obj)
@@ -337,6 +351,18 @@ def _count(state: dict, name: str) -> int:
         raise VersionMismatchError(
             f"{name} must be a nonnegative integer, got {value!r}")
     return value
+
+
+def _same_as_config(state: dict, config: EngineConfig, owner: str,
+                    copies: dict) -> None:
+    """Each copy state[key] of the config value named copies[key] must
+    equal it, type included (a bool is not an int)."""
+    for key, name in copies.items():
+        value, expected = state[key], getattr(config, name)
+        if type(value) is not type(expected) or value != expected:
+            raise VersionMismatchError(
+                f"{owner} {key} must equal config {name} {expected!r}, "
+                f"got {value!r}")
 
 
 def _symbols(state: dict, name: str) -> list:
@@ -386,6 +412,18 @@ _JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
 _JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
                  '"u_raw": %.6f, "u_clamped": %.6f, "novelty": false, '
                  '"change_flag": %s}')
+# The line trace_to_jsonl writes, for readers that want only the symbol
+# (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
+# matches to the same symbol and to float(group 2): the pattern allows
+# no leading zero, no exponent and no raw control character, and the
+# symbol holds no escape. At most 19 digits of t, so that a t int()
+# would refuse is left to JSON. Compiled by its reader, not at import.
+_COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
+_JSONL_PATTERN = (
+    r'\{"t": (?:0|[1-9][0-9]{0,18}), "symbol": "([^"\\\x00-\x1f]*)", '
+    r'"c_stm": (?:null|' + _COST + r'), "c_ltm": (?:null|(' + _COST + r')), '
+    r'"u_raw": (?:null|' + _COST + r'), "u_clamped": (?:null|' + _COST + r'), '
+    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}\n?')
 
 
 def trace_to_jsonl(record: TraceRecord) -> str:

@@ -128,6 +128,9 @@ class FirEstimator:
     def from_state_dict(cls, state: dict) -> "FirEstimator":
         est = cls(state["window"])
         est._buffer = deque(state["buffer"])
+        for symbol in est._buffer:
+            if type(symbol) is not str:  # no event could ever match it
+                raise ValidationError(f"buffer holds a non-string symbol {symbol!r}")
         if len(est._buffer) > est.window:  # it would never shrink
             raise ValidationError(f"buffer holds {len(est._buffer)} symbols, "
                                   f"more than the window of {est.window}")
@@ -200,14 +203,25 @@ class IirEstimator:
     @classmethod
     def from_state_dict(cls, state: dict) -> "IirEstimator":
         est = cls(state["alpha"])
-        est._step = state["step"]
+        step = est._step = state["step"]
+        if type(step) is not int or step < 0:
+            raise ValidationError(f"step must be a nonnegative integer, got {step!r}")
         est._w = dict(state["w"])
         for symbol, rate in est._w.items():
             if (isinstance(rate, bool) or not isinstance(rate, (int, float))
                     or not 0.0 <= rate <= 1.0):  # also rejects NaN
                 raise ValidationError(
                     f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
-        est._w_step = {k: int(v) for k, v in state["w_step"].items()}
+        est._w_step = dict(state["w_step"])
+        if est._w_step.keys() != est._w.keys():
+            odd = sorted(est._w_step.keys() ^ est._w.keys())[0]
+            raise ValidationError(
+                f"w_step must hold the symbols of w, and only those; {odd!r} "
+                f"is in {'w_step' if odd in est._w_step else 'w'} only")
+        for symbol, when in est._w_step.items():
+            if type(when) is not int or not 0 <= when <= step:
+                raise ValidationError(
+                    f"w_step must hold steps in [0, {step}], got {when!r} for {symbol!r}")
         return est
 
 

@@ -124,11 +124,11 @@ _raw_decode = json.JSONDecoder().raw_decode
 def _decode_json_line(line: str):
     """json.loads(line): the same value, or the same error and message.
 
-    A line holding one JSON value followed by nothing but JSON
-    whitespace is decoded by a single raw_decode scan, without the
-    whitespace regex json.loads runs on both ends. Anything else (leading
-    whitespace, extra data, a syntax error) goes to json.loads, which
-    produces the canonical result or error. The one exception: an
+    A line (or a whole file) holding one JSON value followed by nothing
+    but JSON whitespace is decoded by a single raw_decode scan, without
+    the whitespace regex json.loads runs on both ends. Anything else
+    (leading whitespace, extra data, a syntax error) goes to json.loads,
+    which produces the canonical result or error. The one exception: an
     integer longer than int() converts raises ValidationError, where
     json.loads raises a bare ValueError.
     """

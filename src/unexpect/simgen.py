@@ -23,7 +23,7 @@ import math
 from typing import Iterator, Optional
 
 from .core import DiscreteDistribution, InvalidSpecError, SymbolId, _Value
-from .memory import Observation
+from .memory import Observation, _decode_json_line
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -221,7 +221,7 @@ class SourceSpec(_Value):
     @classmethod
     def from_json(cls, text: str) -> "SourceSpec":
         try:
-            obj = json.loads(text)
+            obj = _decode_json_line(text)
         except json.JSONDecodeError as exc:
             raise InvalidSpecError(f"invalid spec JSON: {exc}") from None
         if not isinstance(obj, dict):

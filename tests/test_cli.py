@@ -1,15 +1,28 @@
 import csv
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import unexpect
-from unexpect.cli import main
+from unexpect.cli import _Exit, _fail_data, _pair_from_trace, main
+from unexpect.core import (
+    CodeLengthTable,
+    DiscreteDistribution,
+    UnexpectError,
+    ValidationError,
+)
+from unexpect.divergence import MachinePair
+from unexpect.engine import TraceRecord, trace_to_jsonl
+from unexpect.memory import _decode_json_line
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -391,25 +404,87 @@ class TestSnapshotReplay:
         assert err == f"error: snapshot {snap}: {message}\n"
 
     @pytest.mark.parametrize("flags, field, value, message", [
-        (["--alpha", "0.9"], "w", {"A": "x", "B": 0.5},
+        (["--alpha", "0.9"], "estimator.w", {"A": "x", "B": 0.5},
          "w must hold rates in [0, 1], got 'x' for 'A'"),
-        (["--alpha", "0.9"], "w", {"A": 0.5, "B": 1.5},
+        (["--alpha", "0.9"], "estimator.w", {"A": 0.5, "B": 1.5},
          "w must hold rates in [0, 1], got 1.5 for 'B'"),
-        (["--alpha", "0.9"], "w", {"A": True, "B": 0.5},
+        (["--alpha", "0.9"], "estimator.w", {"A": True, "B": 0.5},
          "w must hold rates in [0, 1], got True for 'A'"),
-        (["--estimator", "fir", "--window", "2"], "buffer", ["A"] * 4,
+        (["--estimator", "fir", "--window", "2"], "estimator.buffer", ["A"] * 4,
          "buffer holds 4 symbols, more than the window of 2"),
-    ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer"])
+        # After 25 events, A last at step 25 and B at 24.
+        (["--alpha", "0.9"], "estimator.w_step", {"B": 24},
+         "w_step must hold the symbols of w, and only those; 'A' is in w only"),
+        (["--alpha", "0.9"], "estimator.w_step", {"A": 25, "B": 24, "C": 1},
+         "w_step must hold the symbols of w, and only those; 'C' is in "
+         "w_step only"),
+        (["--alpha", "0.9"], "estimator.w_step", {"A": 1.5, "B": 24},
+         "w_step must hold steps in [0, 25], got 1.5 for 'A'"),
+        (["--alpha", "0.9"], "estimator.w_step", {"A": 26, "B": 24},
+         "w_step must hold steps in [0, 25], got 26 for 'A'"),
+        (["--alpha", "0.9"], "estimator.step", "x",
+         "step must be a nonnegative integer, got 'x'"),
+        (["--alpha", "0.9"], "estimator.step", 1.5,
+         "step must be a nonnegative integer, got 1.5"),
+        (["--estimator", "fir", "--window", "2"], "estimator.buffer", ["A", 1],
+         "buffer holds a non-string symbol 1"),
+        (["--estimator", "fir", "--window", "50"], "estimator.window", 2.5,
+         "estimator window must equal config window 50, got 2.5"),
+        (["--estimator", "fir", "--window", "50"], "estimator.window", 60,
+         "estimator window must equal config window 50, got 60"),
+        ([], "estimator.alpha", 0.5,
+         "estimator alpha must equal config alpha 0.999, got 0.5"),
+        ([], "estimator.kind", "fir",
+         "estimator kind must equal config estimator 'iir', got 'fir'"),
+        ([], "detector.beta", 0.9,
+         "detector beta must equal config beta 0.95, got 0.9"),
+        ([], "detector.theta", 2.0,
+         "detector theta must equal config theta 1.0, got 2.0"),
+        ([], "detector.min_hits", True,
+         "detector min_hits must equal config min_hits 20, got True"),
+    ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer",
+            "w_step-lacks-a-symbol", "w_step-extra-symbol", "w_step-float",
+            "w_step-past-step", "step-string", "step-float",
+            "fir-buffer-int", "fir-window-float", "fir-window-not-config",
+            "alpha-not-config", "kind-not-config", "beta-not-config",
+            "theta-not-config", "min_hits-bool"])
     def test_hand_edited_estimator_state_names_the_field(
             self, tmp_path, capsys, flags, field, value, message):
-        # Restored as given, a rate of "x" failed at the first A, and a
-        # buffer past its window never shrank: rates went above 1.
+        # Restored as given, a rate of "x" failed at the first A, a
+        # buffer past its window never shrank (rates went above 1), and
+        # a w_step without A failed with a KeyError at the first A.
         _, head, tail = self.make_stream(tmp_path)
         snap = tmp_path / "snap.json"
         run_cli(capsys, ["track", "--input", head, *flags,
                          "--snapshot-out", str(snap), "--output", os.devnull])
         state = json.loads(snap.read_text())
-        state["estimator"][field] = value
+        part, key = field.split(".")
+        state[part][key] = value
+        snap.write_text(json.dumps(state))
+        code, out, err = run_cli(
+            capsys, ["replay", "--snapshot", str(snap), "--input", tail])
+        assert (code, out) == (2, "")
+        assert err == f"error: snapshot {snap}: {message}\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ewma", float("nan"), "ewma must be a finite number >= 0, got nan"),
+        ("ewma", "x", "ewma must be a finite number >= 0, got 'x'"),
+        ("ewma", -1.0, "ewma must be a finite number >= 0, got -1.0"),
+        ("hits", "x", "hits must be a nonnegative integer, got 'x'"),
+        ("hits", -5, "hits must be a nonnegative integer, got -5"),
+        ("hits", 2.0, "hits must be a nonnegative integer, got 2.0"),
+    ], ids=["ewma-nan", "ewma-string", "ewma-negative", "hits-string",
+            "hits-negative", "hits-float"])
+    def test_hand_edited_detector_state_names_the_field(
+            self, tmp_path, capsys, field, value, message):
+        # Restored as given, hits of "x" failed at the first flag test
+        # and an ewma of NaN, or hits of -5, replayed with exit 0.
+        _, head, tail = self.make_stream(tmp_path)
+        snap = tmp_path / "snap.json"
+        run_cli(capsys, ["track", "--input", head, "--warmup", "0",
+                         "--snapshot-out", str(snap), "--output", os.devnull])
+        state = json.loads(snap.read_text())
+        state["detector"][field] = value
         snap.write_text(json.dumps(state))
         code, out, err = run_cli(
             capsys, ["replay", "--snapshot", str(snap), "--input", tail])
@@ -647,6 +722,184 @@ class TestDivergenceCommand:
         assert code == 2
         assert err == ("error: line 1: not a trace record: an integer has more "
                        f"than {sys.get_int_max_str_digits()} digits\n")
+
+
+HUGE = "1" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize("what, text, argv", [
+    ("config file", '{"window": %s}' % HUGE, ["track", "--config"]),
+    ("snapshot", '{"format_version": 2, "last_t": %s}' % HUGE,
+     ["replay", "--snapshot"]),
+    ("spec", '{"kind": "stationary", "seed": %s}' % HUGE, ["simulate", "--spec"]),
+    ("world file", '{"symbols": ["a"], "mass": [%s]}' % HUGE,
+     ["divergence", "--mind", "{mind}", "--world"]),
+    ("mind file", '{"symbols": ["a"], "bits": [%s]}' % HUGE,
+     ["divergence", "--world", "{world}", "--mind"]),
+], ids=["config", "snapshot", "spec", "world", "mind"])
+def test_huge_integer_in_a_json_file_names_the_file(tmp_path, capsys,
+                                                    monkeypatch, what, text,
+                                                    argv):
+    # json's int() raised a bare ValueError, which only a traceback showed.
+    other = {
+        "{mind}": write(tmp_path / "m.json", '{"symbols": ["a"], "bits": [0]}'),
+        "{world}": write(tmp_path / "w.json", '{"symbols": ["a"], "mass": [1]}'),
+    }
+    path = write(tmp_path / "huge.json", text)
+    argv = [other.get(arg, arg) for arg in argv] + [path]
+    code, out, err = run_cli(capsys, argv, stdin_text="",
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {what} {path}: an integer has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def ref_pair_from_trace(lines, world):
+    """The trace reader before its canonical-line fast path: every line
+    through the JSON decoder."""
+    counts = Counter()
+    last_c_ltm = {}
+    total = 0
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = _decode_json_line(line)
+            symbol = obj["symbol"]
+            c_ltm = obj["c_ltm"]
+        except (json.JSONDecodeError, KeyError, TypeError,
+                ValidationError) as exc:
+            raise _fail_data(f"line {lineno}: not a trace record: {exc}") from None
+        if not isinstance(symbol, str):
+            raise _fail_data(f'line {lineno}: "symbol" must be a string, got {symbol!r}')
+        if c_ltm is not None and (
+            isinstance(c_ltm, bool) or not isinstance(c_ltm, (int, float))
+            or not 0.0 <= c_ltm <= sys.float_info.max  # also rejects NaN
+        ):
+            raise _fail_data(
+                f'line {lineno}: "c_ltm" must be null or a finite number >= 0, '
+                f"got {c_ltm!r}"
+            )
+        counts[symbol] += 1
+        total += 1
+        if c_ltm is not None:
+            last_c_ltm[symbol] = float(c_ltm)
+    if not total:
+        raise _fail_data("empty trace: nothing to report on")
+    if world is None:
+        support = tuple(sorted(counts))
+        world = DiscreteDistribution(
+            support, tuple(counts[s] / total for s in support)
+        )
+    missing = [s for s in world.support if s not in last_c_ltm]
+    if missing:
+        raise _fail_data(
+            f"trace carries no description cost for symbol(s): {missing}"
+        )
+    mind = CodeLengthTable(
+        world.support, tuple(last_c_ltm[s] for s in world.support)
+    )
+    return MachinePair(world, mind)
+
+
+def pair_outcome(read, lines, world):
+    """("ok", reprs of the pair) or the exit code and message."""
+    try:
+        pair = read(lines, world)
+    except _Exit as exc:
+        return ("exit", exc.code, str(exc))
+    except UnexpectError as exc:
+        return (type(exc).__name__, str(exc))
+    # repr, so that -0.0 differs from 0.0
+    return ("ok", repr(pair.world), repr(pair.mind))
+
+
+trace_symbols = st.one_of(
+    st.sampled_from(["A", "B", "", '"', "\\", "a\\\"b", "\x00", "\x1f", "\x7f",
+                     "é", "字", "😀", "\ud800"]),
+    st.text(st.characters(codec=None, exclude_categories=()), max_size=4),
+)
+trace_costs = st.one_of(
+    st.none(), st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308,
+                     1.7976931348623157e308, -1e308, 5e-324]),
+)
+trace_records = st.builds(
+    TraceRecord,
+    t=st.one_of(st.just(0), st.integers(0, 10 ** 3),
+                st.integers(10 ** 18, 10 ** 19 - 1),    # 19 digits
+                st.integers(10 ** 19, 10 ** 20 - 1)),   # 20 digits
+    symbol=trace_symbols,
+    c_stm=trace_costs, c_ltm=trace_costs, u_raw=trace_costs,
+    u_clamped=trace_costs, novelty=st.booleans(), change_flag=st.booleans(),
+)
+# Hand edits of a written line: each part as trace_to_jsonl writes it,
+# or as a person or another tool might.
+EDITED_LINE = ('{"t": %s, "symbol": %s, "c_stm": 0.000000, "c_ltm": %s, '
+               '"u_raw": null, "u_clamped": null, "novelty": false, '
+               '"change_flag": false}')
+edited_t = st.sampled_from(["0", "7", "01", "00", "-0", "-1", "1.0", "1e2",
+                            "9" * 19, "9" * 20, "1" * 5000])
+edited_c_ltm = st.sampled_from([
+    "1.000000", "0.000000", "-0.000000", "-1.000000", "01.000000",
+    "1" * 400 + ".000000", "1.00000", "1.0000000", "1.5e3", "1", "null",
+    "NaN", "Infinity", "true", '"1"'])
+
+
+@st.composite
+def edited_lines(draw):
+    symbol = draw(trace_symbols)
+    line = EDITED_LINE % (draw(edited_t), json.dumps(
+        symbol, ensure_ascii=draw(st.booleans())), draw(edited_c_ltm))
+    edit = draw(st.sampled_from(["none", "space", "reorder", "drop", "extra"]))
+    if edit == "space":  # one separator with a doubled space
+        parts = line.split(", ")
+        at = draw(st.integers(1, len(parts) - 1))
+        line = ", ".join(parts[:at]) + ",  " + ", ".join(parts[at:])
+    elif edit == "reorder":
+        line = line.replace('"c_stm": 0.000000, ', "").replace(
+            '"t": ', '"c_stm": 0.000000, "t": ')
+    elif edit == "drop":
+        line = line.replace('"symbol": ', '"sym": ')
+    elif edit == "extra":
+        line = line[:-1] + ', "x": 1}'
+    return line + draw(st.sampled_from(["\n", "\n", "\r\n", "", " \n"]))
+
+
+class TestTraceReaderMatchesReference:
+    """_pair_from_trace against the JSON-only reader it replaced: the
+    same pair, or the same exit code and message, on any trace."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.one_of(trace_records.map(lambda r: trace_to_jsonl(r) + "\n"),
+                              edited_lines(), st.sampled_from(["\n", " \n", ""])),
+                    max_size=8),
+           st.booleans(),
+           st.sampled_from([None, DiscreteDistribution(("A", "B"), (0.5, 0.5))]))
+    # At most one bad line in each, and last: the first bad line ends a run.
+    @example([EDITED_LINE % ("-0", '"A"', "1.000000") + "\n",
+              EDITED_LINE % ("01", '"A"', "1.000000") + "\n"], True, None)
+    @example([EDITED_LINE % ("1" * 5000, '"A"', "1.000000") + "\n"], True, None)
+    @example([EDITED_LINE % ("1", '"A"', "01.000000") + "\n"], True, None)
+    @example([EDITED_LINE % ("1", '"A"', c_ltm) + "\n"
+              for c_ltm in ("-0.000000", "-1.000000")], True, None)
+    @example([EDITED_LINE % ("1", '"A"', "1" * 400 + ".000000") + "\n"], True, None)
+    @example([EDITED_LINE % ("9" * n, '"A"', "2.000000") + "\n"
+              for n in (19, 20)], True, None)
+    @example([EDITED_LINE.replace(", ", ",  ") % ("1", '"A"', "1.000000") + "\n",
+              EDITED_LINE % ("2", '"B"', "2.000000") + "\r\n", "\n", " \n",
+              '{"c_ltm": 3.000000, "symbol": "C"}\n',
+              EDITED_LINE % ("4", '"D"', "4.000000")], True, None)
+    @example([EDITED_LINE % ("1", '"\\u0041"', "1.000000") + "\n",
+              EDITED_LINE % ("2", '"\x1f"', "1.000000") + "\n",
+              EDITED_LINE % ("3", '"é"', "1.000000") + "\n",
+              EDITED_LINE % ("4", '"\ud800"', "1.000000") + "\n",
+              EDITED_LINE % ("5", '"A"', "null") + "\n"], True, None)
+    def test_reader_matches_reference(self, lines, final_newline, world):
+        if lines and not final_newline:
+            lines[-1] = lines[-1].rstrip("\n")
+        assert pair_outcome(_pair_from_trace, lines, world) == pair_outcome(
+            ref_pair_from_trace, lines, world)
 
 
 class TestSimulate:
