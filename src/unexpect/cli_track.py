@@ -1,0 +1,174 @@
+"""The scoring commands, `track` and `replay`: the only ones that load
+the engine and the estimators."""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import math
+import sys
+from collections import deque
+from typing import IO, Optional
+
+from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
+from .core import UnexpectError, ValidationError
+from .engine import Engine, EngineConfig
+from .estimators import EPSILON_AUTO, EPSILON_OFF, is_stable
+from .memory import read_events
+from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl
+
+# EngineConfig field -> the flag that sets it and its range, for the
+# message of a bad value; a ValidationError's field picks the row.
+_FLAG_RANGES = {
+    "alpha": ("--alpha", "(0, 1) exclusive"),
+    "window": ("--window", "a positive integer"),
+    "beta": ("--beta", "(0, 1) exclusive"),
+    "theta": ("--theta", "a finite positive number"),
+    "min_hits": ("--min-hits", "a positive integer"),
+    "capacity": ("--capacity", "a positive integer"),
+    "epsilon": ("--epsilon", "'auto', 'off', or a float in [0, 1)"),
+    "estimator": ("--estimator", "'iir' or 'fir'"),
+    "warmup": ("--warmup", "'auto' or a nonnegative integer"),
+    # Only a config file sets prune.
+    "prune": ("--config: prune", "true or false"),
+}
+
+
+def _build_config(args: argparse.Namespace) -> EngineConfig:
+    """Merge config file values under explicit flags; EngineConfig checks
+    them, and a fault exits 1 naming the flag."""
+    merged = EngineConfig().to_dict()
+    if args.config is not None:
+        file_cfg = _read_json_file(args.config, "config file")
+        unknown = set(file_cfg) - set(merged)
+        if unknown:
+            raise _fail_flag(f"--config: unknown key(s) {sorted(unknown)}")
+        merged.update(file_cfg)
+    for key in merged:
+        value = getattr(args, key, None)
+        if value is not None:
+            merged[key] = value
+    # --epsilon and --warmup are strings; a config file's epsilon may be
+    # an int or a string, its warmup a string. A value that does not
+    # convert is left for EngineConfig to reject.
+    epsilon, warmup = merged["epsilon"], merged["warmup"]
+    if epsilon not in (EPSILON_AUTO, EPSILON_OFF) and not isinstance(epsilon, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            merged["epsilon"] = float(epsilon)
+    if warmup != "auto" and not isinstance(warmup, (bool, float)):
+        with contextlib.suppress(TypeError, ValueError):
+            merged["warmup"] = int(warmup)
+    try:
+        return EngineConfig.from_dict(merged)
+    except ValidationError as exc:
+        flag, rng = _FLAG_RANGES[exc.field]
+        raise _fail_flag(f"{flag} must be {rng}, got {merged[exc.field]!r}") from None
+
+
+def _explicit_config_flags(args: argparse.Namespace) -> list[str]:
+    given = []
+    for key, (flag, _) in _FLAG_RANGES.items():
+        if getattr(args, key, None) is not None:
+            given.append(flag)
+    if getattr(args, "config", None) is not None:
+        given.append("--config")
+    return given
+
+
+def _run_engine_over(
+    engine: Engine,
+    lines: IO[str],
+    emit: str,
+    out: IO[str],
+    stability: Optional[tuple[int, float]] = None,
+) -> None:
+    """Read, score and write one event at a time."""
+    write = out.write
+    if emit == "csv":
+        write(TRACE_CSV_HEADER + "\n")
+        to_line = trace_to_csv
+    else:
+        to_line = trace_to_jsonl
+    step = engine.step
+    histories: dict[str, deque] = {}
+    try:
+        for lineno, obs in read_events(lines):
+            try:
+                record = step(obs)
+            except UnexpectError as exc:
+                raise _fail_data(f"line {lineno}: {exc}") from None
+            if stability is not None:
+                histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
+                    engine.estimator.w(obs.symbol)
+                )
+            try:
+                write(to_line(record) + "\n")
+            except UnicodeEncodeError as exc:  # e.g. a lone surrogate in CSV
+                raise _fail_data(f"line {lineno}: cannot write symbol "
+                                 f"{obs.symbol!r}: {exc.reason}") from None
+    except ValidationError as exc:
+        raise _fail_data(str(exc)) from None
+    if stability is not None:
+        window, delta = stability
+        unstable = sorted(
+            sym for sym, hist in histories.items()
+            if len(hist) >= window and not is_stable(list(hist), window, delta)
+        )
+        print(
+            f"ltm stability over last {window} updates (delta={delta}): "
+            + (f"unstable symbols: {', '.join(unstable)}" if unstable else "all stable"),
+            file=sys.stderr,
+        )
+
+
+def _load_snapshot(path: str) -> Engine:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _fail_data(f"cannot read snapshot {path}: {exc.strerror}") from None
+    try:
+        return Engine.restore_json(text)
+    except UnexpectError as exc:
+        raise _fail_data(f"snapshot {path}: {exc}") from None
+
+
+def _cmd_track(args: argparse.Namespace) -> int:
+    stability = None
+    if (args.stability_m is None) != (args.stability_delta is None):
+        raise _fail_flag("--stability-m and --stability-delta go together")
+    if args.stability_m is not None:
+        if args.stability_m < 1:
+            raise _fail_flag(f"--stability-m must be >= 1, got {args.stability_m}")
+        if not 0.0 <= args.stability_delta < math.inf:  # also rejects NaN
+            raise _fail_flag(
+                f"--stability-delta must be finite and >= 0, got {args.stability_delta}"
+            )
+        stability = (args.stability_m, args.stability_delta)
+
+    if args.snapshot_in is not None:
+        engine = _load_snapshot(args.snapshot_in)
+        conflicting = _explicit_config_flags(args)
+        if conflicting:
+            raise _fail_flag(
+                f"{', '.join(conflicting)}: configuration is baked into the "
+                "snapshot; use plain `track --snapshot-in` or `replay`"
+            )
+    else:
+        engine = Engine(_build_config(args))
+    return _score(engine, args, stability)
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    return _score(_load_snapshot(args.snapshot), args)
+
+
+def _score(engine: Engine, args: argparse.Namespace,
+           stability: Optional[tuple[int, float]] = None) -> int:
+    """Score the input into the output, then write the snapshot if asked."""
+    with _open_input(args.input) as lines, _open_output(args.output, "--output") as out:
+        _run_engine_over(engine, lines, args.emit, out, stability)
+    if args.snapshot_out is not None:
+        with _open_output(args.snapshot_out, "--snapshot-out") as fh:
+            fh.write(engine.snapshot_json() + "\n")
+    return 0

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable
+import sys
+from typing import Iterable, Optional
 
 SymbolId = str
 BitLength = float
@@ -27,7 +28,13 @@ class UnexpectError(Exception):
 
 
 class ValidationError(UnexpectError):
+    """`field`, when given, names the config field at fault."""
+
     code = "validation"
+
+    def __init__(self, message: str = "", field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 class KraftViolationError(UnexpectError):
@@ -80,6 +87,37 @@ def bits_from_probability(p: float) -> BitLength:
     if p == 0.0:
         return math.inf
     return math.log2(1.0 / p)
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_json_line(line: str):
+    """json.loads(line): the same value, or the same error and message.
+
+    A line (or a whole file) holding one JSON value followed by nothing
+    but JSON whitespace is decoded by a single raw_decode scan, without
+    the whitespace regex json.loads runs on both ends. Anything else
+    (leading whitespace, extra data, a syntax error) goes to json.loads,
+    which produces the canonical result or error. The one exception: an
+    integer longer than int() converts raises ValidationError, where
+    json.loads raises a bare ValueError.
+    """
+    try:
+        try:
+            value, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if end == len(line) or not line[end:].strip(" \t\n\r"):
+                return value
+        return json.loads(line)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # from int(), past sys.get_int_max_str_digits()
+        raise ValidationError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 class _Value:

@@ -21,7 +21,6 @@ infinities.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from math import ceil, inf, isfinite, log2
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -32,6 +31,7 @@ from .core import (
     ValidationError,
     VersionMismatchError,
     _Value,
+    _decode_json_line,
 )
 from .estimators import (
     EPSILON_AUTO,
@@ -41,7 +41,9 @@ from .estimators import (
     IirEstimator,
     resolve_epsilon,
 )
-from .memory import Observation, StmStack, _decode_json_line
+from .memory import Observation, StmStack
+# Re-exported: the trace format's owner is traceio.
+from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl  # noqa: F401
 
 SNAPSHOT_VERSION = 2
 
@@ -75,11 +77,11 @@ class ChangeDetector(_Value):
     def __init__(self, beta: float = 0.95, theta: float = 1.0,
                  min_hits: int = 20, ewma: float = 0.0, hits: int = 0):
         if not 0.0 < beta < 1.0:
-            raise ValidationError(f"beta must be in (0, 1), got {beta}")
+            raise ValidationError(f"beta must be in (0, 1), got {beta}", "beta")
         if not 0.0 < theta < inf:  # also rejects NaN
-            raise ValidationError(f"theta must be finite and > 0, got {theta}")
+            raise ValidationError(f"theta must be finite and > 0, got {theta}", "theta")
         if min_hits < 1:
-            raise ValidationError(f"min hits must be >= 1, got {min_hits}")
+            raise ValidationError(f"min hits must be >= 1, got {min_hits}", "min_hits")
         self.beta = beta
         self.theta = theta
         self.min_hits = min_hits
@@ -133,26 +135,27 @@ class EngineConfig(_Value):
     ):
         self._fill(estimator, alpha, window, epsilon, beta, theta, min_hits,
                    warmup, capacity, prune)
-        if self.estimator not in ("iir", "fir"):
-            raise ValidationError(
-                f"estimator must be 'iir' or 'fir', got {self.estimator!r}"
-            )
+
+        def fail(name, rule, shown):
+            raise ValidationError(f"{name} must be {rule}, got {shown}", name)
 
         def require(name, kind, what):
             # Before any range check, so none compares a str; a bool never
             # counts as a number.
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValidationError(f"{name} must be {what}, got {value!r}")
+                fail(name, what, repr(value))
 
+        if self.estimator not in ("iir", "fir"):
+            fail("estimator", "'iir' or 'fir'", repr(self.estimator))
         for name in ("alpha", "beta", "theta"):
             require(name, (int, float), "a number")
         for name in ("window", "min_hits"):
             require(name, int, "an integer")
         if self.estimator == "iir" and not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+            fail("alpha", "in (0, 1)", self.alpha)
         if self.estimator == "fir" and self.window < 1:
-            raise ValidationError(f"window must be >= 1, got {self.window}")
+            fail("window", ">= 1", self.window)
         if self.epsilon not in (EPSILON_AUTO, estimators.EPSILON_OFF):
             require("epsilon", (int, float), "a number")
             resolve_epsilon(self.epsilon, 0, 0)  # validates the range
@@ -160,13 +163,13 @@ class EngineConfig(_Value):
             isinstance(self.warmup, bool) or not isinstance(self.warmup, int)
             or self.warmup < 0
         ):
-            raise ValidationError(f"warmup must be 'auto' or >= 0, got {self.warmup}")
+            fail("warmup", "'auto' or >= 0", self.warmup)
         if self.capacity is not None:
             require("capacity", int, "an integer")
             if self.capacity < 1:
-                raise ValidationError(f"capacity must be >= 1, got {self.capacity}")
+                fail("capacity", ">= 1", self.capacity)
         if not isinstance(self.prune, bool):
-            raise ValidationError(f"prune must be true or false, got {self.prune!r}")
+            fail("prune", "true or false", repr(self.prune))
         ChangeDetector(self.beta, self.theta, self.min_hits)  # validates
 
     def build_estimator(self) -> Estimator:
@@ -327,6 +330,12 @@ class Engine:
                     raise VersionMismatchError(
                         "seen_off_stack must be empty for an unbounded stack")
             engine._seen = set(stack).union(off_stack)
+            unseen = sorted(set(engine.estimator.tracked_symbols()) - engine._seen)
+            if unseen:
+                raise VersionMismatchError(
+                    f"{'w' if config.estimator == 'iir' else 'buffer'} holds "
+                    f"symbol {unseen[0]!r}, which is neither on the stack nor "
+                    "seen off it")
         except KeyError as exc:
             raise VersionMismatchError(f"{exc.args[0]} is missing") from None
         except (TypeError, ValueError) as exc:  # e.g. a w_step of "x"
@@ -388,80 +397,3 @@ def run_stream(
             yield engine.step(obs)
         except NonMonotonicTimeError as exc:
             raise NonMonotonicTimeError(f"event {i + 1}: {exc}") from None
-
-
-# -- trace serialization ----------------------------------------------
-
-TRACE_CSV_HEADER = "t,symbol,c_stm,c_ltm,u_raw,u_clamped,novelty,change_flag"
-
-
-def _num(value: Optional[float], absent: str) -> str:
-    """Fixed 6-decimal rendering; `absent` for None and non-finite values."""
-    if value is None or not isfinite(value):
-        return absent
-    return "%.6f" % value
-
-
-_JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
-               '"u_raw": %s, "u_clamped": %s, "novelty": %s, "change_flag": %s}')
-# Nearly every record is a non-novelty with four finite costs, which
-# both serializers render with one format and no _num call. The guard:
-# no cost is None and their sum is finite (NaN and inf carry into the
-# sum; finite costs whose sum overflows take the general template,
-# which renders them the same).
-_JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
-                 '"u_raw": %.6f, "u_clamped": %.6f, "novelty": false, '
-                 '"change_flag": %s}')
-# The line trace_to_jsonl writes, for readers that want only the symbol
-# (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
-# matches to the same symbol and to float(group 2): the pattern allows
-# no leading zero, no exponent and no raw control character, and the
-# symbol holds no escape. At most 19 digits of t, so that a t int()
-# would refuse is left to JSON. Compiled by its reader, not at import.
-_COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
-_JSONL_PATTERN = (
-    r'\{"t": (?:0|[1-9][0-9]{0,18}), "symbol": "([^"\\\x00-\x1f]*)", '
-    r'"c_stm": (?:null|' + _COST + r'), "c_ltm": (?:null|(' + _COST + r')), '
-    r'"u_raw": (?:null|' + _COST + r'), "u_clamped": (?:null|' + _COST + r'), '
-    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}\n?')
-
-
-def trace_to_jsonl(record: TraceRecord) -> str:
-    t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
-    # encode_basestring_ascii is what json.dumps does with a str.
-    if (not novelty and c_stm is not None and c_ltm is not None
-            and u_raw is not None and u_clamped is not None
-            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
-        return _JSONL_FINITE % (
-            t, encode_basestring_ascii(symbol), c_stm, c_ltm, u_raw, u_clamped,
-            "true" if change_flag else "false")
-    return _JSONL_LINE % (
-        t, encode_basestring_ascii(symbol),
-        _num(c_stm, "null"), _num(c_ltm, "null"),
-        _num(u_raw, "null"), _num(u_clamped, "null"),
-        "true" if novelty else "false", "true" if change_flag else "false")
-
-
-_CSV_SPECIAL = frozenset(',"\r\n')
-
-
-def _csv_field(text: str) -> str:
-    """RFC 4180 field: quoted, with inner quotes doubled, only when needed."""
-    if _CSV_SPECIAL.isdisjoint(text):
-        return text
-    return '"' + text.replace('"', '""') + '"'
-
-
-def trace_to_csv(record: TraceRecord) -> str:
-    t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
-    # The guard of trace_to_jsonl's fast path.
-    if (not novelty and c_stm is not None and c_ltm is not None
-            and u_raw is not None and u_clamped is not None
-            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
-        return "%s,%s,%.6f,%.6f,%.6f,%.6f,false,%s" % (
-            t, _csv_field(symbol), c_stm, c_ltm, u_raw, u_clamped,
-            "true" if change_flag else "false")
-    return "%s,%s,%s,%s,%s,%s,%s,%s" % (
-        t, _csv_field(symbol),
-        _num(c_stm, ""), _num(c_ltm, ""), _num(u_raw, ""), _num(u_clamped, ""),
-        "true" if novelty else "false", "true" if change_flag else "false")

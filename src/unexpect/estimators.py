@@ -82,8 +82,9 @@ def resolve_epsilon(spec: EpsilonSpec, events_seen: int, alphabet_size: int) -> 
     if spec == EPSILON_OFF:
         return 0.0
     value = float(spec)
-    if value < 0.0 or value >= 1.0:
-        raise ValidationError(f"epsilon must be in [0, 1), got {value}")
+    if not 0.0 <= value < 1.0:  # also rejects NaN
+        raise ValidationError(f"epsilon must be in [0, 1), got {value}",
+                              "epsilon")
     return value
 
 
@@ -222,6 +223,13 @@ class IirEstimator:
             if type(when) is not int or not 0 <= when <= step:
                 raise ValidationError(
                     f"w_step must hold steps in [0, {step}], got {when!r} for {symbol!r}")
+        # Each update adds 1 - alpha to the rates and scales them by alpha,
+        # so no run can make the decayed rates sum to more than 1.
+        total = math.fsum(rate * est.alpha ** (step - est._w_step[symbol])
+                          for symbol, rate in est._w.items())
+        if total > 1.0 + 1e-9:
+            raise ValidationError(
+                f"w must hold rates that sum to at most 1 after decay, got {total!r}")
         return est
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
-from .core import SymbolId, ValidationError, _Value
+from .core import SymbolId, ValidationError, _Value, _decode_json_line
 
 
 class Observation(_Value):
@@ -116,37 +115,6 @@ class StmStack:
         stamps.append(clock)
         symbols.append(symbol)
         return pre
-
-
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _decode_json_line(line: str):
-    """json.loads(line): the same value, or the same error and message.
-
-    A line (or a whole file) holding one JSON value followed by nothing
-    but JSON whitespace is decoded by a single raw_decode scan, without
-    the whitespace regex json.loads runs on both ends. Anything else
-    (leading whitespace, extra data, a syntax error) goes to json.loads,
-    which produces the canonical result or error. The one exception: an
-    integer longer than int() converts raises ValidationError, where
-    json.loads raises a bare ValueError.
-    """
-    try:
-        try:
-            value, end = _raw_decode(line)
-        except json.JSONDecodeError:
-            pass
-        else:
-            if end == len(line) or not line[end:].strip(" \t\n\r"):
-                return value
-        return json.loads(line)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # from int(), past sys.get_int_max_str_digits()
-        raise ValidationError(
-            f"an integer has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
 
 
 def parse_event(line: str, lineno: int) -> Observation:

@@ -22,8 +22,9 @@ import json
 import math
 from typing import Iterator, Optional
 
-from .core import DiscreteDistribution, InvalidSpecError, SymbolId, _Value
-from .memory import Observation, _decode_json_line
+from .core import (DiscreteDistribution, InvalidSpecError, SymbolId, _Value,
+                   _decode_json_line)
+from .memory import Observation
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

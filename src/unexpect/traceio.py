@@ -1,0 +1,87 @@
+"""Trace text: the JSONL and CSV lines `track` writes for each record.
+
+Kept apart from the engine, so that a reader of traces (`divergence
+--from-trace`) loads the format without the scorer.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from typing import Optional
+
+TRACE_CSV_HEADER = "t,symbol,c_stm,c_ltm,u_raw,u_clamped,novelty,change_flag"
+
+
+def _num(value: Optional[float], absent: str) -> str:
+    """Fixed 6-decimal rendering; `absent` for None and non-finite values."""
+    if value is None or not isfinite(value):
+        return absent
+    return "%.6f" % value
+
+
+_JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
+               '"u_raw": %s, "u_clamped": %s, "novelty": %s, "change_flag": %s}')
+# Nearly every record is a non-novelty with four finite costs, which
+# both serializers render with one format and no _num call. The guard:
+# no cost is None and their sum is finite (NaN and inf carry into the
+# sum; finite costs whose sum overflows take the general template,
+# which renders them the same).
+_JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
+                 '"u_raw": %.6f, "u_clamped": %.6f, "novelty": false, '
+                 '"change_flag": %s}')
+# The line trace_to_jsonl writes, for readers that want only the symbol
+# (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
+# matches to the same symbol and to float(group 2): the pattern allows
+# no leading zero, no exponent and no raw control character, and the
+# symbol holds no escape. At most 19 digits of t, so that a t int()
+# would refuse is left to JSON. Compiled by its reader, not at import.
+_COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
+_JSONL_PATTERN = (
+    r'\{"t": (?:0|[1-9][0-9]{0,18}), "symbol": "([^"\\\x00-\x1f]*)", '
+    r'"c_stm": (?:null|' + _COST + r'), "c_ltm": (?:null|(' + _COST + r')), '
+    r'"u_raw": (?:null|' + _COST + r'), "u_clamped": (?:null|' + _COST + r'), '
+    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}\n?')
+
+
+def trace_to_jsonl(record: tuple) -> str:
+    """The JSONL line of a TraceRecord, without its newline."""
+    t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
+    # encode_basestring_ascii is what json.dumps does with a str.
+    if (not novelty and c_stm is not None and c_ltm is not None
+            and u_raw is not None and u_clamped is not None
+            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
+        return _JSONL_FINITE % (
+            t, encode_basestring_ascii(symbol), c_stm, c_ltm, u_raw, u_clamped,
+            "true" if change_flag else "false")
+    return _JSONL_LINE % (
+        t, encode_basestring_ascii(symbol),
+        _num(c_stm, "null"), _num(c_ltm, "null"),
+        _num(u_raw, "null"), _num(u_clamped, "null"),
+        "true" if novelty else "false", "true" if change_flag else "false")
+
+
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """RFC 4180 field: quoted, with inner quotes doubled, only when needed."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def trace_to_csv(record: tuple) -> str:
+    """The CSV row of a TraceRecord, without its newline."""
+    t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
+    # The guard of trace_to_jsonl's fast path.
+    if (not novelty and c_stm is not None and c_ltm is not None
+            and u_raw is not None and u_clamped is not None
+            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
+        return "%s,%s,%.6f,%.6f,%.6f,%.6f,false,%s" % (
+            t, _csv_field(symbol), c_stm, c_ltm, u_raw, u_clamped,
+            "true" if change_flag else "false")
+    return "%s,%s,%s,%s,%s,%s,%s,%s" % (
+        t, _csv_field(symbol),
+        _num(c_stm, ""), _num(c_ltm, ""), _num(u_raw, ""), _num(u_clamped, ""),
+        "true" if novelty else "false", "true" if change_flag else "false")

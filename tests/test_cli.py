@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unexpect
-from unexpect.cli import _Exit, _fail_data, _pair_from_trace, main
+from unexpect.cli import _Exit, _fail_data, main
+from unexpect.cli_tools import _pair_from_trace
 from unexpect.core import (
     CodeLengthTable,
     DiscreteDistribution,
@@ -403,53 +404,72 @@ class TestSnapshotReplay:
         assert out == ""
         assert err == f"error: snapshot {snap}: {message}\n"
 
-    @pytest.mark.parametrize("flags, field, value, message", [
-        (["--alpha", "0.9"], "estimator.w", {"A": "x", "B": 0.5},
+    # Each row replaces the named fields of the estimator state.
+    @pytest.mark.parametrize("flags, edits, message", [
+        (["--alpha", "0.9"], {"w": {"A": "x", "B": 0.5}},
          "w must hold rates in [0, 1], got 'x' for 'A'"),
-        (["--alpha", "0.9"], "estimator.w", {"A": 0.5, "B": 1.5},
+        (["--alpha", "0.9"], {"w": {"A": 0.5, "B": 1.5}},
          "w must hold rates in [0, 1], got 1.5 for 'B'"),
-        (["--alpha", "0.9"], "estimator.w", {"A": True, "B": 0.5},
+        (["--alpha", "0.9"], {"w": {"A": True, "B": 0.5}},
          "w must hold rates in [0, 1], got True for 'A'"),
-        (["--estimator", "fir", "--window", "2"], "estimator.buffer", ["A"] * 4,
+        (["--estimator", "fir", "--window", "2"], {"buffer": ["A"] * 4},
          "buffer holds 4 symbols, more than the window of 2"),
         # After 25 events, A last at step 25 and B at 24.
-        (["--alpha", "0.9"], "estimator.w_step", {"B": 24},
+        (["--alpha", "0.9"], {"w_step": {"B": 24}},
          "w_step must hold the symbols of w, and only those; 'A' is in w only"),
-        (["--alpha", "0.9"], "estimator.w_step", {"A": 25, "B": 24, "C": 1},
+        (["--alpha", "0.9"], {"w_step": {"A": 25, "B": 24, "C": 1}},
          "w_step must hold the symbols of w, and only those; 'C' is in "
          "w_step only"),
-        (["--alpha", "0.9"], "estimator.w_step", {"A": 1.5, "B": 24},
+        (["--alpha", "0.9"], {"w_step": {"A": 1.5, "B": 24}},
          "w_step must hold steps in [0, 25], got 1.5 for 'A'"),
-        (["--alpha", "0.9"], "estimator.w_step", {"A": 26, "B": 24},
+        (["--alpha", "0.9"], {"w_step": {"A": 26, "B": 24}},
          "w_step must hold steps in [0, 25], got 26 for 'A'"),
-        (["--alpha", "0.9"], "estimator.step", "x",
+        (["--alpha", "0.9"], {"step": "x"},
          "step must be a nonnegative integer, got 'x'"),
-        (["--alpha", "0.9"], "estimator.step", 1.5,
+        (["--alpha", "0.9"], {"step": 1.5},
          "step must be a nonnegative integer, got 1.5"),
-        (["--estimator", "fir", "--window", "2"], "estimator.buffer", ["A", 1],
+        (["--estimator", "fir", "--window", "2"], {"buffer": ["A", 1]},
          "buffer holds a non-string symbol 1"),
-        (["--estimator", "fir", "--window", "50"], "estimator.window", 2.5,
+        (["--estimator", "fir", "--window", "50"], {"window": 2.5},
          "estimator window must equal config window 50, got 2.5"),
-        (["--estimator", "fir", "--window", "50"], "estimator.window", 60,
+        (["--estimator", "fir", "--window", "50"], {"window": 60},
          "estimator window must equal config window 50, got 60"),
-        ([], "estimator.alpha", 0.5,
+        ([], {"alpha": 0.5},
          "estimator alpha must equal config alpha 0.999, got 0.5"),
-        ([], "estimator.kind", "fir",
+        ([], {"kind": "fir"},
          "estimator kind must equal config estimator 'iir', got 'fir'"),
-        ([], "detector.beta", 0.9,
+        ([], {"beta": 0.9},
          "detector beta must equal config beta 0.95, got 0.9"),
-        ([], "detector.theta", 2.0,
+        ([], {"theta": 2.0},
          "detector theta must equal config theta 1.0, got 2.0"),
-        ([], "detector.min_hits", True,
+        ([], {"min_hits": True},
          "detector min_hits must equal config min_hits 20, got True"),
+        (["--alpha", "0.9"],
+         {"w": {"A": 0.5, "B": 0.4, "Z": 0.01},
+          "w_step": {"A": 25, "B": 24, "Z": 25}},
+         "w holds symbol 'Z', which is neither on the stack nor seen off it"),
+        (["--estimator", "fir", "--window", "50"], {"buffer": ["A", "Z", "B"]},
+         "buffer holds symbol 'Z', which is neither on the stack nor seen "
+         "off it"),
+        # 0.9 + 0.9 * 0.9: B decays for one step.
+        (["--alpha", "0.9"], {"w": {"A": 0.9, "B": 0.9}},
+         "w must hold rates that sum to at most 1 after decay, got 1.71"),
+        # A rate no run could give Z, which was scored as a novelty with
+        # c_ltm 0.152 while it was restored as given.
+        (["--alpha", "0.9"],
+         {"w": {"A": 0.5, "B": 0.4, "Z": 0.9},
+          "w_step": {"A": 25, "B": 24, "Z": 25}},
+         "w must hold rates that sum to at most 1 after decay, got 1.76"),
     ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer",
             "w_step-lacks-a-symbol", "w_step-extra-symbol", "w_step-float",
             "w_step-past-step", "step-string", "step-float",
             "fir-buffer-int", "fir-window-float", "fir-window-not-config",
             "alpha-not-config", "kind-not-config", "beta-not-config",
-            "theta-not-config", "min_hits-bool"])
+            "theta-not-config", "min_hits-bool", "w-unseen-symbol",
+            "fir-buffer-unseen-symbol", "w-sum-above-one",
+            "w-unseen-symbol-high-rate"])
     def test_hand_edited_estimator_state_names_the_field(
-            self, tmp_path, capsys, flags, field, value, message):
+            self, tmp_path, capsys, flags, edits, message):
         # Restored as given, a rate of "x" failed at the first A, a
         # buffer past its window never shrank (rates went above 1), and
         # a w_step without A failed with a KeyError at the first A.
@@ -458,8 +478,9 @@ class TestSnapshotReplay:
         run_cli(capsys, ["track", "--input", head, *flags,
                          "--snapshot-out", str(snap), "--output", os.devnull])
         state = json.loads(snap.read_text())
-        part, key = field.split(".")
-        state[part][key] = value
+        for key, value in edits.items():
+            part = "detector" if key in ("beta", "theta", "min_hits") else "estimator"
+            state[part][key] = value
         snap.write_text(json.dumps(state))
         code, out, err = run_cli(
             capsys, ["replay", "--snapshot", str(snap), "--input", tail])
@@ -696,6 +717,33 @@ class TestDivergenceCommand:
         assert code == 2
         path = {"world": world, "mind": mind}[bad]
         assert err.startswith(f"error: {bad} file {path}: malformed: ")
+
+    @pytest.mark.parametrize("symbols", ["ab", {"a": 1, "b": 2}, 7, None])
+    @pytest.mark.parametrize("bad", ["world", "mind", "from-trace-world"])
+    def test_symbols_that_are_not_a_list_are_a_data_error(
+            self, tmp_path, capsys, monkeypatch, bad, symbols):
+        # "ab" was read as the symbols a and b, and the run exited 0.
+        given = {"world": ["a", "b"], "mind": ["a", "b"]}
+        given["mind" if bad == "mind" else "world"] = symbols
+        world = write(tmp_path / "world.json", json.dumps(
+            {"symbols": given["world"], "mass": [0.5, 0.5]}))
+        mind = write(tmp_path / "mind.json", json.dumps(
+            {"symbols": given["mind"], "bits": [1.0, 1.0]}))
+        if bad == "from-trace-world":
+            trace = "".join(
+                trace_to_jsonl(TraceRecord(t, s, 1.0, 1.0, 0.0, 0.0, False, False))
+                + "\n" for t, s in enumerate("ab"))
+            argv, what, path = (["divergence", "--from-trace", "--world", world],
+                                "world", world)
+        else:
+            argv, what, path = (["divergence", "--world", world, "--mind", mind],
+                                bad, {"world": world, "mind": mind}[bad])
+            trace = None
+        code, out, err = run_cli(capsys, argv, stdin_text=trace,
+                                 monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == (f'error: {what} file {path}: "symbols" must be a list '
+                       "of strings\n")
 
     @pytest.mark.parametrize("line", [
         '{"symbol": "A", "c_ltm": "x"}',

@@ -20,7 +20,6 @@ from unexpect.engine import (
     EngineConfig,
     TRACE_CSV_HEADER,
     TraceRecord,
-    _csv_field,
     run_stream,
     trace_to_csv,
     trace_to_jsonl,
@@ -28,6 +27,7 @@ from unexpect.engine import (
 from unexpect.estimators import EPSILON_AUTO, EPSILON_OFF, IirEstimator
 from unexpect.memory import Observation
 from unexpect.simgen import SourceSpec, generate
+from unexpect.traceio import _csv_field
 
 import engine_v1 as v1
 
@@ -391,8 +391,28 @@ class TestConfigValidation:
         ({"prune": "yes"}, "prune"),
     ])
     def test_rejects_wrong_types(self, kwargs, field):
-        with pytest.raises(ValidationError, match=field):
+        with pytest.raises(ValidationError, match=field) as raised:
             EngineConfig(**kwargs)
+        assert raised.value.field == field
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"estimator": "kalman"}, "estimator"),
+        ({"alpha": 1.0}, "alpha"),
+        ({"estimator": "fir", "window": 0}, "window"),
+        ({"epsilon": 1.5}, "epsilon"),
+        ({"epsilon": math.nan}, "epsilon"),
+        ({"warmup": -1}, "warmup"),
+        ({"capacity": 0}, "capacity"),
+        ({"beta": 1.0}, "beta"),
+        ({"theta": math.inf}, "theta"),
+        ({"min_hits": 0}, "min_hits"),
+    ])
+    def test_range_errors_name_the_field(self, kwargs, field):
+        # `track` names the flag from the field; a NaN epsilon used to
+        # pass and score every event with a c_ltm of NaN.
+        with pytest.raises(ValidationError) as raised:
+            EngineConfig(**kwargs)
+        assert raised.value.field == field
 
     def test_accepts_ints_for_numbers(self):
         config = EngineConfig(theta=2, beta=0.5, epsilon=0, warmup=0,

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -44,23 +45,36 @@ class TestLazyPackage:
     def test_track_loads_only_what_it_runs(self, tmp_path):
         """Each CLI stage, in a fresh interpreter started without `site`
         (so only the package's own imports count), loads only the
-        submodules it runs, and neither `dataclasses` nor `inspect`."""
+        submodules it runs, and neither `dataclasses` nor `inspect`:
+        only `track` and `replay` load the engine and the estimators,
+        and they do not load the other commands' handlers."""
         src = os.path.dirname(os.path.dirname(unexpect.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         spec = tmp_path / "spec.json"
         spec.write_text('{"kind": "zipf", "length": 20, "alphabet": 5}')
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({
+            "nodes": [{"id": "c", "prior_bits": 1.0}, {"id": "s"}],
+            "edges": [{"from": "c", "to": "s", "bits": 2.0}]}))
         events, trace, snap = (str(tmp_path / name)
                                for name in ("events", "trace", "snap"))
-        base = ["unexpect", "unexpect.cli", "unexpect.core", "unexpect.engine",
-                "unexpect.estimators", "unexpect.memory"]
+        base = ["unexpect", "unexpect.cli", "unexpect.core"]
+        scoring = base + ["unexpect.cli_track", "unexpect.engine",
+                          "unexpect.estimators", "unexpect.memory",
+                          "unexpect.traceio"]
+        tools = base + ["unexpect.cli_tools"]
         stages = [
             (["simulate", "--spec", str(spec), "--out", events],
-             base + ["unexpect.simgen"]),
-            (["track", "-i", events, "-o", trace, "--snapshot-out", snap], base),
+             tools + ["unexpect.memory", "unexpect.simgen"]),
+            (["track", "-i", events, "-o", trace, "--snapshot-out", snap],
+             scoring),
             (["replay", "--snapshot", snap, "-i", os.devnull, "-o", os.devnull],
-             base),
+             scoring),
             (["divergence", "--from-trace", "--normalize-mind", "-i", trace,
-              "-o", os.devnull], base + ["unexpect.divergence"]),
+              "-o", os.devnull],
+             tools + ["unexpect.divergence", "unexpect.traceio"]),
+            (["explain", "--graph", str(graph), "--target", "s", "--cd", "4",
+              "-o", os.devnull], tools + ["unexpect.causal"]),
         ]
         for argv, expected in stages:
             script = (
@@ -78,3 +92,57 @@ class TestLazyPackage:
             code, loaded = json.loads(result.stdout)
             assert code == 0, argv[0]
             assert loaded == sorted(expected), argv[0]
+
+
+COMMANDS = ("track", "replay", "explain", "divergence", "simulate")
+
+
+class TestEntryPoint:
+    """Handlers are imported only once their command is known, so a handler
+    module that fails to import would show up only when that command runs."""
+
+    def test_project_script_target_imports_and_is_callable(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["unexpect"]
+        assert target == "unexpect.cli:main"
+        module, name = target.split(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+    def test_every_command_resolves_to_its_handler(self):
+        from unexpect.cli import _handler, _make_parser
+
+        parser = _make_parser()
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert tuple(subparsers.choices) == COMMANDS
+        for command in COMMANDS:
+            handler = _handler(command)
+            assert callable(handler) and handler.__name__ == f"_cmd_{command}"
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_module_help_exits_zero_and_names_the_command(self, command):
+        argv = [command, "--help"] if command else ["--help"]
+        result = subprocess.run(
+            [sys.executable, "-m", "unexpect.cli", *argv], capture_output=True,
+            text=True, env=package_env(), timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        usage = f"usage: unexpect {command}" if command else "usage: unexpect"
+        assert result.stdout.startswith(usage)
+
+    def test_module_run_exits_one_naming_a_bad_flag(self):
+        # Under -m the handlers import unexpect.cli as a second module;
+        # main must still catch the _Exit they raise.
+        result = subprocess.run(
+            [sys.executable, "-m", "unexpect.cli", "track", "--alpha", "2"],
+            capture_output=True, text=True, env=package_env(), timeout=60,
+            stdin=subprocess.DEVNULL)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: --alpha must be (0, 1) exclusive, got 2.0\n"
+
+
+def package_env():
+    src = os.path.dirname(os.path.dirname(unexpect.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
