@@ -205,13 +205,6 @@ class DiscreteDistribution(_Value):
     def to_json(self) -> str:
         return json.dumps({"symbols": list(self.support), "mass": list(self.mass)})
 
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDistribution":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "symbols" not in obj or "mass" not in obj:
-            raise ValidationError('expected JSON object {"symbols": [...], "mass": [...]}')
-        return cls(tuple(obj["symbols"]), tuple(obj["mass"]))
-
 
 class CodeLengthTable(_Value):
     """Per-symbol code lengths in bits; finite and nonnegative.
@@ -251,13 +244,6 @@ class CodeLengthTable(_Value):
 
     def to_json(self) -> str:
         return json.dumps({"symbols": list(self.support), "bits": list(self.length)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CodeLengthTable":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "symbols" not in obj or "bits" not in obj:
-            raise ValidationError('expected JSON object {"symbols": [...], "bits": [...]}')
-        return cls(tuple(obj["symbols"]), tuple(obj["bits"]))
 
 
 def distribution_from_code(

@@ -61,6 +61,13 @@ class TraceRecord(NamedTuple):
     change_flag: bool
 
 
+def _require(name: str, value, kind, what: str) -> None:
+    """Reject a value not of `kind`, before any range check, so that none
+    compares a str; a bool never counts as a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {what}, got {value!r}", name)
+
+
 class ChangeDetector(_Value):
     """EWMA of u_clamped with an m-consecutive-hits threshold rule.
 
@@ -76,6 +83,9 @@ class ChangeDetector(_Value):
 
     def __init__(self, beta: float = 0.95, theta: float = 1.0,
                  min_hits: int = 20, ewma: float = 0.0, hits: int = 0):
+        _require("beta", beta, (int, float), "a number")
+        _require("theta", theta, (int, float), "a number")
+        _require("min_hits", min_hits, int, "an integer")
         if not 0.0 < beta < 1.0:
             raise ValidationError(f"beta must be in (0, 1), got {beta}", "beta")
         if not 0.0 < theta < inf:  # also rejects NaN
@@ -90,14 +100,18 @@ class ChangeDetector(_Value):
 
     @property
     def flag(self) -> bool:
+        # update() returns this same rule, computed from its own locals.
         return self.hits >= self.min_hits
 
     def update(self, u_clamped: float) -> bool:
-        if u_clamped < 0.0:
-            raise ValidationError(f"u_clamped must be >= 0, got {u_clamped}")
-        self.ewma = (1.0 - self.beta) * u_clamped + self.beta * self.ewma
-        self.hits = self.hits + 1 if self.ewma > self.theta else 0
-        return self.flag
+        # A NaN or infinite input would stick in the EWMA for good.
+        if not 0.0 <= u_clamped < inf:  # also rejects NaN
+            raise ValidationError(
+                f"u_clamped must be finite and >= 0, got {u_clamped}")
+        beta = self.beta
+        self.ewma = ewma = (1.0 - beta) * u_clamped + beta * self.ewma
+        self.hits = hits = self.hits + 1 if ewma > self.theta else 0
+        return hits >= self.min_hits  # the rule of flag, without its call
 
     def state_dict(self) -> dict:
         return {"beta": self.beta, "theta": self.theta,
@@ -140,11 +154,7 @@ class EngineConfig(_Value):
             raise ValidationError(f"{name} must be {rule}, got {shown}", name)
 
         def require(name, kind, what):
-            # Before any range check, so none compares a str; a bool never
-            # counts as a number.
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                fail(name, what, repr(value))
+            _require(name, getattr(self, name), kind, what)
 
         if self.estimator not in ("iir", "fir"):
             fail("estimator", "'iir' or 'fir'", repr(self.estimator))
@@ -272,7 +282,10 @@ class Engine:
         if self._prune and events_seen % self._PRUNE_EVERY == 0:
             estimator.sweep(resolve_epsilon(self.config.epsilon, events_seen,
                                             len(self._seen)))
-        return TraceRecord(t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, flag)
+        # One C call: the constructor NamedTuple generates is Python code
+        # that costs more than twice as much; fields and values are the same.
+        return tuple.__new__(
+            TraceRecord, (t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, flag))
 
     # -- snapshots ---------------------------------------------------
 

@@ -162,8 +162,9 @@ class IirEstimator:
     def w(self, symbol: SymbolId) -> float:
         stored = self._w.get(symbol)
         if stored is None:
-            return 0.0
-        rate = stored * self.alpha ** (self._step - self._w_step[symbol])
+            rate = 0.0  # new symbols start at 0 before their update
+        else:
+            rate = stored * self.alpha ** (self._step - self._w_step[symbol])
         self._decayed = (symbol, self._step, rate)
         return rate
 
@@ -174,7 +175,7 @@ class IirEstimator:
         # while no update has moved the step since.
         decayed_sym, decayed_step, current = self._decayed
         if decayed_step != step or decayed_sym != sym:
-            current = self.w(sym)  # new symbols start at 0 before their update
+            current = self.w(sym)
         alpha = self.alpha
         self._w[sym] = (1.0 - alpha) + alpha * current
         self._w_step[sym] = self._step = step + 1

@@ -7,12 +7,13 @@ wrap, so a traced pass scores exactly what a plain one does.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
 from unexpect.core import DiscreteDistribution
-from unexpect.engine import Engine, EngineConfig
+from unexpect.engine import Engine, EngineConfig, TraceRecord
 from unexpect.simgen import SourceSpec, generate
 
 _LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -43,6 +44,7 @@ def test_traced_pass_scores_like_plain_steps(spec, config, prune_every):
     records, metrics = layers.traced_pass(traced, observations)
 
     assert records == expected
+    assert all(type(record) is TraceRecord for record in records + expected)
     assert traced.snapshot_json() == plain.snapshot_json()
     n = len(observations)
     assert metrics["estimators.calls"] == 2 * n  # one w and one update per event
@@ -50,5 +52,10 @@ def test_traced_pass_scores_like_plain_steps(spec, config, prune_every):
     assert metrics["memory.stack.size"] == len(plain.stack)
     assert metrics["engine.detector.flagged_events"] == sum(
         r.change_flag for r in expected)
+    # Every EWMA update goes through the detector proxy.
+    warmup = config.resolved_warmup()
+    assert metrics["engine.detector.updates"] == sum(
+        not r.novelty and math.isfinite(r.u_clamped)
+        for r in expected[warmup:])
     if config.capacity is not None:
         assert metrics["memory.stack.evictions"] > 0

@@ -1,0 +1,70 @@
+"""The summary of scripts/bench_pairs.py on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+summarize = bench_pairs.summarize
+
+PARENT = [100.0 + i for i in range(10)]  # quartiles 102.25 / 104.5 / 106.75
+
+
+def test_quartiles_interpolate_between_values():
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_clear_gain_is_claimed():
+    s = summarize(PARENT, [p + 20.0 for p in PARENT], "higher")
+    assert s["parent"] == (102.25, 104.5, 106.75)
+    assert s["change"] == (122.25, 124.5, 126.75)
+    assert (s["wins"], s["losses"], s["pairs"]) == (10, 0, 10)
+    assert s["gain"] == 20.0 and s["parent_iqr"] == 4.5
+    assert s["claim"]
+
+
+def test_a_tie_counts_for_neither_side():
+    one_tie = [PARENT[0]] + [p + 20.0 for p in PARENT[1:]]
+    s = summarize(PARENT, one_tie, "higher")
+    assert (s["wins"], s["losses"]) == (9, 0)
+    assert s["claim"]  # 9 of 10 pairs is enough
+    two_ties = PARENT[:2] + [p + 20.0 for p in PARENT[2:]]
+    s = summarize(PARENT, two_ties, "higher")
+    assert (s["wins"], s["losses"]) == (8, 0)
+    assert not s["claim"]
+
+
+def test_lower_is_better():
+    parent = [0.070 + 0.001 * i for i in range(10)]
+    faster = [p - 0.010 for p in parent]
+    s = summarize(parent, faster, "lower")
+    assert (s["wins"], s["losses"]) == (10, 0)
+    assert s["gain"] == pytest.approx(0.010)
+    assert s["claim"]
+    s = summarize(parent, faster, "higher")
+    assert (s["wins"], s["losses"]) == (0, 10)
+    assert not s["claim"]
+
+
+def test_fewer_than_ten_pairs_never_claim():
+    s = summarize(PARENT[:9], [p + 20.0 for p in PARENT[:9]], "higher")
+    assert (s["wins"], s["pairs"]) == (9, 9)
+    assert not s["claim"]
+
+
+def test_gain_inside_the_parent_spread_is_not_claimed():
+    s = summarize(PARENT, [p + 1.0 for p in PARENT], "higher")
+    assert s["wins"] == 10
+    assert not s["claim"]  # gain 1.0 is under the parent's IQR of 4.5
+
+
+def test_rejects_unpaired_values_and_unknown_direction():
+    with pytest.raises(ValueError):
+        summarize(PARENT, PARENT[:9], "higher")
+    with pytest.raises(ValueError):
+        summarize(PARENT, PARENT, "faster")

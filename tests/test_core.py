@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unexpect.cli_tools import _load_table
 from unexpect.core import (
     CodeLengthTable,
     DiscreteDistribution,
@@ -70,9 +71,12 @@ class TestDiscreteDistribution:
         with pytest.raises(SupportMismatchError):
             dist.probability("z")
 
-    def test_json_round_trip_preserves_order(self):
+    def test_json_round_trip_preserves_order(self, tmp_path):
+        # Read back as divergence --world reads what simulate --dist-out wrote.
         dist = DiscreteDistribution(("z", "a"), (0.25, 0.75))
-        again = DiscreteDistribution.from_json(dist.to_json())
+        path = tmp_path / "world.json"
+        path.write_text(dist.to_json() + "\n", encoding="utf-8")
+        again = _load_table(str(path), "world file", DiscreteDistribution, "mass")
         assert again.support == ("z", "a")
         assert again.mass == dist.mass
 
@@ -87,9 +91,11 @@ class TestCodeLengthTable:
         assert table.kraft_sum() == pytest.approx(1.0, abs=1e-12)
         assert table.is_proper_code()
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         table = CodeLengthTable(("a", "b"), (1.0, 3.5))
-        again = CodeLengthTable.from_json(table.to_json())
+        path = tmp_path / "mind.json"
+        path.write_text(table.to_json() + "\n", encoding="utf-8")
+        again = _load_table(str(path), "mind file", CodeLengthTable, "bits")
         assert again == table
 
 

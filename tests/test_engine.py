@@ -93,16 +93,24 @@ class TestChangeDetector:
         assert det.hits == 0
 
     def test_rejects_negative_input(self):
-        with pytest.raises(ValidationError):
-            ChangeDetector().update(-0.1)
+        # NaN and +/-inf too: either would stick in the EWMA for good.
+        det = ChangeDetector(beta=0.5, theta=1.0, min_hits=5)
+        det.update(4.0)
+        for u in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                det.update(u)
+            assert (det.ewma, det.hits) == (2.0, 1)
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0}, {"beta": 1.0}, {"theta": 0.0}, {"min_hits": 0},
         {"theta": math.nan}, {"theta": math.inf},
+        {"beta": "x"}, {"beta": True}, {"theta": "1"}, {"theta": None},
+        {"min_hits": 2.5}, {"min_hits": True}, {"min_hits": "20"},
     ])
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             ChangeDetector(**kwargs)
+        assert info.value.field == next(iter(kwargs))
 
 
 class TestStep:

@@ -102,6 +102,13 @@ class RefChangeDetector:
     hits: int = 0
 
     def __post_init__(self):
+        # Types before ranges; a bool is not a number.
+        for name, kind, what in (("beta", (int, float), "a number"),
+                                 ("theta", (int, float), "a number"),
+                                 ("min_hits", int, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{name} must be {what}, got {value!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValidationError(f"beta must be in (0, 1), got {self.beta}")
         if not 0.0 < self.theta < math.inf:  # also rejects NaN
