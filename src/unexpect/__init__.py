@@ -27,8 +27,7 @@ _SUBMODULE_OF = {name: module for module, names in {
         "ChangeDetector", "Engine", "EngineConfig", "TraceRecord", "run_stream",
     ),
     "estimators": (
-        "FirEstimator", "IirEstimator", "expected_position", "is_stable",
-        "ltm_complexity",
+        "FirEstimator", "IirEstimator", "is_stable", "ltm_complexity",
     ),
     "memory": (
         "Observation", "StmStack", "read_events", "stm_complexity",

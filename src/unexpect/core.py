@@ -233,9 +233,6 @@ class CodeLengthTable(_Value):
     def kraft_sum(self) -> float:
         return math.fsum(2.0 ** -bits for bits in self.length)
 
-    def is_proper_code(self) -> bool:
-        return self.kraft_sum() <= 1.0 + MASS_TOLERANCE
-
     def bits(self, symbol: SymbolId) -> BitLength:
         try:
             return self.length[self.support.index(symbol)]

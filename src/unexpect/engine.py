@@ -24,7 +24,6 @@ import json
 from math import ceil, inf, isfinite, log2
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from . import estimators
 from .core import (
     NonMonotonicTimeError,
     SymbolId,
@@ -35,6 +34,7 @@ from .core import (
 )
 from .estimators import (
     EPSILON_AUTO,
+    EPSILON_OFF,
     EpsilonSpec,
     Estimator,
     FirEstimator,
@@ -45,7 +45,7 @@ from .memory import Observation, StmStack
 # Re-exported: the trace format's owner is traceio.
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl  # noqa: F401
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class TraceRecord(NamedTuple):
@@ -92,6 +92,14 @@ class ChangeDetector(_Value):
             raise ValidationError(f"theta must be finite and > 0, got {theta}", "theta")
         if min_hits < 1:
             raise ValidationError(f"min hits must be >= 1, got {min_hits}", "min_hits")
+        # update() keeps ewma finite and >= 0: it averages finite u >= 0.
+        if (isinstance(ewma, bool) or not isinstance(ewma, (int, float))
+                or not 0.0 <= ewma < inf):  # also rejects NaN
+            raise ValidationError(
+                f"ewma must be a finite number >= 0, got {ewma!r}", "ewma")
+        if type(hits) is not int or hits < 0:
+            raise ValidationError(
+                f"hits must be a nonnegative integer, got {hits!r}", "hits")
         self.beta = beta
         self.theta = theta
         self.min_hits = min_hits
@@ -114,20 +122,7 @@ class ChangeDetector(_Value):
         return hits >= self.min_hits  # the rule of flag, without its call
 
     def state_dict(self) -> dict:
-        return {"beta": self.beta, "theta": self.theta,
-                "min_hits": self.min_hits, "ewma": self.ewma, "hits": self.hits}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "ChangeDetector":
-        detector = cls(**state)
-        ewma, hits = detector.ewma, detector.hits
-        # update() keeps ewma finite and >= 0: it averages finite u >= 0.
-        if (isinstance(ewma, bool) or not isinstance(ewma, (int, float))
-                or not 0.0 <= ewma < inf):  # also rejects NaN
-            raise ValidationError(f"ewma must be a finite number >= 0, got {ewma!r}")
-        if type(hits) is not int or hits < 0:
-            raise ValidationError(f"hits must be a nonnegative integer, got {hits!r}")
-        return detector
+        return {"ewma": self.ewma, "hits": self.hits}
 
 
 class EngineConfig(_Value):
@@ -166,7 +161,7 @@ class EngineConfig(_Value):
             fail("alpha", "in (0, 1)", self.alpha)
         if self.estimator == "fir" and self.window < 1:
             fail("window", ">= 1", self.window)
-        if self.epsilon not in (EPSILON_AUTO, estimators.EPSILON_OFF):
+        if self.epsilon not in (EPSILON_AUTO, EPSILON_OFF):
             require("epsilon", (int, float), "a number")
             resolve_epsilon(self.epsilon, 0, 0)  # validates the range
         if self.warmup != "auto" and (
@@ -205,8 +200,8 @@ class EngineConfig(_Value):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EngineConfig":
-        known = {f: obj[f] for f in cls._fields if f in obj}
-        return cls(**known)
+        """The config of `to_dict`; a missing field raises KeyError."""
+        return cls(**{f: obj[f] for f in cls._fields})
 
 
 class Engine:
@@ -305,43 +300,41 @@ class Engine:
 
     @classmethod
     def restore(cls, snapshot: dict) -> "Engine":
-        """Rebuild an engine from a version 2 snapshot, or from a version 1
-        one, which kept the event count and the seen set in `estimator`."""
+        """Rebuild an engine from its config and state. The stack,
+        estimator and detector each check their own state; this checks
+        the facts that span them."""
         if not isinstance(snapshot, dict) or "format_version" not in snapshot:
             raise VersionMismatchError("not an engine snapshot")
         version = snapshot["format_version"]
-        if type(version) is not int or version not in (1, SNAPSHOT_VERSION):
+        if type(version) is not int or version != SNAPSHOT_VERSION:
             raise VersionMismatchError(
-                f"snapshot version {version!r}, expected 1 or {SNAPSHOT_VERSION}"
-            )
+                f"snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
         try:
             config = EngineConfig.from_dict(snapshot["config"])
             engine = cls(config)
             stack = _symbols(snapshot, "stack")
             engine.stack = StmStack(capacity=config.capacity, items=stack)
             estimator, detector = snapshot["estimator"], snapshot["detector"]
-            rate = "alpha" if config.estimator == "iir" else "window"
-            _same_as_config(estimator, config, "estimator",
-                            {"kind": "estimator", rate: rate})
-            _same_as_config(detector, config, "detector",
-                            {name: name for name in ("beta", "theta", "min_hits")})
-            engine.estimator = estimators.estimator_from_state(estimator)
-            engine.detector = ChangeDetector.from_state_dict(detector)
+            if config.estimator == "iir":
+                engine.estimator = IirEstimator(
+                    config.alpha, estimator["step"], estimator["w"],
+                    estimator["w_step"])
+            else:
+                engine.estimator = FirEstimator(config.window, estimator["buffer"])
+            engine.detector = ChangeDetector(
+                config.beta, config.theta, config.min_hits, detector["ewma"],
+                detector["hits"])
             if snapshot["last_t"] is not None:
                 engine.last_t = _count(snapshot, "last_t")
-            if version == 1:
-                engine.events_seen = _count(snapshot["estimator"], "events_seen")
-                off_stack = _symbols(snapshot["estimator"], "alphabet")
-            else:
-                engine.events_seen = _count(snapshot, "events_seen")
-                off_stack = _symbols(snapshot, "seen_off_stack")
-                repeated = sorted(set(stack).intersection(off_stack))
-                if repeated:
-                    raise VersionMismatchError(
-                        f"seen_off_stack repeats stack symbol {repeated[0]!r}")
-                if off_stack and config.capacity is None:
-                    raise VersionMismatchError(
-                        "seen_off_stack must be empty for an unbounded stack")
+            engine.events_seen = _count(snapshot, "events_seen")
+            off_stack = _symbols(snapshot, "seen_off_stack")
+            repeated = sorted(set(stack).intersection(off_stack))
+            if repeated:
+                raise VersionMismatchError(
+                    f"seen_off_stack repeats stack symbol {repeated[0]!r}")
+            if off_stack and config.capacity is None:
+                raise VersionMismatchError(
+                    "seen_off_stack must be empty for an unbounded stack")
             engine._seen = set(stack).union(off_stack)
             unseen = sorted(set(engine.estimator.tracked_symbols()) - engine._seen)
             if unseen:
@@ -373,18 +366,6 @@ def _count(state: dict, name: str) -> int:
         raise VersionMismatchError(
             f"{name} must be a nonnegative integer, got {value!r}")
     return value
-
-
-def _same_as_config(state: dict, config: EngineConfig, owner: str,
-                    copies: dict) -> None:
-    """Each copy state[key] of the config value named copies[key] must
-    equal it, type included (a bool is not an int)."""
-    for key, name in copies.items():
-        value, expected = state[key], getattr(config, name)
-        if type(value) is not type(expected) or value != expected:
-            raise VersionMismatchError(
-                f"{owner} {key} must equal config {name} {expected!r}, "
-                f"got {value!r}")
 
 
 def _symbols(state: dict, name: str) -> list:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from typing import Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
     BitLength,
@@ -30,18 +30,6 @@ EPSILON_AUTO = "auto"
 EPSILON_OFF = "off"
 
 EpsilonSpec = Union[float, str]
-
-
-def expected_position(p: float) -> float:
-    """Expected 0-based stack depth 1/p - 1 of a symbol with probability p.
-
-    This is the idealized model where every intervening observation
-    pushes the symbol down one slot; it is exact when the rest of the
-    mass is spread over many distinct symbols.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValidationError(f"probability must be in (0, 1], got {p}")
-    return 1.0 / p - 1.0
 
 
 def ltm_complexity(w: float, epsilon: float = 0.0) -> BitLength:
@@ -92,15 +80,23 @@ class FirEstimator:
     """Sliding-window average of match indicators over the last N events.
 
     w(x) is exactly count(x in window) / N, so before the window fills
-    the rates sum to (events so far) / N, and to 1 afterwards.
+    the rates sum to (events so far) / N, and to 1 afterwards. A restored
+    estimator starts from the `buffer` of its `state_dict`, oldest first.
     """
 
-    def __init__(self, window: int):
+    def __init__(self, window: int, buffer: Sequence[SymbolId] = ()):
         if window < 1:
             raise ValidationError(f"window must be >= 1, got {window}")
         self.window = window
-        self._buffer: deque[SymbolId] = deque()
-        self._counts: dict[SymbolId, int] = {}  # of each symbol in the window
+        self._buffer: deque[SymbolId] = deque(buffer)
+        for symbol in self._buffer:
+            if type(symbol) is not str:  # no event could ever match it
+                raise ValidationError(f"buffer holds a non-string symbol {symbol!r}")
+        if len(self._buffer) > window:  # it would never shrink
+            raise ValidationError(f"buffer holds {len(self._buffer)} symbols, "
+                                  f"more than the window of {window}")
+        # The count of each symbol in the window.
+        self._counts: dict[SymbolId, int] = dict(Counter(self._buffer))
 
     def update(self, obs: Observation) -> None:
         buffer = self._buffer
@@ -123,20 +119,7 @@ class FirEstimator:
         return list(self._counts)
 
     def state_dict(self) -> dict:
-        return {"kind": "fir", "window": self.window, "buffer": list(self._buffer)}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "FirEstimator":
-        est = cls(state["window"])
-        est._buffer = deque(state["buffer"])
-        for symbol in est._buffer:
-            if type(symbol) is not str:  # no event could ever match it
-                raise ValidationError(f"buffer holds a non-string symbol {symbol!r}")
-        if len(est._buffer) > est.window:  # it would never shrink
-            raise ValidationError(f"buffer holds {len(est._buffer)} symbols, "
-                                  f"more than the window of {est.window}")
-        est._counts = dict(Counter(est._buffer))
-        return est
+        return {"buffer": list(self._buffer)}
 
 
 class IirEstimator:
@@ -146,16 +129,42 @@ class IirEstimator:
     stored value plus the step of last materialization reconstruct the
     current value as stored * alpha^(steps since). This keeps updates
     O(1) per event regardless of alphabet size, and is preserved
-    exactly by snapshots so replay stays bit-identical.
+    exactly by snapshots so replay stays bit-identical. A restored
+    estimator starts from the `step`, `w` and `w_step` of its `state_dict`.
     """
 
-    def __init__(self, alpha: float):
+    def __init__(self, alpha: float, step: int = 0,
+                 w: Optional[Mapping[SymbolId, float]] = None,
+                 w_step: Optional[Mapping[SymbolId, int]] = None):
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+        if type(step) is not int or step < 0:
+            raise ValidationError(f"step must be a nonnegative integer, got {step!r}")
         self.alpha = alpha
-        self._w: dict[SymbolId, float] = {}
-        self._w_step: dict[SymbolId, int] = {}
-        self._step = 0
+        self._step = step
+        self._w: dict[SymbolId, float] = {} if w is None else dict(w)
+        for symbol, rate in self._w.items():
+            if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                    or not 0.0 <= rate <= 1.0):  # also rejects NaN
+                raise ValidationError(
+                    f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
+        self._w_step: dict[SymbolId, int] = {} if w_step is None else dict(w_step)
+        if self._w_step.keys() != self._w.keys():
+            odd = sorted(self._w_step.keys() ^ self._w.keys())[0]
+            raise ValidationError(
+                f"w_step must hold the symbols of w, and only those; {odd!r} "
+                f"is in {'w_step' if odd in self._w_step else 'w'} only")
+        for symbol, when in self._w_step.items():
+            if type(when) is not int or not 0 <= when <= step:
+                raise ValidationError(
+                    f"w_step must hold steps in [0, {step}], got {when!r} for {symbol!r}")
+        # Each update adds 1 - alpha to the rates and scales them by alpha,
+        # so no run can make the decayed rates sum to more than 1.
+        total = math.fsum(rate * alpha ** (step - self._w_step[symbol])
+                          for symbol, rate in self._w.items())
+        if total > 1.0 + 1e-9:
+            raise ValidationError(
+                f"w must hold rates that sum to at most 1 after decay, got {total!r}")
         # (symbol, step, rate) of the last materialized w(); not state.
         self._decayed: tuple = (None, -1, 0.0)
 
@@ -194,53 +203,7 @@ class IirEstimator:
         return list(self._w)
 
     def state_dict(self) -> dict:
-        return {
-            "kind": "iir",
-            "alpha": self.alpha,
-            "step": self._step,
-            "w": dict(self._w),
-            "w_step": dict(self._w_step),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "IirEstimator":
-        est = cls(state["alpha"])
-        step = est._step = state["step"]
-        if type(step) is not int or step < 0:
-            raise ValidationError(f"step must be a nonnegative integer, got {step!r}")
-        est._w = dict(state["w"])
-        for symbol, rate in est._w.items():
-            if (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                    or not 0.0 <= rate <= 1.0):  # also rejects NaN
-                raise ValidationError(
-                    f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
-        est._w_step = dict(state["w_step"])
-        if est._w_step.keys() != est._w.keys():
-            odd = sorted(est._w_step.keys() ^ est._w.keys())[0]
-            raise ValidationError(
-                f"w_step must hold the symbols of w, and only those; {odd!r} "
-                f"is in {'w_step' if odd in est._w_step else 'w'} only")
-        for symbol, when in est._w_step.items():
-            if type(when) is not int or not 0 <= when <= step:
-                raise ValidationError(
-                    f"w_step must hold steps in [0, {step}], got {when!r} for {symbol!r}")
-        # Each update adds 1 - alpha to the rates and scales them by alpha,
-        # so no run can make the decayed rates sum to more than 1.
-        total = math.fsum(rate * est.alpha ** (step - est._w_step[symbol])
-                          for symbol, rate in est._w.items())
-        if total > 1.0 + 1e-9:
-            raise ValidationError(
-                f"w must hold rates that sum to at most 1 after decay, got {total!r}")
-        return est
+        return {"step": self._step, "w": dict(self._w), "w_step": dict(self._w_step)}
 
 
 Estimator = Union[FirEstimator, IirEstimator]
-
-
-def estimator_from_state(state: dict) -> Estimator:
-    kind = state.get("kind")
-    if kind == "fir":
-        return FirEstimator.from_state_dict(state)
-    if kind == "iir":
-        return IirEstimator.from_state_dict(state)
-    raise ValidationError(f"unknown estimator kind {kind!r}")

@@ -14,8 +14,8 @@ and ``Observation`` come from the package; their fields and checks are
 the same in both versions.
 
 The differential tests in ``test_engine.py`` step this engine and the
-package's side by side and resume the package's engine from snapshots
-this one writes.
+package's side by side and resume the package's engine from this one's
+state, converted to the current snapshot format.
 """
 
 from __future__ import annotations

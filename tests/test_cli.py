@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -22,7 +24,7 @@ from unexpect.core import (
     ValidationError,
 )
 from unexpect.divergence import MachinePair
-from unexpect.engine import TraceRecord, trace_to_jsonl
+from unexpect.engine import EngineConfig, TraceRecord, trace_to_jsonl
 from unexpect.memory import _decode_json_line
 
 
@@ -383,6 +385,12 @@ class TestSnapshotReplay:
         *[(field, None, f"{field} is missing")
           for field in ("config", "last_t", "events_seen", "seen_off_stack",
                         "stack", "estimator", "detector")],
+        # No field has a default: a missing one would take it silently.
+        *[(f"{part}.{field}", None, f"{field} is missing")
+          for part, fields in (("config", EngineConfig._fields),
+                               ("estimator", ("step", "w", "w_step")),
+                               ("detector", ("ewma", "hits")))
+          for field in fields],
     ])
     def test_hand_edited_snapshot_names_the_field(self, tmp_path, capsys, field,
                                                   value, message):
@@ -393,10 +401,15 @@ class TestSnapshotReplay:
                          "--snapshot-out", str(snap), "--output", os.devnull])
         state = json.loads(snap.read_text())
         assert (state["stack"], state["seen_off_stack"]) == (["A"], ["B"])
+        # A field "part.name" is inside a part; a dict value edits a part.
+        *parts, name = field.split(".")
+        owner = state[parts[0]] if parts else state
         if message.endswith("is missing"):
-            del state[field]
+            del owner[name]
+        elif isinstance(value, dict):
+            owner[name].update(value)
         else:
-            state[field] = value
+            owner[name] = value
         snap.write_text(json.dumps(state))
         code, out, err = run_cli(
             capsys, ["replay", "--snapshot", str(snap), "--input", tail])
@@ -430,20 +443,8 @@ class TestSnapshotReplay:
          "step must be a nonnegative integer, got 1.5"),
         (["--estimator", "fir", "--window", "2"], {"buffer": ["A", 1]},
          "buffer holds a non-string symbol 1"),
-        (["--estimator", "fir", "--window", "50"], {"window": 2.5},
-         "estimator window must equal config window 50, got 2.5"),
-        (["--estimator", "fir", "--window", "50"], {"window": 60},
-         "estimator window must equal config window 50, got 60"),
-        ([], {"alpha": 0.5},
-         "estimator alpha must equal config alpha 0.999, got 0.5"),
-        ([], {"kind": "fir"},
-         "estimator kind must equal config estimator 'iir', got 'fir'"),
-        ([], {"beta": 0.9},
-         "detector beta must equal config beta 0.95, got 0.9"),
-        ([], {"theta": 2.0},
-         "detector theta must equal config theta 1.0, got 2.0"),
-        ([], {"min_hits": True},
-         "detector min_hits must equal config min_hits 20, got True"),
+        (["--estimator", "fir", "--window", "2"], {"buffer": None},
+         "buffer is missing"),
         (["--alpha", "0.9"],
          {"w": {"A": 0.5, "B": 0.4, "Z": 0.01},
           "w_step": {"A": 25, "B": 24, "Z": 25}},
@@ -463,9 +464,7 @@ class TestSnapshotReplay:
     ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer",
             "w_step-lacks-a-symbol", "w_step-extra-symbol", "w_step-float",
             "w_step-past-step", "step-string", "step-float",
-            "fir-buffer-int", "fir-window-float", "fir-window-not-config",
-            "alpha-not-config", "kind-not-config", "beta-not-config",
-            "theta-not-config", "min_hits-bool", "w-unseen-symbol",
+            "fir-buffer-int", "fir-buffer-missing", "w-unseen-symbol",
             "fir-buffer-unseen-symbol", "w-sum-above-one",
             "w-unseen-symbol-high-rate"])
     def test_hand_edited_estimator_state_names_the_field(
@@ -479,8 +478,10 @@ class TestSnapshotReplay:
                          "--snapshot-out", str(snap), "--output", os.devnull])
         state = json.loads(snap.read_text())
         for key, value in edits.items():
-            part = "detector" if key in ("beta", "theta", "min_hits") else "estimator"
-            state[part][key] = value
+            if message.endswith("is missing"):
+                del state["estimator"][key]
+            else:
+                state["estimator"][key] = value
         snap.write_text(json.dumps(state))
         code, out, err = run_cli(
             capsys, ["replay", "--snapshot", str(snap), "--input", tail])
@@ -512,11 +513,116 @@ class TestSnapshotReplay:
         assert (code, out) == (2, "")
         assert err == f"error: snapshot {snap}: {message}\n"
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_format_exits_two_naming_the_version(self, tmp_path, capsys,
+                                                       version):
+        # Formats 1 and 2 kept config values again in the parts; a run
+        # resumes only from a snapshot of the current format.
+        _, head, tail = self.make_stream(tmp_path)
+        snap = tmp_path / "snap.json"
+        run_cli(capsys, ["track", "--input", head, "--snapshot-out", str(snap),
+                         "--output", os.devnull])
+        state = json.loads(snap.read_text())
+        state["format_version"] = version
+        snap.write_text(json.dumps(state))
+        code, out, err = run_cli(
+            capsys, ["replay", "--snapshot", str(snap), "--input", tail])
+        assert (code, out) == (2, "")
+        assert err == (f"error: snapshot {snap}: snapshot version {version}, "
+                       "expected 3\n")
+
     def test_corrupt_snapshot_exits_two(self, tmp_path, capsys):
         snap = write(tmp_path / "snap.json", '{"format_version": 7}')
         code, _, err = run_cli(capsys, ["replay", "--snapshot", snap])
         assert code == 2
         assert "version" in err
+
+
+# The configs of the track runs whose snapshots the one-edit test
+# edits, with their events: IIR, FIR with evictions (so seen_off_stack
+# is not empty), and IIR with prune (so w holds fewer symbols than the
+# stack). Warm-up 0 arms the detector.
+EDITED_RUNS = {
+    "iir": ({"alpha": 0.9, "warmup": 0}, "ABACBDAB" * 5),
+    "fir-capacity": ({"estimator": "fir", "window": 6, "capacity": 2,
+                      "warmup": 0}, "ABCADBEA" * 5),
+    "iir-prune": ({"alpha": 0.9, "prune": True, "warmup": 0},
+                  "ABCDE" * 10 + "AB" * 525),
+}
+EDIT_VALUES = [None, True, -1, 2 ** 70, 1.5, math.nan, math.inf, "x", [],
+               ["A", "A"], [1], {}]
+DELETE = object()
+
+
+def json_paths(value, path=()):
+    """(path, is a dict key) of every value nested in value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,), isinstance(value, dict)
+        yield from json_paths(inner, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def real_snapshots(tmp_path_factory):
+    """Each run's snapshot as a JSON value, the tail to replay after it,
+    and a path to write an edited copy to."""
+    root = tmp_path_factory.mktemp("one-edit")
+    # Far past any last_t an edit writes, so only the snapshot can fail.
+    tail = write(root / "tail.jsonl", "".join(
+        f'{{"t": {2 ** 71 + i}, "s": "{s}"}}\n' for i, s in enumerate("ABZCA")))
+    snapshots = {}
+    for name, (config, stream) in EDITED_RUNS.items():
+        events = write(root / f"{name}.jsonl", "".join(
+            f'{{"t": {t}, "s": "{s}"}}\n' for t, s in enumerate(stream)))
+        snap = root / f"{name}.snap"
+        assert main(["track", "--config", write(root / f"{name}.json",
+                                                json.dumps(config)),
+                     "--input", events, "--output", os.devnull,
+                     "--snapshot-out", str(snap)]) == 0
+        snapshots[name] = json.loads(snap.read_text())
+    return snapshots, tail, str(root / "edited.snap")
+
+
+@st.composite
+def one_edit(draw, snapshots):
+    """A snapshot's name, the path to one of its values, and DELETE (for
+    a dict key) or the value to put there."""
+    name = draw(st.sampled_from(sorted(snapshots)))
+    path, is_key = draw(st.sampled_from(list(json_paths(snapshots[name]))))
+    edits = [DELETE, *EDIT_VALUES] if is_key else EDIT_VALUES
+    return name, path, draw(st.sampled_from(edits))
+
+
+def test_one_edit_snapshot_replays_or_exits_two(real_snapshots):
+    # One deletion, or one odd value anywhere in a real snapshot: replay
+    # either accepts it or exits 2 naming the snapshot, with no traceback.
+    snapshots, tail, path = real_snapshots
+
+    @settings(max_examples=500, deadline=None)
+    @given(one_edit(snapshots))
+    def check(edit):
+        name, keys, value = edit
+        state = json.loads(json.dumps(snapshots[name]))
+        owner = state
+        for key in keys[:-1]:
+            owner = owner[key]
+        if value is DELETE:
+            del owner[keys[-1]]
+        else:
+            owner[keys[-1]] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["replay", "--snapshot", path, "--input", tail])
+        assert code in (0, 2), err.getvalue()
+        if code == 2 or value is DELETE:
+            assert code == 2
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(f"error: snapshot {path}: ")
+
+    check()
 
 
 class TestExplain:
@@ -777,7 +883,7 @@ HUGE = "1" * 5000  # more digits than int() converts
 
 @pytest.mark.parametrize("what, text, argv", [
     ("config file", '{"window": %s}' % HUGE, ["track", "--config"]),
-    ("snapshot", '{"format_version": 2, "last_t": %s}' % HUGE,
+    ("snapshot", '{"format_version": 3, "last_t": %s}' % HUGE,
      ["replay", "--snapshot"]),
     ("spec", '{"kind": "stationary", "seed": %s}' % HUGE, ["simulate", "--spec"]),
     ("world file", '{"symbols": ["a"], "mass": [%s]}' % HUGE,

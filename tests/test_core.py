@@ -89,7 +89,6 @@ class TestCodeLengthTable:
     def test_kraft_sum(self):
         table = CodeLengthTable(("a", "b", "c"), (1.0, 2.0, 2.0))
         assert table.kraft_sum() == pytest.approx(1.0, abs=1e-12)
-        assert table.is_proper_code()
 
     def test_json_round_trip(self, tmp_path):
         table = CodeLengthTable(("a", "b"), (1.0, 3.5))

@@ -106,6 +106,10 @@ class TestChangeDetector:
         {"theta": math.nan}, {"theta": math.inf},
         {"beta": "x"}, {"beta": True}, {"theta": "1"}, {"theta": None},
         {"min_hits": 2.5}, {"min_hits": True}, {"min_hits": "20"},
+        # A NaN ewma would never flag, and an infinite one would always flag.
+        {"ewma": math.nan}, {"ewma": math.inf}, {"ewma": -0.5},
+        {"ewma": "0"}, {"ewma": None}, {"ewma": True},
+        {"hits": -1}, {"hits": 2.0}, {"hits": "2"}, {"hits": True},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError) as info:
@@ -299,11 +303,13 @@ class TestSnapshots:
         for obs in observations(["A", "B", "A", "C"]):
             engine.step(obs)
         snap = engine.snapshot()
-        assert snap["format_version"] == 2
+        assert snap["format_version"] == 3
         assert (snap["last_t"], snap["events_seen"]) == (3, 4)
         assert snap["stack"] == ["C", "A", "B"]
         assert snap["seen_off_stack"] == []  # an unbounded stack holds them all
-        assert sorted(snap["estimator"]) == ["alpha", "kind", "step", "w", "w_step"]
+        # The rates' and the detector's parameters are config's alone.
+        assert sorted(snap["estimator"]) == ["step", "w", "w_step"]
+        assert sorted(snap["detector"]) == ["ewma", "hits"]
 
     @pytest.mark.parametrize("snapshot, config", [
         (V1_IIR_SNAPSHOT, small_config(alpha=0.5, capacity=2)),
@@ -311,11 +317,16 @@ class TestSnapshots:
                                        warmup=0)),
     ], ids=["iir", "fir"])
     def test_version_1_snapshot_resumes_byte_identically(self, snapshot, config):
-        # Written at format 1 after the events A, B, C, A at t = 0..3.
+        # Written at format 1 after the events A, B, C, A at t = 0..3. The
+        # engine restores only the current format; as_v3, which the
+        # differential test uses, carries the state over.
+        with pytest.raises(VersionMismatchError,
+                           match="^snapshot version 1, expected 3$"):
+            Engine.restore_json(snapshot)
         stream = observations("ABCADBEA")
         whole = Engine(config)
         expected = [whole.step(obs) for obs in stream]
-        resumed = Engine.restore_json(snapshot)
+        resumed = Engine.restore_json(as_v3(json.loads(snapshot)))
         assert resumed.events_seen == 4
         assert resumed.snapshot()["seen_off_stack"] == ["B"]
         assert [resumed.step(obs) for obs in stream[4:]] == expected[4:]
@@ -330,9 +341,9 @@ class TestSnapshots:
 
     def test_corrupted_snapshot_never_partially_restores(self):
         with pytest.raises(VersionMismatchError):
-            Engine.restore_json('{"format_version": 1, "config"')
+            Engine.restore_json('{"format_version": 3, "config"')
         with pytest.raises(VersionMismatchError):
-            Engine.restore({"format_version": 1})  # missing everything else
+            Engine.restore({"format_version": 3})  # missing everything else
 
 
 class TestTraceSerialization:
@@ -515,9 +526,22 @@ def sweeping_every(engine, events: int):
     return engine
 
 
-def as_v2(reference: v1.Engine) -> str:
-    """The reference's state, read back and written as a v2 snapshot."""
-    return Engine.restore_json(reference.snapshot_json()).snapshot_json()
+def as_v3(old: dict) -> str:
+    """A format-1 snapshot in the current format: the event count and
+    the seen set move out of the estimator, and each part keeps only
+    what config does not hold."""
+    estimator, stack = old["estimator"], old["stack"]
+    own = ("step", "w", "w_step") if estimator["kind"] == "iir" else ("buffer",)
+    return json.dumps({
+        "format_version": 3,
+        "config": old["config"],
+        "last_t": old["last_t"],
+        "events_seen": estimator["events_seen"],
+        "stack": stack,
+        "seen_off_stack": sorted(set(estimator["alphabet"]) - set(stack)),
+        "estimator": {key: estimator[key] for key in own},
+        "detector": {key: old["detector"][key] for key in ("ewma", "hits")},
+    }, sort_keys=True)
 
 
 diff_configs = st.builds(
@@ -552,7 +576,8 @@ any_float = st.one_of(
 class TestLeanPathMatchesReference:
     """The engine against the format-1 engine and the older per-event
     path: the same records to the bit, the same serialized lines, and
-    the same state after a resume from either snapshot format."""
+    the same state after a resume from its own snapshot or from the
+    reference's state converted to the current format."""
 
     @settings(deadline=None, max_examples=300)
     @given(diff_configs,
@@ -563,9 +588,9 @@ class TestLeanPathMatchesReference:
            st.data())
     def test_step_and_serializers(self, config, prune_every, gaps, t0, data):
         # The reference runs uninterrupted. At the split the engine goes
-        # on as two: one restored from its own (v2) snapshot, one from
-        # the reference's (v1) snapshot. A gap of 0 repeats a time, which
-        # every engine must reject without learning the event.
+        # on as two: one restored from its own snapshot, one from the
+        # reference's snapshot converted by as_v3. A gap of 0 repeats a
+        # time, which every engine must reject without learning the event.
         split = data.draw(st.integers(min_value=0, max_value=len(gaps)))
         reference = sweeping_every(v1.Engine(config), prune_every)
         engines = [sweeping_every(Engine(config), prune_every)]
@@ -573,7 +598,7 @@ class TestLeanPathMatchesReference:
         def resume():
             return [sweeping_every(Engine.restore_json(text), prune_every)
                     for text in (engines[0].snapshot_json(),
-                                 reference.snapshot_json())]
+                                 as_v3(reference.snapshot()))]
 
         t = t0
         for i, (gap, symbol) in enumerate(gaps):
@@ -597,7 +622,7 @@ class TestLeanPathMatchesReference:
         if split == len(gaps):
             engines = resume()
         for engine in engines:
-            assert engine.snapshot_json() == as_v2(reference)
+            assert engine.snapshot_json() == as_v3(reference.snapshot())
 
     def test_prune_sweep_then_the_dropped_symbol_returns(self):
         # The sweep at step 1024 drops "b", the last symbol it reads; the
@@ -609,7 +634,7 @@ class TestLeanPathMatchesReference:
             obs = Observation(t, symbol)
             assert exact(engine.step(obs)) == exact(reference.step(obs))
         assert "b" in engine.estimator.tracked_symbols()
-        assert engine.snapshot_json() == as_v2(reference)
+        assert engine.snapshot_json() == as_v3(reference.snapshot())
 
     @given(st.sampled_from([0.5, 0.9, 0.99]),
            st.lists(st.tuples(st.booleans(), st.sampled_from("ABC")), max_size=40))
@@ -626,7 +651,7 @@ class TestLeanPathMatchesReference:
                 assert exact([estimator.w(symbol)]) == exact([reference.w(symbol)])
         expected = reference.state_dict()
         assert estimator.state_dict() == {
-            key: expected[key] for key in ("kind", "alpha", "step", "w", "w_step")}
+            key: expected[key] for key in ("step", "w", "w_step")}
 
     @settings(max_examples=500)
     @given(st.tuples(st.integers(min_value=0, max_value=2 ** 80), awkward_symbols,

@@ -2,10 +2,11 @@
 
 Each Ref* class below is the class as it was when it was a
 ``@dataclass``: its fields, defaults and ``__post_init__`` are kept
-verbatim (only the class names changed), so that the hand-written
-classes can be checked against what the decorator generated: the same
-validation errors, equality (only with the same class), hash, repr,
-immutability, and pickling and copying.
+verbatim (only the class names changed, and RefChangeDetector also
+checks ``ewma`` and ``hits``), so that the hand-written classes can be
+checked against what the decorator generated: the same validation
+errors, equality (only with the same class), hash, repr, immutability,
+and pickling and copying.
 """
 
 import copy
@@ -115,6 +116,15 @@ class RefChangeDetector:
             raise ValidationError(f"theta must be finite and > 0, got {self.theta}")
         if self.min_hits < 1:
             raise ValidationError(f"min hits must be >= 1, got {self.min_hits}")
+        # Beyond the dataclass: ChangeDetector checks its state too, as a
+        # NaN ewma never flags and an infinite one always does.
+        ewma = self.ewma
+        if (isinstance(ewma, bool) or not isinstance(ewma, (int, float))
+                or not 0.0 <= ewma < math.inf):  # also rejects NaN
+            raise ValidationError(f"ewma must be a finite number >= 0, got {ewma!r}")
+        if type(self.hits) is not int or self.hits < 0:
+            raise ValidationError(
+                f"hits must be a nonnegative integer, got {self.hits!r}")
 
 
 @dataclass(frozen=True)
@@ -340,7 +350,8 @@ def keyword_args(draw, names, values):
 detector_args = keyword_args(
     ("beta", "theta", "min_hits", "ewma", "hits"),
     {"beta": numbers | st.floats(0.0, 1.0), "theta": numbers,
-     "min_hits": st.integers(-1, 30), "ewma": floats, "hits": st.integers(0, 9)},
+     "min_hits": st.integers(-1, 30), "ewma": numbers | st.floats(0.0, 9.0),
+     "hits": st.integers(-2, 9) | st.sampled_from([2.0, True, "1", None])},
 )
 
 config_args = keyword_args(
