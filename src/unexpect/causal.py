@@ -14,8 +14,8 @@ Graphs are immutable after construction; queries are pure.
 from __future__ import annotations
 
 import heapq
-import json
 import math
+import sys
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -25,6 +25,8 @@ from .core import (
     UnreachableError,
     ValidationError,
     _Value,
+    _require,
+    _symbols,
 )
 
 
@@ -55,34 +57,28 @@ class CausalGraph:
         edges: Sequence[tuple[SymbolId, SymbolId, BitLength]] = (),
         nodes: Sequence[SymbolId] = (),
     ):
-        self._priors = dict(priors)
+        def cost(name, bits) -> float:
+            return float(_require(name, bits, (int, float), "a finite number >= 0",
+                                  lambda b: 0.0 <= b <= sys.float_info.max))
+
+        self._priors = {node: cost(f"prior of {node!r}", bits)
+                        for node, bits in priors.items()}
         self._adjacency: dict[SymbolId, list[tuple[SymbolId, float]]] = {}
         self._nodes = set(nodes) | set(self._priors)
         for src, dst, _ in edges:
             self._nodes.add(src)
             self._nodes.add(dst)
-        for node, bits in self._priors.items():
-            if not math.isfinite(bits) or bits < 0.0:
-                raise ValidationError(
-                    f"prior of {node!r} must be finite and >= 0, got {bits}"
-                )
         if not self._priors:
             raise ValidationError("graph needs at least one node with a prior")
         for src, dst, bits in edges:
-            if not math.isfinite(bits) or bits < 0.0:
-                raise ValidationError(
-                    f"edge {src!r}->{dst!r} cost must be finite and >= 0, got {bits}"
-                )
-            self._adjacency.setdefault(src, []).append((dst, float(bits)))
+            self._adjacency.setdefault(src, []).append(
+                (dst, cost(f"edge {src!r}->{dst!r} cost", bits)))
         for out in self._adjacency.values():
             out.sort()  # deterministic relaxation order
 
     @property
     def nodes(self) -> frozenset[SymbolId]:
         return frozenset(self._nodes)
-
-    def prior(self, node: SymbolId) -> Optional[BitLength]:
-        return self._priors.get(node)
 
     def _shortest(self) -> tuple[dict[SymbolId, float], dict[SymbolId, SymbolId]]:
         """Multi-source Dijkstra from all priors; smallest-id tie-breaks."""
@@ -146,40 +142,23 @@ class CausalGraph:
 
     # -- serialization -------------------------------------------------
 
-    def to_dict(self) -> dict:
-        nodes = [
-            {"id": n, **({"prior_bits": self._priors[n]} if n in self._priors else {})}
-            for n in sorted(self._nodes)
-        ]
-        edges = [
-            {"from": src, "to": dst, "bits": bits}
-            for src in sorted(self._adjacency)
-            for dst, bits in self._adjacency[src]
-        ]
-        return {"nodes": nodes, "edges": edges}
-
     @classmethod
     def from_dict(cls, obj: dict) -> "CausalGraph":
         try:
-            node_ids = [n["id"] for n in obj["nodes"]]
+            node_ids = _symbols("node ids", [n["id"] for n in obj["nodes"]],
+                                distinct=True)
             priors = {
-                n["id"]: float(n["prior_bits"])
+                n["id"]: n["prior_bits"]
                 for n in obj["nodes"]
                 if n.get("prior_bits") is not None
             }
-            edges = [
-                (e["from"], e["to"], float(e["bits"])) for e in obj.get("edges", ())
-            ]
+            edges = [(e["from"], e["to"], e["bits"]) for e in obj.get("edges", ())]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed graph object: {exc}") from None
         for src, dst, _ in edges:
             if src not in node_ids or dst not in node_ids:
                 raise ValidationError(f"edge {src!r}->{dst!r} references unknown node")
         return cls(priors, edges, nodes=node_ids)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CausalGraph":
-        return cls.from_dict(json.loads(text))
 
 
 def from_probabilities(

@@ -14,7 +14,7 @@ from typing import IO, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
 from .core import (CodeLengthTable, DiscreteDistribution, UnexpectError,
-                   ValidationError, _decode_json_line)
+                   ValidationError, _decode_json_line, _require)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -34,17 +34,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         obj = _read_json_file(args.bayes, "model file")
         try:
-            causes = obj["causes"]
-            priors = {k: float(v["prior"]) for k, v in causes.items()}
-            likelihoods = {k: float(v["likelihood"]) for k, v in causes.items()}
-            evidence = float(obj["evidence"])
-            observation = obj.get("observation", args.target)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _fail_data(f"model file {args.bayes}: malformed: {exc}") from None
-        try:
+            priors, likelihoods = {}, {}
+            for k, v in _require("causes", obj["causes"], dict, "an object").items():
+                priors[k] = _require(f"prior of {k!r}", v["prior"], (int, float),
+                                     "a number")
+                likelihoods[k] = _require(f"likelihood of {k!r}", v["likelihood"],
+                                          (int, float), "a number")
             graph, c_d = causal.from_probabilities(
-                priors, likelihoods, evidence, observation
-            )
+                priors, likelihoods,
+                _require("evidence", obj["evidence"], (int, float), "a number"),
+                _require("observation", obj.get("observation", args.target), str,
+                         "a string"))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise _fail_data(f"model file {args.bayes}: malformed: {exc}") from None
         except UnexpectError as exc:
             raise _fail_data(f"model file {args.bayes}: {exc}") from None
 
@@ -94,6 +96,7 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
                     ValidationError) as exc:
                 raise _fail_data(
                     f"line {lineno}: not a trace record: {exc}") from None
+        # Inline, not _require: these two run on every trace line.
         if not isinstance(symbol, str):
             raise _fail_data(f'line {lineno}: "symbol" must be a string, got {symbol!r}')
         if c_ltm is not None and (
@@ -191,6 +194,7 @@ def _load_table(path: str, what: str, cls, values: str):
     obj = _read_json_file(path, what)
     try:
         symbols = obj["symbols"]
+        # Not _symbols: these messages name the file's "symbols" key.
         if not isinstance(symbols, list):  # a string would read as its letters
             raise _fail_data(f'{what} {path}: "symbols" must be a list of strings')
         for symbol in symbols:

@@ -89,6 +89,32 @@ def bits_from_probability(p: float) -> BitLength:
     return math.log2(1.0 / p)
 
 
+def _require(name: str, value, kind, what: str, ok=None):
+    """`value`, if it is of `kind` and `ok(value)` holds (when `ok` is
+    given); else ValidationError naming `name`. The type is checked
+    first, so that `ok` never compares a str; a bool never counts as a
+    number. The one check for values read from outside."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or ok is not None and not ok(value)):
+        raise ValidationError(f"{name} must be {what}, got {value!r}", name)
+    return value
+
+
+def _symbols(name: str, value, distinct: bool = False):
+    """`value`, if it is a list (or tuple) of strings, distinct when asked;
+    else ValidationError naming `name`. A string is not read as its
+    letters, nor an object as its keys."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {value!r}", name)
+    for symbol in value:
+        if type(symbol) is not str:
+            raise ValidationError(
+                f"{name} holds a non-string symbol {symbol!r}", name)
+    if distinct and len(set(value)) != len(value):
+        raise ValidationError(f"{name} repeats a symbol", name)
+    return value
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 

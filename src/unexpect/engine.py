@@ -31,6 +31,8 @@ from .core import (
     VersionMismatchError,
     _Value,
     _decode_json_line,
+    _require,
+    _symbols,
 )
 from .estimators import (
     EPSILON_AUTO,
@@ -61,13 +63,6 @@ class TraceRecord(NamedTuple):
     change_flag: bool
 
 
-def _require(name: str, value, kind, what: str) -> None:
-    """Reject a value not of `kind`, before any range check, so that none
-    compares a str; a bool never counts as a number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValidationError(f"{name} must be {what}, got {value!r}", name)
-
-
 class ChangeDetector(_Value):
     """EWMA of u_clamped with an m-consecutive-hits threshold rule.
 
@@ -93,13 +88,9 @@ class ChangeDetector(_Value):
         if min_hits < 1:
             raise ValidationError(f"min hits must be >= 1, got {min_hits}", "min_hits")
         # update() keeps ewma finite and >= 0: it averages finite u >= 0.
-        if (isinstance(ewma, bool) or not isinstance(ewma, (int, float))
-                or not 0.0 <= ewma < inf):  # also rejects NaN
-            raise ValidationError(
-                f"ewma must be a finite number >= 0, got {ewma!r}", "ewma")
-        if type(hits) is not int or hits < 0:
-            raise ValidationError(
-                f"hits must be a nonnegative integer, got {hits!r}", "hits")
+        _require("ewma", ewma, (int, float), "a finite number >= 0",
+                 lambda v: 0.0 <= v < inf)  # also rejects NaN
+        _require("hits", hits, int, "a nonnegative integer", lambda n: n >= 0)
         self.beta = beta
         self.theta = theta
         self.min_hits = min_hits
@@ -112,7 +103,8 @@ class ChangeDetector(_Value):
         return self.hits >= self.min_hits
 
     def update(self, u_clamped: float) -> bool:
-        # A NaN or infinite input would stick in the EWMA for good.
+        # A NaN or infinite input would stick in the EWMA for good. Inline,
+        # not _require: this runs on every scored event.
         if not 0.0 <= u_clamped < inf:  # also rejects NaN
             raise ValidationError(
                 f"u_clamped must be finite and >= 0, got {u_clamped}")
@@ -164,6 +156,7 @@ class EngineConfig(_Value):
         if self.epsilon not in (EPSILON_AUTO, EPSILON_OFF):
             require("epsilon", (int, float), "a number")
             resolve_epsilon(self.epsilon, 0, 0)  # validates the range
+        # Its own message: it shows a string without quotes.
         if self.warmup != "auto" and (
             isinstance(self.warmup, bool) or not isinstance(self.warmup, int)
             or self.warmup < 0
@@ -302,17 +295,18 @@ class Engine:
     def restore(cls, snapshot: dict) -> "Engine":
         """Rebuild an engine from its config and state. The stack,
         estimator and detector each check their own state; this checks
-        the facts that span them."""
+        the facts that span them. Every fault is a VersionMismatchError."""
         if not isinstance(snapshot, dict) or "format_version" not in snapshot:
             raise VersionMismatchError("not an engine snapshot")
         version = snapshot["format_version"]
+        # Its own message, which names the version expected.
         if type(version) is not int or version != SNAPSHOT_VERSION:
             raise VersionMismatchError(
                 f"snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
         try:
             config = EngineConfig.from_dict(snapshot["config"])
             engine = cls(config)
-            stack = _symbols(snapshot, "stack")
+            stack = _symbols("stack", snapshot["stack"], distinct=True)
             engine.stack = StmStack(capacity=config.capacity, items=stack)
             estimator, detector = snapshot["estimator"], snapshot["detector"]
             if config.estimator == "iir":
@@ -324,28 +318,44 @@ class Engine:
             engine.detector = ChangeDetector(
                 config.beta, config.theta, config.min_hits, detector["ewma"],
                 detector["hits"])
-            if snapshot["last_t"] is not None:
-                engine.last_t = _count(snapshot, "last_t")
-            engine.events_seen = _count(snapshot, "events_seen")
-            off_stack = _symbols(snapshot, "seen_off_stack")
+            engine.events_seen = events_seen = _require(
+                "events_seen", snapshot["events_seen"], int,
+                "a nonnegative integer", lambda n: n >= 0)
+            # last_t is null only before the first event.
+            if snapshot["last_t"] is not None or events_seen:
+                engine.last_t = _require("last_t", snapshot["last_t"], int,
+                                         "a nonnegative integer", lambda t: t >= 0)
+            off_stack = _symbols("seen_off_stack", snapshot["seen_off_stack"],
+                                 distinct=True)
             repeated = sorted(set(stack).intersection(off_stack))
             if repeated:
-                raise VersionMismatchError(
+                raise ValidationError(
                     f"seen_off_stack repeats stack symbol {repeated[0]!r}")
             if off_stack and config.capacity is None:
-                raise VersionMismatchError(
+                raise ValidationError(
                     "seen_off_stack must be empty for an unbounded stack")
             engine._seen = set(stack).union(off_stack)
             unseen = sorted(set(engine.estimator.tracked_symbols()) - engine._seen)
             if unseen:
-                raise VersionMismatchError(
+                raise ValidationError(
                     f"{'w' if config.estimator == 'iir' else 'buffer'} holds "
                     f"symbol {unseen[0]!r}, which is neither on the stack nor "
                     "seen off it")
+            # Each estimator counts the events it has filtered, and every
+            # event the engine scored went through it.
+            if config.estimator == "iir":
+                _require("step", estimator["step"], int,
+                         f"events_seen ({events_seen})", lambda n: n == events_seen)
+            elif len(estimator["buffer"]) != min(events_seen, config.window):
+                raise ValidationError(
+                    f"buffer holds {len(estimator['buffer'])} symbols, not "
+                    f"min(events_seen, window) = {min(events_seen, config.window)}")
         except KeyError as exc:
             raise VersionMismatchError(f"{exc.args[0]} is missing") from None
         except (TypeError, ValueError) as exc:  # e.g. a w_step of "x"
             raise VersionMismatchError(f"malformed snapshot: {exc}") from None
+        except ValidationError as exc:
+            raise VersionMismatchError(str(exc)) from None
         return engine
 
     def snapshot_json(self) -> str:
@@ -358,27 +368,6 @@ class Engine:
         except json.JSONDecodeError as exc:
             raise VersionMismatchError(f"unreadable snapshot: {exc}") from None
         return cls.restore(obj)
-
-
-def _count(state: dict, name: str) -> int:
-    value = state[name]
-    if type(value) is not int or value < 0:
-        raise VersionMismatchError(
-            f"{name} must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def _symbols(state: dict, name: str) -> list:
-    """state[name] as a list of distinct strings."""
-    value = state[name]
-    if type(value) is not list:
-        raise VersionMismatchError(f"{name} must be a list, got {value!r}")
-    for symbol in value:
-        if type(symbol) is not str:
-            raise VersionMismatchError(f"{name} holds a non-string symbol {symbol!r}")
-    if len(set(value)) != len(value):
-        raise VersionMismatchError(f"{name} repeats a symbol")
-    return value
 
 
 def run_stream(

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     BitLength,
     InsufficientHistoryError,
     SymbolId,
     ValidationError,
+    _require,
+    _symbols,
 )
 from .memory import Observation
 
@@ -88,10 +90,8 @@ class FirEstimator:
         if window < 1:
             raise ValidationError(f"window must be >= 1, got {window}")
         self.window = window
-        self._buffer: deque[SymbolId] = deque(buffer)
-        for symbol in self._buffer:
-            if type(symbol) is not str:  # no event could ever match it
-                raise ValidationError(f"buffer holds a non-string symbol {symbol!r}")
+        # Strings only: no event could match anything else.
+        self._buffer: deque[SymbolId] = deque(_symbols("buffer", buffer))
         if len(self._buffer) > window:  # it would never shrink
             raise ValidationError(f"buffer holds {len(self._buffer)} symbols, "
                                   f"more than the window of {window}")
@@ -134,27 +134,30 @@ class IirEstimator:
     """
 
     def __init__(self, alpha: float, step: int = 0,
-                 w: Optional[Mapping[SymbolId, float]] = None,
-                 w_step: Optional[Mapping[SymbolId, int]] = None):
+                 w: Optional[dict[SymbolId, float]] = None,
+                 w_step: Optional[dict[SymbolId, int]] = None):
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-        if type(step) is not int or step < 0:
-            raise ValidationError(f"step must be a nonnegative integer, got {step!r}")
+        _require("step", step, int, "a nonnegative integer", lambda n: n >= 0)
         self.alpha = alpha
         self._step = step
-        self._w: dict[SymbolId, float] = {} if w is None else dict(w)
+        self._w: dict[SymbolId, float] = (
+            {} if w is None else dict(_require("w", w, dict, "an object")))
         for symbol, rate in self._w.items():
+            # Its own message, which names the symbol.
             if (isinstance(rate, bool) or not isinstance(rate, (int, float))
                     or not 0.0 <= rate <= 1.0):  # also rejects NaN
                 raise ValidationError(
                     f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
-        self._w_step: dict[SymbolId, int] = {} if w_step is None else dict(w_step)
+        self._w_step: dict[SymbolId, int] = {} if w_step is None else dict(
+            _require("w_step", w_step, dict, "an object"))
         if self._w_step.keys() != self._w.keys():
             odd = sorted(self._w_step.keys() ^ self._w.keys())[0]
             raise ValidationError(
                 f"w_step must hold the symbols of w, and only those; {odd!r} "
                 f"is in {'w_step' if odd in self._w_step else 'w'} only")
         for symbol, when in self._w_step.items():
+            # Its own message, which names the symbol and the bound.
             if type(when) is not int or not 0 <= when <= step:
                 raise ValidationError(
                     f"w_step must hold steps in [0, {step}], got {when!r} for {symbol!r}")

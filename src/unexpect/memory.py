@@ -13,7 +13,7 @@ import re
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
-from .core import SymbolId, ValidationError, _Value, _decode_json_line
+from .core import SymbolId, ValidationError, _Value, _decode_json_line, _require
 
 
 class Observation(_Value):
@@ -134,12 +134,8 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
             raise ValidationError(f"invalid JSON event: {exc}") from None
         if "t" not in obj or "s" not in obj:
             raise ValidationError('event object must have "t" and "s" fields')
-        t, s = obj["t"], obj["s"]
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ValidationError(f'"t" must be an integer, got {t!r}')
-        if not isinstance(s, str):
-            raise ValidationError(f'"s" must be a string, got {s!r}')
-        return Observation(t, s)
+        return Observation(_require('"t"', obj["t"], int, "an integer"),
+                           _require('"s"', obj["s"], str, "a string"))
     if stripped.startswith("\ufeff"):
         # str.strip() keeps a byte order mark, so a marked JSON line
         # would otherwise be scored as one bare token.

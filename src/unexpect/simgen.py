@@ -22,8 +22,8 @@ import json
 import math
 from typing import Iterator, Optional
 
-from .core import (DiscreteDistribution, InvalidSpecError, SymbolId, _Value,
-                   _decode_json_line)
+from .core import (DiscreteDistribution, InvalidSpecError, SymbolId,
+                   ValidationError, _Value, _decode_json_line, _require)
 from .memory import Observation
 
 _MASK64 = (1 << 64) - 1
@@ -83,10 +83,6 @@ def zipf_distribution(alphabet: int, exponent: float = 1.0) -> DiscreteDistribut
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class SourceSpec(_Value):
     """Parameters of one synthetic stream."""
 
@@ -112,18 +108,18 @@ class SourceSpec(_Value):
         self._fill(kind, length, seed, distribution, distribution_after, t_star,
                    base_labels, base_mass, offset_values, offset_mass, alphabet,
                    exponent)
-        # Types first, so that no check below compares a str; a bool is
-        # not a number. The kind's own checks reject a missing field.
-        for name in ("length", "seed", "t_star", "base_labels", "alphabet"):
-            value = getattr(self, name)
-            if (value is not None or name in ("length", "seed")) and not _is_int(value):
-                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-        if self.offset_values is not None and not all(
-                _is_int(v) for v in self.offset_values):
-            raise InvalidSpecError(
-                f"offset_values must be integers, got {list(self.offset_values)!r}")
-        if isinstance(self.exponent, bool) or not isinstance(self.exponent, (int, float)):
-            raise InvalidSpecError(f"exponent must be a number, got {self.exponent!r}")
+        # Types first, so that no check below compares a str. The kind's
+        # own checks reject a missing field.
+        try:
+            for name in ("length", "seed", "t_star", "base_labels", "alphabet"):
+                value = getattr(self, name)
+                if value is not None or name in ("length", "seed"):
+                    _require(name, value, int, "an integer")
+            for value in self.offset_values or ():
+                _require("offset_values", value, int, "integers")
+            _require("exponent", self.exponent, (int, float), "a number")
+        except ValidationError as exc:
+            raise InvalidSpecError(str(exc)) from None
         if self.length < 0:
             raise InvalidSpecError(f"length must be >= 0, got {self.length}")
         if self.kind == "stationary":
@@ -194,6 +190,8 @@ class SourceSpec(_Value):
             if kind in ("stationary", "changepoint"):
                 if "symbols" not in obj or "mass" not in obj:
                     raise InvalidSpecError('spec needs "symbols" and "mass"')
+                _require('"symbols"', obj["symbols"], list, "a list of strings")
+                # Its own message, as simulate has always printed it.
                 if not all(isinstance(symbol, str) for symbol in obj["symbols"]):
                     raise InvalidSpecError('spec "symbols" must be strings')
                 kwargs["distribution"] = DiscreteDistribution(
@@ -218,6 +216,8 @@ class SourceSpec(_Value):
             return cls(kind=kind, length=length, seed=seed, **kwargs)
         except (TypeError, ValueError) as exc:  # e.g. a mass of "x" or 5
             raise InvalidSpecError(f"malformed spec: {exc}") from None
+        except ValidationError as exc:  # e.g. "symbols" of "ab"
+            raise InvalidSpecError(str(exc)) from None
 
     @classmethod
     def from_json(cls, text: str) -> "SourceSpec":

@@ -382,6 +382,9 @@ class TestSnapshotReplay:
          "seen_off_stack must be empty for an unbounded stack"),
         ("stack", [None], "stack holds a non-string symbol None"),
         ("stack", "A", "stack must be a list, got 'A'"),
+        # After events, a null last_t would let the next one skip the time
+        # check.
+        ("last_t", None, "last_t must be a nonnegative integer, got None"),
         *[(field, None, f"{field} is missing")
           for field in ("config", "last_t", "events_seen", "seen_off_stack",
                         "stack", "estimator", "detector")],
@@ -461,12 +464,42 @@ class TestSnapshotReplay:
          {"w": {"A": 0.5, "B": 0.4, "Z": 0.9},
           "w_step": {"A": 25, "B": 24, "Z": 25}},
          "w must hold rates that sum to at most 1 after decay, got 1.76"),
+        # A string read as its letters, an object as its keys, and pair
+        # lists as objects all replayed with exit 0.
+        (["--estimator", "fir", "--window", "50"], {"buffer": "ABAB"},
+         "buffer must be a list, got 'ABAB'"),
+        (["--estimator", "fir", "--window", "50"], {"buffer": {"A": 1}},
+         "buffer must be a list, got {'A': 1}"),
+        (["--estimator", "fir", "--window", "50"], {"buffer": {}},
+         "buffer must be a list, got {}"),
+        (["--alpha", "0.9"],
+         {"w": [["A", 0.5], ["B", 0.4]], "w_step": {"A": 25, "B": 24}},
+         "w must be an object, got [['A', 0.5], ['B', 0.4]]"),
+        (["--alpha", "0.9"],
+         {"w": {"A": 0.5, "B": 0.4}, "w_step": [["A", 25], ["B", 24]]},
+         "w_step must be an object, got [['A', 25], ['B', 24]]"),
+        # step counts the events filtered, which are the events scored;
+        # a step of 2**70 decayed every rate to 0 and replayed.
+        (["--alpha", "0.9"], {"step": 2**70},
+         f"step must be events_seen (25), got {2**70}"),
+        (["--alpha", "0.9"], {"step": 26},
+         "step must be events_seen (25), got 26"),
+        # A short buffer silently reset the window.
+        (["--estimator", "fir", "--window", "50"], {"buffer": ["A", "B"]},
+         "buffer holds 2 symbols, not min(events_seen, window) = 25"),
+        (["--estimator", "fir", "--window", "50"], {"buffer": []},
+         "buffer holds 0 symbols, not min(events_seen, window) = 25"),
+        (["--estimator", "fir", "--window", "6"], {"buffer": ["A", "B"] * 2},
+         "buffer holds 4 symbols, not min(events_seen, window) = 6"),
     ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer",
             "w_step-lacks-a-symbol", "w_step-extra-symbol", "w_step-float",
             "w_step-past-step", "step-string", "step-float",
             "fir-buffer-int", "fir-buffer-missing", "w-unseen-symbol",
             "fir-buffer-unseen-symbol", "w-sum-above-one",
-            "w-unseen-symbol-high-rate"])
+            "w-unseen-symbol-high-rate", "fir-buffer-string",
+            "fir-buffer-object", "fir-buffer-empty-object", "w-pair-list",
+            "w_step-pair-list", "step-huge", "step-past-events",
+            "fir-buffer-short", "fir-buffer-empty", "fir-buffer-short-of-window"])
     def test_hand_edited_estimator_state_names_the_field(
             self, tmp_path, capsys, flags, edits, message):
         # Restored as given, a rate of "x" failed at the first A, a
@@ -679,6 +712,66 @@ class TestExplain:
         )
         assert code == 2
         assert "nope" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (("nodes", 0, "prior_bits", "2"),
+         "prior of 'c1' must be a finite number >= 0, got '2'"),
+        (("nodes", 0, "prior_bits", True),
+         "prior of 'c1' must be a finite number >= 0, got True"),
+        (("edges", 1, "bits", True),
+         "edge 'c2'->'s' cost must be a finite number >= 0, got True"),
+        (("edges", 0, "bits", [3.0]),
+         "edge 'c1'->'s' cost must be a finite number >= 0, got [3.0]"),
+    ])
+    def test_graph_costs_must_be_numbers(self, tmp_path, capsys, edit, message):
+        # A true or a "2" was read as 1.0 or 2.0 bits.
+        part, index, key, value = edit
+        obj = json.loads(json.dumps(self.GRAPH))
+        obj[part][index][key] = value
+        graph = write(tmp_path / "g.json", json.dumps(obj))
+        code, out, err = run_cli(
+            capsys, ["explain", "--graph", graph, "--target", "s", "--cd", "3.0"])
+        assert (code, out) == (2, "")
+        assert err == f"error: graph file {graph}: {message}\n"
+
+    @pytest.mark.parametrize("node, message", [
+        ({"id": 1, "prior_bits": 1.0}, "node ids holds a non-string symbol 1"),
+        ({"id": "s", "prior_bits": 1.0}, "node ids repeats a symbol"),
+    ])
+    def test_node_ids_must_be_distinct_strings(self, tmp_path, capsys, node,
+                                               message):
+        # An integer id ended in a TypeError traceback when sorted with
+        # the others; a repeated id merged its node silently.
+        obj = json.loads(json.dumps(self.GRAPH))
+        obj["nodes"].append(node)
+        graph = write(tmp_path / "g.json", json.dumps(obj))
+        code, out, err = run_cli(
+            capsys, ["explain", "--graph", graph, "--target", "s", "--cd", "3.0"])
+        assert (code, out) == (2, "")
+        assert err == f"error: graph file {graph}: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"causes": [1]}, "causes must be an object, got [1]"),
+        ({"causes": "M"}, "causes must be an object, got 'M'"),
+        ({"observation": ["O"]}, "observation must be a string, got ['O']"),
+        ({"evidence": "0.1"}, "evidence must be a number, got '0.1'"),
+        ({"evidence": True}, "evidence must be a number, got True"),
+        ({"causes": {"M": {"prior": True, "likelihood": 0.9}}},
+         "prior of 'M' must be a number, got True"),
+        ({"causes": {"M": {"prior": 0.01, "likelihood": "0.9"}}},
+         "likelihood of 'M' must be a number, got '0.9'"),
+    ])
+    def test_model_values_must_have_their_types(self, tmp_path, capsys, edit,
+                                                message):
+        # A list of causes and a list observation ended in tracebacks; a
+        # true or a "0.1" was read as a number.
+        model = write(tmp_path / "m.json", json.dumps({
+            "observation": "O", "evidence": 0.1,
+            "causes": {"M": {"prior": 0.01, "likelihood": 0.9}}, **edit}))
+        code, out, err = run_cli(
+            capsys, ["explain", "--bayes", model, "--target", "O"])
+        assert (code, out) == (2, "")
+        assert err == f"error: model file {model}: {message}\n"
 
 
 class TestDivergenceCommand:
@@ -1102,6 +1195,19 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert '"symbols" must be strings' in err
+
+    @pytest.mark.parametrize("symbols", ["ab", {"a": 1, "b": 2}])
+    def test_symbols_that_are_not_a_list_are_a_data_error(self, tmp_path, capsys,
+                                                          symbols):
+        # "ab" was read as the symbols a and b, and the run exited 0.
+        spec = write(tmp_path / "spec.json", json.dumps({
+            "kind": "stationary", "length": 3, "seed": 1,
+            "symbols": symbols, "mass": [0.5, 0.5],
+        }))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", spec])
+        assert (code, out) == (2, "")
+        assert err == (f'error: spec {spec}: "symbols" must be a list of '
+                       f"strings, got {symbols!r}\n")
 
     @pytest.mark.parametrize("fields, field", [
         ({"length": 2.5}, "length"),

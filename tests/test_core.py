@@ -12,9 +12,48 @@ from unexpect.core import (
     KraftViolationError,
     SupportMismatchError,
     ValidationError,
+    _require,
+    _symbols,
     bits_from_probability,
     distribution_from_code,
 )
+
+
+class TestRequire:
+    @pytest.mark.parametrize("value", [True, "1", None, 1.5, [1]])
+    def test_rejects_other_types_and_bools(self, value):
+        with pytest.raises(ValidationError) as raised:
+            _require("n", value, int, "an integer")
+        assert str(raised.value) == f"n must be an integer, got {value!r}"
+        assert raised.value.field == "n"
+
+    def test_checks_the_range_after_the_type(self):
+        def positive(n):
+            return n > 0
+
+        assert _require("n", 3, int, "a positive integer", positive) == 3
+        for value in (0, "3"):  # a str never reaches the comparison
+            with pytest.raises(ValidationError, match="n must be a positive"):
+                _require("n", value, int, "a positive integer", positive)
+
+
+class TestSymbols:
+    def test_returns_a_list_of_strings(self):
+        assert _symbols("s", ["a", "b", "a"]) == ["a", "b", "a"]
+
+    @pytest.mark.parametrize("value, message", [
+        ("ab", "s must be a list, got 'ab'"),  # not its letters
+        ({"a": 1}, "s must be a list, got {'a': 1}"),  # not its keys
+        (["a", 1], "s holds a non-string symbol 1"),
+    ])
+    def test_rejects_anything_else(self, value, message):
+        with pytest.raises(ValidationError) as raised:
+            _symbols("s", value)
+        assert str(raised.value) == message
+
+    def test_distinct_only_when_asked(self):
+        with pytest.raises(ValidationError, match="^s repeats a symbol$"):
+            _symbols("s", ["a", "a"], distinct=True)
 
 
 class TestBitsFromProbability:

@@ -345,6 +345,21 @@ class TestSnapshots:
         with pytest.raises(VersionMismatchError):
             Engine.restore({"format_version": 3})  # missing everything else
 
+    @pytest.mark.parametrize("part, key, value", [
+        ("estimator", "step", "x"),  # the estimator's own check
+        ("detector", "hits", -1),  # the detector's own check
+        (None, "events_seen", 5),  # a fact that spans the parts
+    ])
+    def test_every_snapshot_fault_is_a_version_mismatch(self, part, key, value):
+        # The parts raise ValidationError; restore reports one class.
+        engine = Engine(small_config())
+        for obs in observations("ABA"):
+            engine.step(obs)
+        snap = engine.snapshot()
+        (snap[part] if part else snap)[key] = value
+        with pytest.raises(VersionMismatchError, match=key):
+            Engine.restore(snap)
+
 
 class TestTraceSerialization:
     def test_jsonl_line_is_valid_json_with_six_decimals(self):
