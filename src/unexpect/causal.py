@@ -63,14 +63,12 @@ class CausalGraph:
 
         self._priors = {node: cost(f"prior of {node!r}", bits)
                         for node, bits in priors.items()}
-        self._adjacency: dict[SymbolId, list[tuple[SymbolId, float]]] = {}
-        self._nodes = set(nodes) | set(self._priors)
-        for src, dst, _ in edges:
-            self._nodes.add(src)
-            self._nodes.add(dst)
         if not self._priors:
             raise ValidationError("graph needs at least one node with a prior")
+        self._adjacency: dict[SymbolId, list[tuple[SymbolId, float]]] = {}
+        self._nodes = set(nodes) | set(self._priors)
         for src, dst, bits in edges:
+            self._nodes.update((src, dst))
             self._adjacency.setdefault(src, []).append(
                 (dst, cost(f"edge {src!r}->{dst!r} cost", bits)))
         for out in self._adjacency.values():

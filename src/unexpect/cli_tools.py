@@ -14,7 +14,7 @@ from typing import IO, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
 from .core import (CodeLengthTable, DiscreteDistribution, UnexpectError,
-                   ValidationError, _decode_json_line, _require)
+                   ValidationError, _decode_json_line, _numbers, _require)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -52,8 +52,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     try:
         explanation = graph.explain(args.target, c_d)
+        posterior = 2.0 ** -explanation.u_raw
     except UnexpectError as exc:
         raise _fail_data(str(exc)) from None
+    except OverflowError:  # u_raw below -1024 bits
+        raise _fail_data(f"--cd {c_d}: the posterior 2 ** -u_raw overflows at "
+                         f"u_raw = {explanation.u_raw} bits") from None
     result = {
         "target": explanation.target,
         "best_cause": explanation.best_cause,
@@ -62,7 +66,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         "c_d_bits": explanation.c_d,
         "u_raw_bits": explanation.u_raw,
         "u_clamped_bits": explanation.u_clamped,
-        "posterior": 2.0 ** -explanation.u_raw,
+        "posterior": posterior,
     }
     with _open_output(args.output, "--output") as out:
         out.write(json.dumps(result) + "\n")
@@ -173,7 +177,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
                 return str(v)
 
             out.write("field,value\n")
-            for key in ("h", "v", "v_hat", "v_star", "d", "d_wrel", "d_abs", "d_drel"):
+            for key in report.SCALARS:
                 out.write(f"{key},{render(payload[key])}\n")
             for sym, u in zip(payload["symbols"], payload["u"]):
                 try:
@@ -201,7 +205,7 @@ def _load_table(path: str, what: str, cls, values: str):
             if not isinstance(symbol, str):
                 raise _fail_data(
                     f'{what} {path}: "symbols" must be strings, got {symbol!r}')
-        return cls(symbols, tuple(obj[values]))
+        return cls(symbols, _numbers(f'"{values}"', obj[values]))
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail_data(f"{what} {path}: malformed: {exc}") from None
     except UnexpectError as exc:

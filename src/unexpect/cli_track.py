@@ -66,13 +66,9 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
 
 
 def _explicit_config_flags(args: argparse.Namespace) -> list[str]:
-    given = []
-    for key, (flag, _) in _FLAG_RANGES.items():
-        if getattr(args, key, None) is not None:
-            given.append(flag)
-    if getattr(args, "config", None) is not None:
-        given.append("--config")
-    return given
+    keys = {**_FLAG_RANGES, "config": ("--config", None)}
+    return [flag for key, (flag, _) in keys.items()
+            if getattr(args, key, None) is not None]
 
 
 def _run_engine_over(

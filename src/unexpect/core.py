@@ -115,6 +115,15 @@ def _symbols(name: str, value, distinct: bool = False):
     return value
 
 
+def _numbers(name: str, value) -> tuple:
+    """`value` as a tuple, if a list (or tuple) of numbers, not bools; else
+    TypeError naming `name`, which each reader reports as malformed."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise TypeError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(value)
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 

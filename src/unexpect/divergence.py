@@ -87,12 +87,7 @@ def variety_hat(mind: CodeLengthTable) -> BitLength:
 
 def variety_star(mind: CodeLengthTable, normalize: bool = False) -> BitLength:
     """Description-weighted average cost: the entropy of d_i = 2^-L_i."""
-    d = distribution_from_code(mind, normalize=normalize)
-    return math.fsum(m * bits for m, bits in zip(d.mass, mind_lengths(d)))
-
-
-def mind_lengths(d: DiscreteDistribution) -> list[BitLength]:
-    return [math.log2(1.0 / m) if m > 0.0 else math.inf for m in d.mass]
+    return entropy(distribution_from_code(mind, normalize=normalize))
 
 
 def memory_cost_unordered(n: int) -> BitLength:
@@ -131,25 +126,19 @@ class DivergenceReport(_Value):
                  "d_drel", "per_symbol_u", "unsound_symbols",
                  "incomplete_symbols", "zero_mass_symbols")
 
-    def __init__(
-        self,
-        support: tuple[SymbolId, ...],
-        h: BitLength,
-        v: BitLength,
-        v_hat: BitLength,
-        v_star: BitLength,
-        d: BitLength,
-        d_wrel: BitLength,
-        d_abs: BitLength,
-        d_drel: BitLength,
-        per_symbol_u: tuple[float, ...],
-        unsound_symbols: tuple[SymbolId, ...],
-        incomplete_symbols: tuple[SymbolId, ...],
-        zero_mass_symbols: tuple[SymbolId, ...],
-    ):
+    def __init__(self, support: tuple[SymbolId, ...], h: BitLength, v: BitLength,
+                 v_hat: BitLength, v_star: BitLength, d: BitLength,
+                 d_wrel: BitLength, d_abs: BitLength, d_drel: BitLength,
+                 per_symbol_u: tuple[float, ...],
+                 unsound_symbols: tuple[SymbolId, ...],
+                 incomplete_symbols: tuple[SymbolId, ...],
+                 zero_mass_symbols: tuple[SymbolId, ...]):
         self._fill(support, h, v, v_hat, v_star, d, d_wrel, d_abs, d_drel,
                    per_symbol_u, unsound_symbols, incomplete_symbols,
                    zero_mass_symbols)
+
+    # The scalar fields, in the order of both output formats.
+    SCALARS = ("h", "v", "v_hat", "v_star", "d", "d_wrel", "d_abs", "d_drel")
 
     def to_dict(self) -> dict:
         def enc(x: float) -> Optional[float]:
@@ -157,14 +146,7 @@ class DivergenceReport(_Value):
 
         return {
             "symbols": list(self.support),
-            "h": enc(self.h),
-            "v": enc(self.v),
-            "v_hat": enc(self.v_hat),
-            "v_star": enc(self.v_star),
-            "d": enc(self.d),
-            "d_wrel": enc(self.d_wrel),
-            "d_abs": enc(self.d_abs),
-            "d_drel": enc(self.d_drel),
+            **{key: enc(getattr(self, key)) for key in self.SCALARS},
             "u": [enc(u) for u in self.per_symbol_u],
             "unsound": list(self.unsound_symbols),
             "incomplete": list(self.incomplete_symbols),
@@ -225,12 +207,10 @@ def divergences(
         if not normalize_mind:
             if kraft > 1.0:
                 raise KraftViolationError(
-                    f"mind Kraft sum {kraft!r} exceeds 1; not a proper code"
-                )
+                    f"mind Kraft sum {kraft!r} exceeds 1; not a proper code")
             raise ImproperDistributionError(
                 f"mind Kraft sum {kraft!r} < 1; the mind-relative divergence "
-                "needs a complete code (set normalize_mind to rescale)"
-            )
+                "needs a complete code (set normalize_mind to rescale)")
         mind = normalized_mind(mind)
 
     world = pair.world
@@ -246,17 +226,14 @@ def divergences(
     # Weighted-average-of-U forms (0 * inf reads as 0: never generated,
     # never weighted).
     wrel_u = math.fsum(pi * ui for pi, ui in zip(p, u) if pi > 0.0)
-    abs_u = (
-        math.inf if zero_mass else math.fsum(ui for ui in u) / n
-    )
+    abs_u = math.inf if zero_mass else math.fsum(u) / n
     drel_u = math.inf if zero_mass else math.fsum(di * ui for di, ui in zip(d, u))
 
     # Closed KL forms over the same numbers.
     h = math.fsum(pi * cwi for pi, cwi in zip(p, c_w) if pi > 0.0)
     wrel_kl = -(math.fsum(pi * math.log2(pi / di) for pi, di in zip(p, d) if pi > 0.0))
     if zero_mass:
-        abs_kl = math.inf
-        drel_kl = math.inf
+        abs_kl = drel_kl = math.inf
     else:
         uniform = 1.0 / n
         kl_uw = math.fsum(uniform * math.log2(uniform / pi) for pi in p)
@@ -272,8 +249,7 @@ def divergences(
         if not _nearly(via_u, via_kl):
             raise IdentityMismatchError(
                 f"{name} divergence disagrees with its KL identity: "
-                f"{via_u!r} vs {via_kl!r}"
-            )
+                f"{via_u!r} vs {via_kl!r}")
 
     unsound, incomplete = soundness_completeness(MachinePair(world, mind), tau)
     v = variety(n)

@@ -47,7 +47,7 @@ from .memory import Observation, StmStack
 # Re-exported: the trace format's owner is traceio.
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl  # noqa: F401
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class TraceRecord(NamedTuple):
@@ -112,9 +112,6 @@ class ChangeDetector(_Value):
         self.ewma = ewma = (1.0 - beta) * u_clamped + beta * self.ewma
         self.hits = hits = self.hits + 1 if ewma > self.theta else 0
         return hits >= self.min_hits  # the rule of flag, without its call
-
-    def state_dict(self) -> dict:
-        return {"ewma": self.ewma, "hits": self.hits}
 
 
 class EngineConfig(_Value):
@@ -278,24 +275,35 @@ class Engine:
     # -- snapshots ---------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-serializable state; restoring replays bit-identically."""
+        """JSON-serializable state; restoring replays bit-identically. Only
+        `stack` and `seen_off_stack` name a symbol; the estimator's state
+        gives each by its position in their concatenation, `order`."""
+        stack = self.stack.items()
+        # Empty unless a bounded stack has evicted symbols.
+        off_stack = sorted(self._seen.difference(stack))
+        order = stack + off_stack
+        state = self.estimator.state_dict()
+        if self.config.estimator == "fir":
+            position = dict(zip(order, range(len(order))))
+            state["buffer"] = list(map(position.__getitem__, state["buffer"]))
+        else:  # null where a prune sweep forgot the rate; step is events_seen
+            state = {key: list(map(state[key].get, order)) for key in ("w", "w_step")}
         return {
             "format_version": SNAPSHOT_VERSION,
             "config": self.config.to_dict(),
             "last_t": self.last_t,
             "events_seen": self.events_seen,
-            # Empty unless a bounded stack has evicted symbols.
-            "seen_off_stack": sorted(self._seen.difference(self.stack.items())),
-            "stack": self.stack.items(),
-            "estimator": self.estimator.state_dict(),
-            "detector": self.detector.state_dict(),
+            "seen_off_stack": off_stack,
+            "stack": stack,
+            "estimator": state,
+            "detector": {"ewma": self.detector.ewma, "hits": self.detector.hits},
         }
 
     @classmethod
     def restore(cls, snapshot: dict) -> "Engine":
-        """Rebuild an engine from its config and state. The stack,
-        estimator and detector each check their own state; this checks
-        the facts that span them. Every fault is a VersionMismatchError."""
+        """Rebuild an engine from its config and state. The stack, estimator
+        and detector check their own state; this checks the facts that span
+        them and maps positions to symbols. Every fault is a VersionMismatchError."""
         if not isinstance(snapshot, dict) or "format_version" not in snapshot:
             raise VersionMismatchError("not an engine snapshot")
         version = snapshot["format_version"]
@@ -306,25 +314,20 @@ class Engine:
         try:
             config = EngineConfig.from_dict(snapshot["config"])
             engine = cls(config)
-            stack = _symbols("stack", snapshot["stack"], distinct=True)
-            engine.stack = StmStack(capacity=config.capacity, items=stack)
-            estimator, detector = snapshot["estimator"], snapshot["detector"]
-            if config.estimator == "iir":
-                engine.estimator = IirEstimator(
-                    config.alpha, estimator["step"], estimator["w"],
-                    estimator["w_step"])
-            else:
-                engine.estimator = FirEstimator(config.window, estimator["buffer"])
-            engine.detector = ChangeDetector(
-                config.beta, config.theta, config.min_hits, detector["ewma"],
-                detector["hits"])
             engine.events_seen = events_seen = _require(
                 "events_seen", snapshot["events_seen"], int,
                 "a nonnegative integer", lambda n: n >= 0)
-            # last_t is null only before the first event.
-            if snapshot["last_t"] is not None or events_seen:
-                engine.last_t = _require("last_t", snapshot["last_t"], int,
-                                         "a nonnegative integer", lambda t: t >= 0)
+            # last_t is null exactly before the first event; each event's t
+            # is >= 0 and above the one before, so events_seen <= last_t + 1.
+            engine.last_t = last_t = _require(
+                "last_t", snapshot["last_t"], int if events_seen else type(None),
+                "a nonnegative integer" if events_seen else "null while events_seen is 0",
+                lambda t: t is None or t >= 0)
+            if events_seen and events_seen > last_t + 1:
+                raise ValidationError(f"events_seen must be at most last_t + 1 "
+                                      f"({last_t + 1}), got {events_seen}")
+            stack = _symbols("stack", snapshot["stack"], distinct=True)
+            engine.stack = StmStack(capacity=config.capacity, items=stack)
             off_stack = _symbols("seen_off_stack", snapshot["seen_off_stack"],
                                  distinct=True)
             repeated = sorted(set(stack).intersection(off_stack))
@@ -334,32 +337,45 @@ class Engine:
             if off_stack and config.capacity is None:
                 raise ValidationError(
                     "seen_off_stack must be empty for an unbounded stack")
-            engine._seen = set(stack).union(off_stack)
-            unseen = sorted(set(engine.estimator.tracked_symbols()) - engine._seen)
-            if unseen:
-                raise ValidationError(
-                    f"{'w' if config.estimator == 'iir' else 'buffer'} holds "
-                    f"symbol {unseen[0]!r}, which is neither on the stack nor "
-                    "seen off it")
-            # Each estimator counts the events it has filtered, and every
-            # event the engine scored went through it.
+            order = [*stack, *off_stack]
+            engine._seen = set(order)
+            estimator, detector = snapshot["estimator"], snapshot["detector"]
             if config.estimator == "iir":
-                _require("step", estimator["step"], int,
-                         f"events_seen ({events_seen})", lambda n: n == events_seen)
-            elif len(estimator["buffer"]) != min(events_seen, config.window):
-                raise ValidationError(
-                    f"buffer holds {len(estimator['buffer'])} symbols, not "
-                    f"min(events_seen, window) = {min(events_seen, config.window)}")
+                entries = [_require(name, estimator[name], list,
+                                    f"a list of {len(order)} entries",
+                                    lambda v: len(v) == len(order))
+                           for name in ("w", "w_step")]
+                # A null in one list only leaves a symbol in one dict only,
+                # which the estimator rejects; step is events_seen.
+                w, w_step = ({s: v for s, v in zip(order, values) if v is not None}
+                             for values in entries)
+                engine.estimator = IirEstimator(config.alpha, events_seen, w, w_step)
+            else:
+                buffer = _require("buffer", estimator["buffer"], list, "a list")
+                # type() rejects a bool; the range keeps order[-1] unread.
+                for i in buffer:
+                    if type(i) is not int or not 0 <= i < len(order):
+                        raise ValidationError(f"buffer must hold positions in "
+                                              f"[0, {len(order)}), got {i!r}")
+                engine.estimator = FirEstimator(config.window, [order[i] for i in buffer])
+                # Every event the engine scored went through the window.
+                if len(buffer) != min(events_seen, config.window):
+                    raise ValidationError(
+                        f"buffer holds {len(buffer)} symbols, not min(events_seen, "
+                        f"window) = {min(events_seen, config.window)}")
+            engine.detector = ChangeDetector(
+                config.beta, config.theta, config.min_hits, detector["ewma"],
+                detector["hits"])
         except KeyError as exc:
             raise VersionMismatchError(f"{exc.args[0]} is missing") from None
-        except (TypeError, ValueError) as exc:  # e.g. a w_step of "x"
+        except (TypeError, ValueError) as exc:  # e.g. an estimator of "x"
             raise VersionMismatchError(f"malformed snapshot: {exc}") from None
         except ValidationError as exc:
             raise VersionMismatchError(str(exc)) from None
         return engine
 
     def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
+        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def restore_json(cls, text: str) -> "Engine":

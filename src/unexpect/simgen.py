@@ -23,7 +23,8 @@ import math
 from typing import Iterator, Optional
 
 from .core import (DiscreteDistribution, InvalidSpecError, SymbolId,
-                   ValidationError, _Value, _decode_json_line, _require)
+                   ValidationError, _Value, _decode_json_line, _numbers,
+                   _require)
 from .memory import Observation
 
 _MASK64 = (1 << 64) - 1
@@ -195,21 +196,20 @@ class SourceSpec(_Value):
                 if not all(isinstance(symbol, str) for symbol in obj["symbols"]):
                     raise InvalidSpecError('spec "symbols" must be strings')
                 kwargs["distribution"] = DiscreteDistribution(
-                    tuple(obj["symbols"]), tuple(obj["mass"])
-                )
+                    tuple(obj["symbols"]), _numbers('"mass"', obj["mass"]))
             if kind == "changepoint":
                 if "mass_after" not in obj:
                     raise InvalidSpecError('changepoint spec needs "mass_after"')
                 kwargs["distribution_after"] = DiscreteDistribution(
-                    tuple(obj["symbols"]), tuple(obj["mass_after"])
-                )
+                    tuple(obj["symbols"]),
+                    _numbers('"mass_after"', obj["mass_after"]))
                 kwargs["t_star"] = obj.get("t_star")
             if kind == "bifurcation":
                 kwargs["base_labels"] = obj.get("base_labels")
                 if obj.get("base_mass") is not None:
-                    kwargs["base_mass"] = tuple(obj["base_mass"])
+                    kwargs["base_mass"] = _numbers('"base_mass"', obj["base_mass"])
                 kwargs["offset_values"] = tuple(obj.get("offset_values", ()))
-                kwargs["offset_mass"] = tuple(obj.get("offset_mass", ()))
+                kwargs["offset_mass"] = _numbers('"offset_mass"', obj.get("offset_mass", ()))
             if kind == "zipf":
                 kwargs["alphabet"] = obj.get("alphabet")
                 kwargs["exponent"] = obj.get("exponent", 1.0)

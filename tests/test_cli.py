@@ -385,13 +385,22 @@ class TestSnapshotReplay:
         # After events, a null last_t would let the next one skip the time
         # check.
         ("last_t", None, "last_t must be a nonnegative integer, got None"),
+        # A clock ahead of the count: last_t 24 with no event scored
+        # restored, and the next event, at t = 0, failed as not after 24.
+        ("events_seen", 0, "last_t must be null while events_seen is 0, got 24"),
+        # A count ahead of the clock: 25 events end at t >= 24. Restored,
+        # 2**70 events decayed every IIR rate to 0 and replayed.
+        pytest.param("events_seen", 26, "events_seen must be at most last_t + 1 "
+                     "(25), got 26", id="events_seen-past-clock"),
+        pytest.param("events_seen", 2**70, "events_seen must be at most "
+                     f"last_t + 1 (25), got {2**70}", id="events_seen-huge"),
         *[(field, None, f"{field} is missing")
           for field in ("config", "last_t", "events_seen", "seen_off_stack",
                         "stack", "estimator", "detector")],
         # No field has a default: a missing one would take it silently.
         *[(f"{part}.{field}", None, f"{field} is missing")
           for part, fields in (("config", EngineConfig._fields),
-                               ("estimator", ("step", "w", "w_step")),
+                               ("estimator", ("w", "w_step")),
                                ("detector", ("ewma", "hits")))
           for field in fields],
     ])
@@ -420,50 +429,46 @@ class TestSnapshotReplay:
         assert out == ""
         assert err == f"error: snapshot {snap}: {message}\n"
 
-    # Each row replaces the named fields of the estimator state.
+    # Each row replaces the named fields of the estimator state. After the
+    # 25 events, A (last at step 25) tops the stack and B (24) is under
+    # it, so position 0 is A and position 1 is B.
     @pytest.mark.parametrize("flags, edits, message", [
-        (["--alpha", "0.9"], {"w": {"A": "x", "B": 0.5}},
+        (["--alpha", "0.9"], {"w": ["x", 0.5]},
          "w must hold rates in [0, 1], got 'x' for 'A'"),
-        (["--alpha", "0.9"], {"w": {"A": 0.5, "B": 1.5}},
+        (["--alpha", "0.9"], {"w": [0.5, 1.5]},
          "w must hold rates in [0, 1], got 1.5 for 'B'"),
-        (["--alpha", "0.9"], {"w": {"A": True, "B": 0.5}},
+        (["--alpha", "0.9"], {"w": [True, 0.5]},
          "w must hold rates in [0, 1], got True for 'A'"),
-        (["--estimator", "fir", "--window", "2"], {"buffer": ["A"] * 4},
+        (["--estimator", "fir", "--window", "2"], {"buffer": [0] * 4},
          "buffer holds 4 symbols, more than the window of 2"),
-        # After 25 events, A last at step 25 and B at 24.
-        (["--alpha", "0.9"], {"w_step": {"B": 24}},
+        # A null in one list only: a symbol with a rate and no step, or
+        # a step and no rate.
+        (["--alpha", "0.9"], {"w_step": [None, 24]},
          "w_step must hold the symbols of w, and only those; 'A' is in w only"),
-        (["--alpha", "0.9"], {"w_step": {"A": 25, "B": 24, "C": 1}},
-         "w_step must hold the symbols of w, and only those; 'C' is in "
+        (["--alpha", "0.9"], {"w": [0.5, None]},
+         "w_step must hold the symbols of w, and only those; 'B' is in "
          "w_step only"),
-        (["--alpha", "0.9"], {"w_step": {"A": 1.5, "B": 24}},
+        (["--alpha", "0.9"], {"w_step": [1.5, 24]},
          "w_step must hold steps in [0, 25], got 1.5 for 'A'"),
-        (["--alpha", "0.9"], {"w_step": {"A": 26, "B": 24}},
+        (["--alpha", "0.9"], {"w_step": [26, 24]},
          "w_step must hold steps in [0, 25], got 26 for 'A'"),
-        (["--alpha", "0.9"], {"step": "x"},
-         "step must be a nonnegative integer, got 'x'"),
-        (["--alpha", "0.9"], {"step": 1.5},
-         "step must be a nonnegative integer, got 1.5"),
         (["--estimator", "fir", "--window", "2"], {"buffer": ["A", 1]},
-         "buffer holds a non-string symbol 1"),
+         "buffer must hold positions in [0, 2), got 'A'"),
         (["--estimator", "fir", "--window", "2"], {"buffer": None},
          "buffer is missing"),
-        (["--alpha", "0.9"],
-         {"w": {"A": 0.5, "B": 0.4, "Z": 0.01},
-          "w_step": {"A": 25, "B": 24, "Z": 25}},
-         "w holds symbol 'Z', which is neither on the stack nor seen off it"),
-        (["--estimator", "fir", "--window", "50"], {"buffer": ["A", "Z", "B"]},
-         "buffer holds symbol 'Z', which is neither on the stack nor seen "
-         "off it"),
+        # An entry past the stack and seen_off_stack stands for a symbol
+        # on neither list.
+        (["--alpha", "0.9"], {"w": [0.5, 0.4, 0.01], "w_step": [25, 24, 25]},
+         "w must be a list of 2 entries, got [0.5, 0.4, 0.01]"),
+        (["--estimator", "fir", "--window", "50"], {"buffer": [0, 2, 1]},
+         "buffer must hold positions in [0, 2), got 2"),
         # 0.9 + 0.9 * 0.9: B decays for one step.
-        (["--alpha", "0.9"], {"w": {"A": 0.9, "B": 0.9}},
+        (["--alpha", "0.9"], {"w": [0.9, 0.9]},
          "w must hold rates that sum to at most 1 after decay, got 1.71"),
-        # A rate no run could give Z, which was scored as a novelty with
-        # c_ltm 0.152 while it was restored as given.
-        (["--alpha", "0.9"],
-         {"w": {"A": 0.5, "B": 0.4, "Z": 0.9},
-          "w_step": {"A": 25, "B": 24, "Z": 25}},
-         "w must hold rates that sum to at most 1 after decay, got 1.76"),
+        # A rate no run could give a third symbol, which was scored as a
+        # novelty with c_ltm 0.152 while it was restored as given.
+        (["--alpha", "0.9"], {"w": [0.5, 0.4, 0.9], "w_step": [25, 24, 25]},
+         "w must be a list of 2 entries, got [0.5, 0.4, 0.9]"),
         # A string read as its letters, an object as its keys, and pair
         # lists as objects all replayed with exit 0.
         (["--estimator", "fir", "--window", "50"], {"buffer": "ABAB"},
@@ -472,34 +477,36 @@ class TestSnapshotReplay:
          "buffer must be a list, got {'A': 1}"),
         (["--estimator", "fir", "--window", "50"], {"buffer": {}},
          "buffer must be a list, got {}"),
-        (["--alpha", "0.9"],
-         {"w": [["A", 0.5], ["B", 0.4]], "w_step": {"A": 25, "B": 24}},
-         "w must be an object, got [['A', 0.5], ['B', 0.4]]"),
-        (["--alpha", "0.9"],
-         {"w": {"A": 0.5, "B": 0.4}, "w_step": [["A", 25], ["B", 24]]},
-         "w_step must be an object, got [['A', 25], ['B', 24]]"),
-        # step counts the events filtered, which are the events scored;
-        # a step of 2**70 decayed every rate to 0 and replayed.
-        (["--alpha", "0.9"], {"step": 2**70},
-         f"step must be events_seen (25), got {2**70}"),
-        (["--alpha", "0.9"], {"step": 26},
-         "step must be events_seen (25), got 26"),
+        (["--alpha", "0.9"], {"w": [["A", 0.5], ["B", 0.4]]},
+         "w must hold rates in [0, 1], got ['A', 0.5] for 'A'"),
+        (["--alpha", "0.9"], {"w_step": [["A", 25], ["B", 24]]},
+         "w_step must hold steps in [0, 25], got ['A', 25] for 'A'"),
         # A short buffer silently reset the window.
-        (["--estimator", "fir", "--window", "50"], {"buffer": ["A", "B"]},
+        (["--estimator", "fir", "--window", "50"], {"buffer": [0, 1]},
          "buffer holds 2 symbols, not min(events_seen, window) = 25"),
         (["--estimator", "fir", "--window", "50"], {"buffer": []},
          "buffer holds 0 symbols, not min(events_seen, window) = 25"),
-        (["--estimator", "fir", "--window", "6"], {"buffer": ["A", "B"] * 2},
+        (["--estimator", "fir", "--window", "6"], {"buffer": [0, 1] * 2},
          "buffer holds 4 symbols, not min(events_seen, window) = 6"),
+        # Read as an index, -1 named the last symbol and True the second.
+        (["--estimator", "fir", "--window", "50"], {"buffer": [-1]},
+         "buffer must hold positions in [0, 2), got -1"),
+        (["--estimator", "fir", "--window", "50"], {"buffer": [True]},
+         "buffer must hold positions in [0, 2), got True"),
+        # The state of format 3, which named each symbol.
+        (["--alpha", "0.9"], {"w": {"A": 0.5, "B": 0.4}},
+         "w must be a list of 2 entries, got {'A': 0.5, 'B': 0.4}"),
+        (["--alpha", "0.9"], {"w_step": [25, 24, 25]},
+         "w_step must be a list of 2 entries, got [25, 24, 25]"),
     ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer",
             "w_step-lacks-a-symbol", "w_step-extra-symbol", "w_step-float",
-            "w_step-past-step", "step-string", "step-float",
-            "fir-buffer-int", "fir-buffer-missing", "w-unseen-symbol",
-            "fir-buffer-unseen-symbol", "w-sum-above-one",
+            "w_step-past-step", "fir-buffer-int", "fir-buffer-missing",
+            "w-unseen-symbol", "fir-buffer-unseen-symbol", "w-sum-above-one",
             "w-unseen-symbol-high-rate", "fir-buffer-string",
             "fir-buffer-object", "fir-buffer-empty-object", "w-pair-list",
-            "w_step-pair-list", "step-huge", "step-past-events",
-            "fir-buffer-short", "fir-buffer-empty", "fir-buffer-short-of-window"])
+            "w_step-pair-list", "fir-buffer-short", "fir-buffer-empty",
+            "fir-buffer-short-of-window", "fir-buffer-negative",
+            "fir-buffer-bool", "w-object", "w_step-too-long"])
     def test_hand_edited_estimator_state_names_the_field(
             self, tmp_path, capsys, flags, edits, message):
         # Restored as given, a rate of "x" failed at the first A, a
@@ -546,11 +553,12 @@ class TestSnapshotReplay:
         assert (code, out) == (2, "")
         assert err == f"error: snapshot {snap}: {message}\n"
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_format_exits_two_naming_the_version(self, tmp_path, capsys,
                                                        version):
-        # Formats 1 and 2 kept config values again in the parts; a run
-        # resumes only from a snapshot of the current format.
+        # Formats 1 and 2 kept config values again in the parts, and format
+        # 3 named a symbol up to three times; a run resumes only from a
+        # snapshot of the current format.
         _, head, tail = self.make_stream(tmp_path)
         snap = tmp_path / "snap.json"
         run_cli(capsys, ["track", "--input", head, "--snapshot-out", str(snap),
@@ -562,7 +570,7 @@ class TestSnapshotReplay:
             capsys, ["replay", "--snapshot", str(snap), "--input", tail])
         assert (code, out) == (2, "")
         assert err == (f"error: snapshot {snap}: snapshot version {version}, "
-                       "expected 3\n")
+                       "expected 4\n")
 
     def test_corrupt_snapshot_exits_two(self, tmp_path, capsys):
         snap = write(tmp_path / "snap.json", '{"format_version": 7}')
@@ -703,6 +711,19 @@ class TestExplain:
             ["explain", "--graph", graph, "--bayes", graph, "--target", "s"],
         )
         assert code == 1
+
+    @pytest.mark.parametrize("c_d, u_raw", [("5000", -4998.0), ("1026", -1024.0)])
+    def test_posterior_past_the_float_range_exits_two(self, tmp_path, capsys,
+                                                      c_d, u_raw):
+        # 2 ** -u_raw overflowed, and explain ended in a traceback (exit 1).
+        graph = write(tmp_path / "g.json", json.dumps({
+            "nodes": [{"id": "C", "prior_bits": 1.0}, {"id": "O"}],
+            "edges": [{"from": "C", "to": "O", "bits": 1.0}]}))
+        code, out, err = run_cli(
+            capsys, ["explain", "--graph", graph, "--target", "O", "--cd", c_d])
+        assert (code, out) == (2, "")
+        assert err == (f"error: --cd {float(c_d)}: the posterior 2 ** -u_raw "
+                       f"overflows at u_raw = {u_raw} bits\n")
 
     def test_unknown_target_is_data_error(self, tmp_path, capsys):
         graph = write(tmp_path / "g.json", json.dumps(self.GRAPH))
@@ -903,6 +924,29 @@ class TestDivergenceCommand:
         assert err == (f'error: {bad} file {path}: "symbols" must be strings, '
                        f"got 1\n")
 
+    @pytest.mark.parametrize("bad, values", [
+        ("world", ["0.5", "0.5"]), ("world", [True, False]), ("world", "1"),
+        ("mind", ["1", "1"]), ("mind", [True, True]), ("mind", [None, 1.0]),
+    ])
+    def test_value_that_is_not_a_number_is_a_data_error(self, tmp_path, capsys,
+                                                         bad, values):
+        # float() read "0.5" and True as numbers, and "1" as the list
+        # ["1"]; the run exited 0.
+        symbols = ["a"] if values == "1" else ["a", "b"]
+        tables = {"world": ("mass", [1.0] if values == "1" else [0.5, 0.5]),
+                  "mind": ("bits", [0.0] if values == "1" else [1.0, 1.0])}
+        paths = {}
+        for name, (key, good) in tables.items():
+            paths[name] = write(tmp_path / f"{name}.json", json.dumps(
+                {"symbols": symbols, key: values if name == bad else good}))
+        code, out, err = run_cli(
+            capsys, ["divergence", "--world", paths["world"], "--mind",
+                     paths["mind"]])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad} file {paths[bad]}: malformed: "
+                       f'"{tables[bad][0]}" must be a list of numbers, '
+                       f"got {values!r}\n")
+
     @pytest.mark.parametrize("bad", ["world", "mind"])
     def test_non_numeric_value_is_a_data_error(self, tmp_path, capsys, bad):
         values = {"world": [0.5, 0.5], "mind": [1.0, 1.0]}
@@ -976,7 +1020,7 @@ HUGE = "1" * 5000  # more digits than int() converts
 
 @pytest.mark.parametrize("what, text, argv", [
     ("config file", '{"window": %s}' % HUGE, ["track", "--config"]),
-    ("snapshot", '{"format_version": 3, "last_t": %s}' % HUGE,
+    ("snapshot", '{"format_version": 4, "last_t": %s}' % HUGE,
      ["replay", "--snapshot"]),
     ("spec", '{"kind": "stationary", "seed": %s}' % HUGE, ["simulate", "--spec"]),
     ("world file", '{"symbols": ["a"], "mass": [%s]}' % HUGE,
@@ -1227,6 +1271,21 @@ class TestSimulate:
         ({"kind": "bifurcation", "offset_values": [1.5, 2]}, "offset_values"),
         ({"kind": "stationary", "mass": ["x", 0.5]}, "malformed spec"),
         ({"kind": "stationary", "mass": 5}, "malformed spec"),
+        # Each of these was read as a number, and simulate exited 0.
+        ({"kind": "stationary", "mass": ["0.5", "0.5"]},
+         'malformed spec: "mass" must be a list of numbers'),
+        ({"kind": "stationary", "mass": [True, False]},
+         'malformed spec: "mass" must be a list of numbers'),
+        ({"kind": "stationary", "symbols": ["x"], "mass": "1"},
+         'malformed spec: "mass" must be a list of numbers'),
+        ({"kind": "changepoint", "mass_after": ["0.25", 0.75]},
+         'malformed spec: "mass_after" must be a list of numbers'),
+        ({"kind": "bifurcation", "base_mass": [0.5, "0.5"]},
+         'malformed spec: "base_mass" must be a list of numbers'),
+        ({"kind": "bifurcation", "offset_mass": [None, 1.0]},
+         'malformed spec: "offset_mass" must be a list of numbers'),
+        ({"kind": "bifurcation", "offset_mass": [False, True]},
+         'malformed spec: "offset_mass" must be a list of numbers'),
     ])
     def test_wrong_typed_number_is_a_data_error(self, tmp_path, capsys, fields,
                                                 field):

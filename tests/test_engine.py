@@ -303,13 +303,38 @@ class TestSnapshots:
         for obs in observations(["A", "B", "A", "C"]):
             engine.step(obs)
         snap = engine.snapshot()
-        assert snap["format_version"] == 3
+        assert snap["format_version"] == 4
         assert (snap["last_t"], snap["events_seen"]) == (3, 4)
         assert snap["stack"] == ["C", "A", "B"]
         assert snap["seen_off_stack"] == []  # an unbounded stack holds them all
-        # The rates' and the detector's parameters are config's alone.
-        assert sorted(snap["estimator"]) == ["step", "w", "w_step"]
+        # The rates' and the detector's parameters are config's alone, and
+        # the IIR step is events_seen.
+        assert sorted(snap["estimator"]) == ["w", "w_step"]
+        assert snap["estimator"]["w_step"] == [4, 3, 2]
         assert sorted(snap["detector"]) == ["ewma", "hits"]
+        # Only stack and seen_off_stack name a symbol; each seen symbol's
+        # JSON string occurs once in the text, whatever the estimator holds.
+        for config, nulls in [
+            (small_config(), 0),
+            (small_config(alpha=0.5, prune=True, epsilon=0.2), 3),
+            (small_config(capacity=2), 0),
+            (small_config(estimator="fir", window=5, capacity=2), 0),
+        ]:
+            engine = sweeping_every(Engine(config), 8)
+            for obs in observations("ABCADAAAAAAA"):
+                engine.step(obs)
+            snap, text = engine.snapshot(), engine.snapshot_json()
+            order = snap["stack"] + snap["seen_off_stack"]
+            assert sorted(order) == ["A", "B", "C", "D"]
+            for symbol in order:
+                assert text.count(json.dumps(symbol)) == 1
+            assert (config.capacity is None) == (snap["seen_off_stack"] == [])
+            # A prune sweep forgot three rates: null in both lists.
+            state = snap["estimator"]
+            assert state.get("w", []).count(None) == nulls
+            assert [i for i, v in enumerate(state.get("w", [])) if v is None] == [
+                i for i, v in enumerate(state.get("w_step", [])) if v is None]
+            assert Engine.restore_json(text).snapshot_json() == text
 
     @pytest.mark.parametrize("snapshot, config", [
         (V1_IIR_SNAPSHOT, small_config(alpha=0.5, capacity=2)),
@@ -318,15 +343,15 @@ class TestSnapshots:
     ], ids=["iir", "fir"])
     def test_version_1_snapshot_resumes_byte_identically(self, snapshot, config):
         # Written at format 1 after the events A, B, C, A at t = 0..3. The
-        # engine restores only the current format; as_v3, which the
+        # engine restores only the current format; as_v4, which the
         # differential test uses, carries the state over.
         with pytest.raises(VersionMismatchError,
-                           match="^snapshot version 1, expected 3$"):
+                           match="^snapshot version 1, expected 4$"):
             Engine.restore_json(snapshot)
         stream = observations("ABCADBEA")
         whole = Engine(config)
         expected = [whole.step(obs) for obs in stream]
-        resumed = Engine.restore_json(as_v3(json.loads(snapshot)))
+        resumed = Engine.restore_json(as_v4(json.loads(snapshot)))
         assert resumed.events_seen == 4
         assert resumed.snapshot()["seen_off_stack"] == ["B"]
         assert [resumed.step(obs) for obs in stream[4:]] == expected[4:]
@@ -341,12 +366,12 @@ class TestSnapshots:
 
     def test_corrupted_snapshot_never_partially_restores(self):
         with pytest.raises(VersionMismatchError):
-            Engine.restore_json('{"format_version": 3, "config"')
+            Engine.restore_json('{"format_version": 4, "config"')
         with pytest.raises(VersionMismatchError):
-            Engine.restore({"format_version": 3})  # missing everything else
+            Engine.restore({"format_version": 4})  # missing everything else
 
     @pytest.mark.parametrize("part, key, value", [
-        ("estimator", "step", "x"),  # the estimator's own check
+        ("estimator", "w_step", [9, 9]),  # the estimator's own check
         ("detector", "hits", -1),  # the detector's own check
         (None, "events_seen", 5),  # a fact that spans the parts
     ])
@@ -541,22 +566,28 @@ def sweeping_every(engine, events: int):
     return engine
 
 
-def as_v3(old: dict) -> str:
+def as_v4(old: dict) -> str:
     """A format-1 snapshot in the current format: the event count and
-    the seen set move out of the estimator, and each part keeps only
-    what config does not hold."""
+    the seen set move out of the estimator, each part keeps only what
+    config does not hold, the IIR step (the event count) goes, and the
+    estimator gives each symbol by its position in stack + seen_off_stack."""
     estimator, stack = old["estimator"], old["stack"]
-    own = ("step", "w", "w_step") if estimator["kind"] == "iir" else ("buffer",)
+    order = stack + sorted(set(estimator["alphabet"]) - set(stack))
+    if estimator["kind"] == "iir":
+        state = {key: [estimator[key].get(symbol) for symbol in order]
+                 for key in ("w", "w_step")}
+    else:
+        state = {"buffer": [order.index(symbol) for symbol in estimator["buffer"]]}
     return json.dumps({
-        "format_version": 3,
+        "format_version": 4,
         "config": old["config"],
         "last_t": old["last_t"],
         "events_seen": estimator["events_seen"],
         "stack": stack,
-        "seen_off_stack": sorted(set(estimator["alphabet"]) - set(stack)),
-        "estimator": {key: estimator[key] for key in own},
+        "seen_off_stack": order[len(stack):],
+        "estimator": state,
         "detector": {key: old["detector"][key] for key in ("ewma", "hits")},
-    }, sort_keys=True)
+    }, sort_keys=True, separators=(",", ":"))
 
 
 diff_configs = st.builds(
@@ -604,7 +635,7 @@ class TestLeanPathMatchesReference:
     def test_step_and_serializers(self, config, prune_every, gaps, t0, data):
         # The reference runs uninterrupted. At the split the engine goes
         # on as two: one restored from its own snapshot, one from the
-        # reference's snapshot converted by as_v3. A gap of 0 repeats a
+        # reference's snapshot converted by as_v4. A gap of 0 repeats a
         # time, which every engine must reject without learning the event.
         split = data.draw(st.integers(min_value=0, max_value=len(gaps)))
         reference = sweeping_every(v1.Engine(config), prune_every)
@@ -613,7 +644,7 @@ class TestLeanPathMatchesReference:
         def resume():
             return [sweeping_every(Engine.restore_json(text), prune_every)
                     for text in (engines[0].snapshot_json(),
-                                 as_v3(reference.snapshot()))]
+                                 as_v4(reference.snapshot()))]
 
         t = t0
         for i, (gap, symbol) in enumerate(gaps):
@@ -637,7 +668,7 @@ class TestLeanPathMatchesReference:
         if split == len(gaps):
             engines = resume()
         for engine in engines:
-            assert engine.snapshot_json() == as_v3(reference.snapshot())
+            assert engine.snapshot_json() == as_v4(reference.snapshot())
 
     def test_prune_sweep_then_the_dropped_symbol_returns(self):
         # The sweep at step 1024 drops "b", the last symbol it reads; the
@@ -649,7 +680,7 @@ class TestLeanPathMatchesReference:
             obs = Observation(t, symbol)
             assert exact(engine.step(obs)) == exact(reference.step(obs))
         assert "b" in engine.estimator.tracked_symbols()
-        assert engine.snapshot_json() == as_v3(reference.snapshot())
+        assert engine.snapshot_json() == as_v4(reference.snapshot())
 
     @given(st.sampled_from([0.5, 0.9, 0.99]),
            st.lists(st.tuples(st.booleans(), st.sampled_from("ABC")), max_size=40))
