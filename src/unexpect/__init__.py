@@ -26,12 +26,8 @@ _SUBMODULE_OF = {name: module for module, names in {
     "engine": (
         "ChangeDetector", "Engine", "EngineConfig", "TraceRecord", "run_stream",
     ),
-    "estimators": (
-        "FirEstimator", "IirEstimator", "is_stable", "ltm_complexity",
-    ),
-    "memory": (
-        "Observation", "StmStack", "read_events", "stm_complexity",
-    ),
+    "estimators": ("FirEstimator", "IirEstimator"),
+    "memory": ("Observation", "StmStack", "read_events"),
     "simgen": ("SourceSpec", "SplitMix64", "generate", "zipf_distribution"),
 }.items() for name in names}
 

@@ -170,7 +170,9 @@ def from_probabilities(
     Cause k becomes a root with prior -log2 P(M_k) and an edge to the
     observation costing -log2 P(O|M_k); the returned description cost is
     -log2 P(O). Causes with zero prior or zero likelihood are simply
-    absent rather than infinitely costly.
+    absent rather than infinitely costly. P(O) may not fall below
+    sum_k P(M_k) P(O|M_k) (to a relative 1e-9): else the best chain
+    would cost less than describing O, and 2^-u would exceed 1.
     """
     if not 0.0 < evidence <= 1.0:
         raise ValidationError(f"evidence must be in (0, 1], got {evidence}")
@@ -182,6 +184,7 @@ def from_probabilities(
         raise ValidationError(f"priors sum to {total!r}, must be <= 1")
     graph_priors: dict[SymbolId, float] = {}
     edges: list[tuple[SymbolId, SymbolId, float]] = []
+    joint: list[float] = []
     for cause, p in priors.items():
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"prior of {cause!r} must be in [0, 1], got {p}")
@@ -197,7 +200,12 @@ def from_probabilities(
             )
         if lik > 0.0:
             edges.append((cause, observation, math.log2(1.0 / lik)))
+            joint.append(p * lik)
     if not graph_priors:
         raise ValidationError("all priors are zero; nothing can explain anything")
+    least = math.fsum(joint)  # P(O) if only the causes produce O
+    if evidence < least * (1.0 - 1e-9):
+        raise ValidationError(f"evidence {evidence!r} is below the sum of "
+                              f"prior * likelihood, {least!r}")
     graph = CausalGraph(graph_priors, edges, nodes=[*graph_priors, observation])
     return graph, math.log2(1.0 / evidence)

@@ -154,7 +154,6 @@ def _make_parser() -> _Parser:
     track.add_argument("--capacity", type=int, default=None)
     track.add_argument("--config", default=None, help="JSON config merged under flags")
     track.add_argument("--snapshot-out", default=None)
-    track.add_argument("--snapshot-in", default=None)
     track.add_argument("--stability-m", type=int, default=None)
     track.add_argument("--stability-delta", type=float, default=None)
 

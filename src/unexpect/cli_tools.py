@@ -52,12 +52,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     try:
         explanation = graph.explain(args.target, c_d)
-        posterior = 2.0 ** -explanation.u_raw
     except UnexpectError as exc:
         raise _fail_data(str(exc)) from None
-    except OverflowError:  # u_raw below -1024 bits
-        raise _fail_data(f"--cd {c_d}: the posterior 2 ** -u_raw overflows at "
-                         f"u_raw = {explanation.u_raw} bits") from None
+    cost = explanation.generation_cost
+    # The chain itself describes the target in `cost` bits; a Bayes model
+    # is checked by from_probabilities.
+    if args.graph is not None and c_d > cost:
+        raise _fail_data(f"--cd {c_d} is above {cost} bits, the cost of the "
+                         f"cheapest chain to {args.target!r}: u_raw = "
+                         f"{explanation.u_raw} < 0")
     result = {
         "target": explanation.target,
         "best_cause": explanation.best_cause,
@@ -66,7 +69,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         "c_d_bits": explanation.c_d,
         "u_raw_bits": explanation.u_raw,
         "u_clamped_bits": explanation.u_clamped,
-        "posterior": posterior,
+        # u_clamped: rounding in a Bayes model may leave u_raw just below 0.
+        "posterior": 2.0 ** -explanation.u_clamped,
     }
     with _open_output(args.output, "--output") as out:
         out.write(json.dumps(result) + "\n")

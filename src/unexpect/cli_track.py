@@ -13,7 +13,7 @@ from typing import IO, Optional
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
 from .core import UnexpectError, ValidationError
 from .engine import Engine, EngineConfig
-from .estimators import EPSILON_AUTO, EPSILON_OFF, is_stable
+from .estimators import EPSILON_AUTO, EPSILON_OFF
 from .memory import read_events
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl
 
@@ -65,12 +65,6 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         raise _fail_flag(f"{flag} must be {rng}, got {merged[exc.field]!r}") from None
 
 
-def _explicit_config_flags(args: argparse.Namespace) -> list[str]:
-    keys = {**_FLAG_RANGES, "config": ("--config", None)}
-    return [flag for key, (flag, _) in keys.items()
-            if getattr(args, key, None) is not None]
-
-
 def _run_engine_over(
     engine: Engine,
     lines: IO[str],
@@ -106,9 +100,10 @@ def _run_engine_over(
         raise _fail_data(str(exc)) from None
     if stability is not None:
         window, delta = stability
+        # Each history holds at most the last `window` rates.
         unstable = sorted(
             sym for sym, hist in histories.items()
-            if len(hist) >= window and not is_stable(list(hist), window, delta)
+            if len(hist) == window and max(hist) - min(hist) > delta
         )
         print(
             f"ltm stability over last {window} updates (delta={delta}): "
@@ -141,18 +136,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
                 f"--stability-delta must be finite and >= 0, got {args.stability_delta}"
             )
         stability = (args.stability_m, args.stability_delta)
-
-    if args.snapshot_in is not None:
-        engine = _load_snapshot(args.snapshot_in)
-        conflicting = _explicit_config_flags(args)
-        if conflicting:
-            raise _fail_flag(
-                f"{', '.join(conflicting)}: configuration is baked into the "
-                "snapshot; use plain `track --snapshot-in` or `replay`"
-            )
-    else:
-        engine = Engine(_build_config(args))
-    return _score(engine, args, stability)
+    return _score(Engine(_build_config(args)), args, stability)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

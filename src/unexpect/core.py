@@ -53,10 +53,6 @@ class NonMonotonicTimeError(UnexpectError):
     code = "non-monotonic-time"
 
 
-class InsufficientHistoryError(UnexpectError):
-    code = "insufficient-history"
-
-
 class UnknownNodeError(UnexpectError):
     code = "unknown-node"
 
@@ -228,12 +224,6 @@ class DiscreteDistribution(_Value):
     def __len__(self) -> int:
         return len(self.support)
 
-    def probability(self, symbol: SymbolId) -> float:
-        try:
-            return self.mass[self.support.index(symbol)]
-        except ValueError:
-            raise SupportMismatchError(f"symbol {symbol!r} not in support") from None
-
     def as_dict(self) -> dict[SymbolId, float]:
         return dict(zip(self.support, self.mass))
 
@@ -267,12 +257,6 @@ class CodeLengthTable(_Value):
 
     def kraft_sum(self) -> float:
         return math.fsum(2.0 ** -bits for bits in self.length)
-
-    def bits(self, symbol: SymbolId) -> BitLength:
-        try:
-            return self.length[self.support.index(symbol)]
-        except ValueError:
-            raise SupportMismatchError(f"symbol {symbol!r} not in support") from None
 
     def to_json(self) -> str:
         return json.dumps({"symbols": list(self.support), "bits": list(self.length)})

@@ -234,7 +234,7 @@ class Engine:
         estimator = self.estimator
         events_seen = self.events_seen
         w = estimator.w(symbol)
-        # ltm_complexity(w, floor), without a call or a range check.
+        # c_ltm = log2(1 / max(w, floor)), and inf where both are 0.
         floor = self._fixed_floor
         if floor is None:  # resolve_epsilon("auto", ...), inline
             seen = events_seen + len(self._seen)
@@ -338,6 +338,10 @@ class Engine:
                 raise ValidationError(
                     "seen_off_stack must be empty for an unbounded stack")
             order = [*stack, *off_stack]
+            if len(order) > events_seen:  # each seen symbol came from an event
+                raise ValidationError(
+                    f"stack and seen_off_stack hold {len(order)} symbols, more "
+                    f"than events_seen ({events_seen})")
             engine._seen = set(order)
             estimator, detector = snapshot["estimator"], snapshot["detector"]
             if config.estimator == "iir":

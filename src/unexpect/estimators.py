@@ -6,9 +6,9 @@ Two low-pass filters over per-symbol match indicators:
 * IIR: w(x) <- (1 - alpha) * indicator + alpha * w(x), one pole
 
 Both approximate the occurrence probability P(x) on stationary streams
-(estimator consistency). The long-term description cost of a symbol is
-log2(1 / w(x)), optionally floored by a smoothing epsilon so that rare
-or unseen symbols stay finite.
+(estimator consistency). `Engine.step` takes log2(1 / w(x)) as a
+symbol's long-term cost, optionally floored by a smoothing epsilon so
+that rare or unseen symbols stay finite.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ import math
 from collections import Counter, deque
 from typing import Optional, Sequence, Union
 
-from .core import (
-    BitLength,
-    InsufficientHistoryError,
-    SymbolId,
-    ValidationError,
-    _require,
-    _symbols,
-)
+from .core import SymbolId, ValidationError, _require, _symbols
 from .memory import Observation
 
 # Sentinel config values for the smoothing floor.
@@ -32,33 +25,6 @@ EPSILON_AUTO = "auto"
 EPSILON_OFF = "off"
 
 EpsilonSpec = Union[float, str]
-
-
-def ltm_complexity(w: float, epsilon: float = 0.0) -> BitLength:
-    """Retrieval cost log2(1 / max(w, epsilon)) from an occurrence rate.
-
-    epsilon = 0 disables smoothing, so w = 0 costs infinity.
-    """
-    if not 0.0 <= w <= 1.0:
-        raise ValidationError(f"rate must be in [0, 1], got {w}")
-    if epsilon < 0.0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-    floored = max(w, epsilon)
-    if floored == 0.0:
-        return math.inf
-    return math.log2(1.0 / floored)
-
-
-def is_stable(history: Sequence[float], window: int, delta: float) -> bool:
-    """True iff the last `window` values span a range of at most delta."""
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
-    if len(history) < window:
-        raise InsufficientHistoryError(
-            f"need {window} values, have {len(history)}"
-        )
-    tail = history[-window:]
-    return max(tail) - min(tail) <= delta
 
 
 def resolve_epsilon(spec: EpsilonSpec, events_seen: int, alphabet_size: int) -> float:

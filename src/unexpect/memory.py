@@ -8,7 +8,6 @@ costs 0 bits the second time, and a symbol never seen costs infinity.
 from __future__ import annotations
 
 import json
-import math
 import re
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
@@ -32,15 +31,6 @@ class Observation(_Value):
 # line, and two direct calls cost less than _fill's loop.
 _set_t = Observation.t.__set__
 _set_symbol = Observation.symbol.__set__
-
-
-def stm_complexity(pre_position: Optional[int]) -> float:
-    """log2 of the pre-move position; None (never seen) costs infinity."""
-    if pre_position is None:
-        return math.inf
-    if pre_position < 1:
-        raise ValidationError(f"position must be >= 1, got {pre_position}")
-    return math.log2(pre_position)
 
 
 class StmStack:

@@ -45,8 +45,8 @@ EpsilonSpec = Union[float, str]
 
 
 def _ltm_bits(w: float, epsilon: float) -> BitLength:
-    """ltm_complexity without the range checks, for a rate and a floor
-    the engine computed itself."""
+    """log2(1 / max(w, epsilon)), without range checks, for a rate and a
+    floor the engine computed itself."""
     floored = epsilon if epsilon > w else w  # max(w, epsilon) without a call
     if floored == 0.0:
         return math.inf
@@ -273,8 +273,8 @@ def build_estimator(config: EngineConfig) -> Estimator:
 
 
 def _stm_bits(pre_position: Optional[int]) -> float:
-    """stm_complexity without the range check, for a position the stack
-    itself returned."""
+    """log2 of the pre-move position (None costs infinity), without a
+    range check, for a position the stack itself returned."""
     if pre_position is None:
         return math.inf
     return math.log2(pre_position)

@@ -238,6 +238,8 @@ class TestFromProbabilities:
             from_probabilities({"M": 0.8, "N": 0.7}, {"M": 1.0, "N": 1.0}, 0.5)
         with pytest.raises(ValidationError):
             from_probabilities({"M": 0.5}, {"M": 0.5, "ghost": 0.1}, 0.5)
+        with pytest.raises(ValidationError, match="below the sum"):
+            from_probabilities({"M": 0.5}, {"M": 0.5}, 0.25 * (1 - 1e-8))
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())

@@ -241,6 +241,21 @@ class TestTrack:
         assert "all stable" in err
         assert "stable" not in out
 
+    def test_stability_lists_what_still_moves(self, tmp_path, capsys):
+        # alpha 0.5: A's last three rates are 0.875, 0.9375 and 0.96875; C
+        # moved as much early on but not over its last three; B has fewer
+        # than three updates.
+        events = write(tmp_path / "e.jsonl",
+                       "\n".join(["B", *"AAAAA", *"C" * 40]) + "\n")
+        code, _, err = run_cli(
+            capsys,
+            ["track", "--alpha", "0.5", "--input", events, "--output", os.devnull,
+             "--stability-m", "3", "--stability-delta", "0.01"],
+        )
+        assert code == 0
+        assert err == ("ltm stability over last 3 updates (delta=0.01): "
+                       "unstable symbols: A\n")
+
     @pytest.mark.parametrize("delta", ["-1", "nan", "inf"])
     def test_stability_delta_must_be_finite(self, capsys, delta):
         code, _, err = run_cli(
@@ -347,17 +362,26 @@ class TestSnapshotReplay:
                 == full_out.read_text())
 
     def test_track_snapshot_in_rejects_config_flags(self, tmp_path, capsys):
+        # replay is the one way to resume, and it takes no config flags:
+        # the configuration is the snapshot's.
         full, head, _ = self.make_stream(tmp_path)
         snap = tmp_path / "snap.json"
         run_cli(capsys, ["track", "--input", head, "--snapshot-out", str(snap),
                          "--output", os.devnull])
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys,
             ["track", "--snapshot-in", str(snap), "--estimator", "fir",
              "--input", full],
         )
-        assert code == 1
-        assert "--estimator" in err and "snapshot" in err
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --snapshot-in" in err
+        code, out, err = run_cli(
+            capsys,
+            ["replay", "--snapshot", str(snap), "--estimator", "fir",
+             "--input", full],
+        )
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --estimator fir" in err
 
     def test_replay_rejects_stale_events(self, tmp_path, capsys):
         full, head, _ = self.make_stream(tmp_path)
@@ -382,6 +406,10 @@ class TestSnapshotReplay:
          "seen_off_stack must be empty for an unbounded stack"),
         ("stack", [None], "stack holds a non-string symbol None"),
         ("stack", "A", "stack must be a list, got 'A'"),
+        # Each seen symbol came from an event: with no event scored, a
+        # stack of B and A scored the next A as a hit at depth 2.
+        ("events_seen", 1, "stack and seen_off_stack hold 2 symbols, more "
+         "than events_seen (1)"),
         # After events, a null last_t would let the next one skip the time
         # check.
         ("last_t", None, "last_t must be a nonnegative integer, got None"),
@@ -712,18 +740,28 @@ class TestExplain:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("c_d, u_raw", [("5000", -4998.0), ("1026", -1024.0)])
+    @pytest.mark.parametrize("c_d, u_raw", [("5000", -4998.0), ("1026", -1024.0),
+                                            ("10", -8.0), ("2.5", -0.5)])
     def test_posterior_past_the_float_range_exits_two(self, tmp_path, capsys,
                                                       c_d, u_raw):
-        # 2 ** -u_raw overflowed, and explain ended in a traceback (exit 1).
+        # A --cd above the chain's cost, u_raw < 0, printed a "posterior"
+        # 2 ** -u_raw above 1 (256 at --cd 10); past 1,024 bits it
+        # overflowed. The chain itself describes the target, so C_d <= C_w.
         graph = write(tmp_path / "g.json", json.dumps({
             "nodes": [{"id": "C", "prior_bits": 1.0}, {"id": "O"}],
             "edges": [{"from": "C", "to": "O", "bits": 1.0}]}))
         code, out, err = run_cli(
             capsys, ["explain", "--graph", graph, "--target", "O", "--cd", c_d])
         assert (code, out) == (2, "")
-        assert err == (f"error: --cd {float(c_d)}: the posterior 2 ** -u_raw "
-                       f"overflows at u_raw = {u_raw} bits\n")
+        assert err == (f"error: --cd {float(c_d)} is above 2.0 bits, the cost "
+                       f"of the cheapest chain to 'O': u_raw = {u_raw} < 0\n")
+
+    def test_cd_at_the_chain_cost_gives_posterior_one(self, tmp_path, capsys):
+        graph = write(tmp_path / "g.json", json.dumps(self.GRAPH))
+        code, out, _ = run_cli(
+            capsys, ["explain", "--graph", graph, "--target", "s", "--cd", "4.5"])
+        assert code == 0
+        assert json.loads(out)["posterior"] == 1.0
 
     def test_unknown_target_is_data_error(self, tmp_path, capsys):
         graph = write(tmp_path / "g.json", json.dumps(self.GRAPH))
@@ -781,6 +819,9 @@ class TestExplain:
          "prior of 'M' must be a number, got True"),
         ({"causes": {"M": {"prior": 0.01, "likelihood": "0.9"}}},
          "likelihood of 'M' must be a number, got '0.9'"),
+        # P(O) below P(M) P(O|M) printed a "posterior" of 25.
+        ({"evidence": 0.01, "causes": {"M": {"prior": 0.5, "likelihood": 0.5}}},
+         "evidence 0.01 is below the sum of prior * likelihood, 0.25"),
     ])
     def test_model_values_must_have_their_types(self, tmp_path, capsys, edit,
                                                 message):

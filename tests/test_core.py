@@ -10,7 +10,6 @@ from unexpect.core import (
     DiscreteDistribution,
     ImproperDistributionError,
     KraftViolationError,
-    SupportMismatchError,
     ValidationError,
     _require,
     _symbols,
@@ -103,12 +102,7 @@ class TestDiscreteDistribution:
 
     def test_allows_zero_mass(self):
         dist = DiscreteDistribution(("a", "b"), (1.0, 0.0))
-        assert dist.probability("b") == 0.0
-
-    def test_probability_of_unknown_symbol(self):
-        dist = DiscreteDistribution(("a",), (1.0,))
-        with pytest.raises(SupportMismatchError):
-            dist.probability("z")
+        assert dist.mass == (1.0, 0.0)
 
     def test_json_round_trip_preserves_order(self, tmp_path):
         # Read back as divergence --world reads what simulate --dist-out wrote.

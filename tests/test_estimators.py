@@ -4,17 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unexpect.core import (
-    InsufficientHistoryError,
-    ValidationError,
-)
-from unexpect.estimators import (
-    FirEstimator,
-    IirEstimator,
-    is_stable,
-    ltm_complexity,
-    resolve_epsilon,
-)
+from unexpect.core import ValidationError
+from unexpect.engine import Engine, EngineConfig
+from unexpect.estimators import FirEstimator, IirEstimator, resolve_epsilon
 from unexpect.memory import Observation
 
 symbols = st.sampled_from(["A", "B", "C"])
@@ -25,22 +17,30 @@ def feed(estimator, stream):
         estimator.update(Observation(t, sym))
 
 
+def last_c_ltm(stream, **config):
+    """The c_ltm of the last event of stream, from Engine.step: the one
+    place that turns a rate into a cost."""
+    engine = Engine(EngineConfig(**config))
+    for t, sym in enumerate(stream):
+        record = engine.step(Observation(t, sym))
+    return record.c_ltm
+
+
 class TestLtmComplexity:
+    """c_ltm = log2(1 / max(w, floor)), with w read before the update."""
+
     def test_certain_symbol_is_free(self):
-        assert ltm_complexity(1.0) == 0.0
+        # Window 2 over A, A: w(A) = 1 at the third A.
+        assert last_c_ltm("AAA", estimator="fir", window=2, epsilon="off") == 0.0
 
     def test_quarter(self):
-        assert ltm_complexity(0.25) == 2.0
+        assert last_c_ltm("ABCDA", estimator="fir", window=4, epsilon="off") == 2.0
 
     def test_floor_caps_unseen_cost(self):
-        assert ltm_complexity(0.0, epsilon=2.0 ** -20) == 20.0
+        assert last_c_ltm("AB", epsilon=2.0 ** -20) == 20.0
 
     def test_unsmoothed_zero_is_infinite(self):
-        assert ltm_complexity(0.0) == math.inf
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            ltm_complexity(1.2)
+        assert last_c_ltm("AB", epsilon="off") == math.inf
 
 
 class TestResolveEpsilon:
@@ -53,21 +53,6 @@ class TestResolveEpsilon:
 
     def test_explicit_float(self):
         assert resolve_epsilon(0.125, 100, 5) == 0.125
-
-
-class TestIsStable:
-    def test_constant_history(self):
-        assert is_stable([0.3] * 10, 10, 0.001)
-
-    def test_range_exceeds_delta(self):
-        assert not is_stable([0.1, 0.5], 2, 0.1)
-
-    def test_only_last_window_counts(self):
-        assert is_stable([9.0, 0.3, 0.3, 0.3], 3, 0.01)
-
-    def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistoryError):
-            is_stable([0.1], 2, 0.1)
 
 
 class TestFirEstimator:

@@ -7,32 +7,38 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unexpect.core import ValidationError
+from unexpect.engine import Engine
 from unexpect.memory import (
     Observation,
     StmStack,
     _decode_json_line,
     parse_event,
     read_events,
-    stm_complexity,
 )
 
 symbols = st.sampled_from(["A", "B", "C", "D", "E", "F"])
 
 
+def last_c_stm(stream):
+    """The c_stm of the last event of stream, from Engine.step: the one
+    place that turns a stack position into a cost."""
+    engine = Engine()
+    for t, sym in enumerate(stream):
+        record = engine.step(Observation(t, sym))
+    return record.c_stm
+
+
 class TestStmComplexity:
+    """c_stm = log2 of the position before the move to the top."""
+
     def test_top_is_free(self):
-        assert stm_complexity(1) == 0.0
+        assert last_c_stm("AA") == 0.0
 
     def test_position_eight(self):
-        assert stm_complexity(8) == 3.0
+        assert last_c_stm("ABCDEFGHA") == 3.0
 
     def test_unseen_is_infinite(self):
-        assert stm_complexity(None) == math.inf
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_rejects_nonpositive_positions(self, bad):
-        with pytest.raises(ValidationError):
-            stm_complexity(bad)
+        assert last_c_stm("A") == math.inf
 
 
 class TestStmStack:

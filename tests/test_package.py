@@ -1,7 +1,9 @@
 import argparse
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -73,7 +75,7 @@ class TestLazyPackage:
             (["divergence", "--from-trace", "--normalize-mind", "-i", trace,
               "-o", os.devnull],
              tools + ["unexpect.divergence", "unexpect.traceio"]),
-            (["explain", "--graph", str(graph), "--target", "s", "--cd", "4",
+            (["explain", "--graph", str(graph), "--target", "s", "--cd", "3",
               "-o", os.devnull], tools + ["unexpect.causal"]),
         ]
         for argv, expected in stages:
@@ -146,3 +148,45 @@ def package_env():
     src = os.path.dirname(os.path.dirname(unexpect.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+PACKAGE_DIR = os.path.dirname(unexpect.__file__)
+README = os.path.join(os.path.dirname(os.path.dirname(PACKAGE_DIR)), "README.md")
+
+
+class TestPublicApi:
+    def test_readme_documents_each_public_name(self):
+        """The README's "Public API" section has one bullet per name in
+        `__all__`, and none for a name outside it."""
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\* `([A-Za-z_]\w*)", section, re.MULTILINE)
+        missing = set(unexpect.__all__).difference(documented)
+        extra = set(documented).difference(unexpect.__all__)
+        assert (missing, extra) == (set(), set())
+        assert len(documented) == len(unexpect.__all__)  # one bullet each
+
+    @pytest.mark.parametrize("module", sorted(
+        name for name in os.listdir(PACKAGE_DIR) if name.endswith(".py")))
+    def test_module_uses_every_name_it_imports(self, module):
+        """A stdlib stand-in for pyflakes' F401: each imported name is read
+        somewhere in the module, unless its import line says `# noqa: F401`
+        (a re-export)."""
+        with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno]):
+                    continue
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {name: line for name, line in imported.items() if name not in used}
+        assert unused == {}
