@@ -117,8 +117,9 @@ class CausalGraph:
         """Minimal generation chain for target, scored against cost c_d."""
         if target not in self._nodes:
             raise UnknownNodeError(f"unknown node {target!r}")
-        if not math.isfinite(c_d):
-            raise ValidationError(f"description cost must be finite, got {c_d}")
+        if not 0.0 <= c_d < math.inf:  # also rejects NaN
+            raise ValidationError(
+                f"description cost must be finite and >= 0, got {c_d}")
         dist, pred = self._shortest()
         cost = dist.get(target, math.inf)
         if math.isinf(cost):

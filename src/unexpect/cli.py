@@ -113,19 +113,26 @@ def _open_input(path: Optional[str]) -> Iterator[IO[str]]:
         yield fh
 
 
-def _read_json_file(path: str, what: str) -> dict:
+def _read_json_file(path: str, what: str, build=None):
+    """The one way a command reads a file: one JSON object, returned as
+    `build(obj)` (or as is). Every fault exits 2 naming `what` and `path`;
+    a KeyError, TypeError, ValueError or OverflowError from `build` reads
+    as malformed, an UnexpectError as its own message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = _decode_json_line(fh.read())
+        if not isinstance(obj, dict):
+            raise ValidationError("expected a JSON object")
+        return obj if build is None else build(obj)
     except OSError as exc:
         raise _fail_data(f"cannot read {what} {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
-        raise _fail_data(f"{what} {path}: invalid JSON at line {exc.lineno}") from None
-    except ValidationError as exc:  # an integer int() refuses
-        raise _fail_data(f"{what} {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise _fail_data(f"{what} {path}: expected a JSON object")
-    return obj
+        problem = f"invalid JSON at line {exc.lineno}"
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        problem = f"malformed: {exc}"  # also a file that is not UTF-8
+    except UnexpectError as exc:
+        problem = str(exc)
+    raise _fail_data(f"{what} {path}: {problem}")
 
 
 # -- parser ------------------------------------------------------------

@@ -25,35 +25,30 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.graph is not None:
         if args.cd is None:
             raise _fail_flag("--cd is required with --graph")
-        obj = _read_json_file(args.graph, "graph file")
-        try:
-            graph = causal.CausalGraph.from_dict(obj)
-        except UnexpectError as exc:
-            raise _fail_data(f"graph file {args.graph}: {exc}") from None
+        if not 0.0 <= args.cd < math.inf:  # also rejects NaN
+            raise _fail_flag(f"--cd must be finite and >= 0, got {args.cd}")
+        graph = _read_json_file(args.graph, "graph file", causal.CausalGraph.from_dict)
         c_d = args.cd
     else:
-        obj = _read_json_file(args.bayes, "model file")
-        try:
+        if args.cd is not None:
+            raise _fail_flag("--cd cannot be combined with --bayes")
+
+        def model(obj):
             priors, likelihoods = {}, {}
             for k, v in _require("causes", obj["causes"], dict, "an object").items():
                 priors[k] = _require(f"prior of {k!r}", v["prior"], (int, float),
                                      "a number")
                 likelihoods[k] = _require(f"likelihood of {k!r}", v["likelihood"],
                                           (int, float), "a number")
-            graph, c_d = causal.from_probabilities(
+            return causal.from_probabilities(
                 priors, likelihoods,
                 _require("evidence", obj["evidence"], (int, float), "a number"),
                 _require("observation", obj.get("observation", args.target), str,
                          "a string"))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise _fail_data(f"model file {args.bayes}: malformed: {exc}") from None
-        except UnexpectError as exc:
-            raise _fail_data(f"model file {args.bayes}: {exc}") from None
 
-    try:
-        explanation = graph.explain(args.target, c_d)
-    except UnexpectError as exc:
-        raise _fail_data(str(exc)) from None
+        graph, c_d = _read_json_file(args.bayes, "model file", model)
+
+    explanation = graph.explain(args.target, c_d)
     cost = explanation.generation_cost
     # The chain itself describes the target in `cost` bits; a Bayes model
     # is checked by from_probabilities.
@@ -158,15 +153,9 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
             raise _fail_flag("--world and --mind are required (or use --from-trace)")
         world = _load_table(args.world, "world file", DiscreteDistribution, "mass")
         mind = _load_table(args.mind, "mind file", CodeLengthTable, "bits")
-        try:
-            pair = MachinePair(world, mind)
-        except UnexpectError as exc:
-            raise _fail_data(str(exc)) from None
+        pair = MachinePair(world, mind)
 
-    try:
-        report = divergences(pair, tau=args.tau, normalize_mind=args.normalize_mind)
-    except UnexpectError as exc:
-        raise _fail_data(str(exc)) from None
+    report = divergences(pair, tau=args.tau, normalize_mind=args.normalize_mind)
 
     with _open_output(args.output, "--output") as out:
         payload = report.to_dict()
@@ -197,35 +186,23 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def _load_table(path: str, what: str, cls, values: str):
-    """A {"symbols": [str, ...], values: [number, ...]} file as `cls`;
-    anything else exits 2 naming the file."""
-    obj = _read_json_file(path, what)
-    try:
+    """A {"symbols": [str, ...], values: [number, ...]} file as `cls`."""
+    def build(obj):
         symbols = obj["symbols"]
         # Not _symbols: these messages name the file's "symbols" key.
         if not isinstance(symbols, list):  # a string would read as its letters
-            raise _fail_data(f'{what} {path}: "symbols" must be a list of strings')
+            raise ValidationError('"symbols" must be a list of strings')
         for symbol in symbols:
             if not isinstance(symbol, str):
-                raise _fail_data(
-                    f'{what} {path}: "symbols" must be strings, got {symbol!r}')
+                raise ValidationError(f'"symbols" must be strings, got {symbol!r}')
         return cls(symbols, _numbers(f'"{values}"', obj[values]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _fail_data(f"{what} {path}: malformed: {exc}") from None
-    except UnexpectError as exc:
-        raise _fail_data(f"{what} {path}: {exc}") from None
+    return _read_json_file(path, what, build)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import simgen
 
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = simgen.SourceSpec.from_json(fh.read())
-    except OSError as exc:
-        raise _fail_data(f"cannot read spec {args.spec}: {exc.strerror}") from None
-    except UnexpectError as exc:
-        raise _fail_data(f"spec {args.spec}: {exc}") from None
+    spec = _read_json_file(args.spec, "spec", simgen.SourceSpec.from_dict)
     if args.dist_out is not None:
         try:
             dist = simgen.stationary_distribution(spec)

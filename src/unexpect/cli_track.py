@@ -81,23 +81,20 @@ def _run_engine_over(
         to_line = trace_to_jsonl
     step = engine.step
     histories: dict[str, deque] = {}
-    try:
-        for lineno, obs in read_events(lines):
-            try:
-                record = step(obs)
-            except UnexpectError as exc:
-                raise _fail_data(f"line {lineno}: {exc}") from None
-            if stability is not None:
-                histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
-                    engine.estimator.w(obs.symbol)
-                )
-            try:
-                write(to_line(record) + "\n")
-            except UnicodeEncodeError as exc:  # e.g. a lone surrogate in CSV
-                raise _fail_data(f"line {lineno}: cannot write symbol "
-                                 f"{obs.symbol!r}: {exc.reason}") from None
-    except ValidationError as exc:
-        raise _fail_data(str(exc)) from None
+    for lineno, obs in read_events(lines):
+        try:
+            record = step(obs)
+        except UnexpectError as exc:
+            raise _fail_data(f"line {lineno}: {exc}") from None
+        if stability is not None:
+            histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
+                engine.estimator.w(obs.symbol)
+            )
+        try:
+            write(to_line(record) + "\n")
+        except UnicodeEncodeError as exc:  # e.g. a lone surrogate in CSV
+            raise _fail_data(f"line {lineno}: cannot write symbol "
+                             f"{obs.symbol!r}: {exc.reason}") from None
     if stability is not None:
         window, delta = stability
         # Each history holds at most the last `window` rates.
@@ -110,18 +107,6 @@ def _run_engine_over(
             + (f"unstable symbols: {', '.join(unstable)}" if unstable else "all stable"),
             file=sys.stderr,
         )
-
-
-def _load_snapshot(path: str) -> Engine:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _fail_data(f"cannot read snapshot {path}: {exc.strerror}") from None
-    try:
-        return Engine.restore_json(text)
-    except UnexpectError as exc:
-        raise _fail_data(f"snapshot {path}: {exc}") from None
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
@@ -140,7 +125,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    return _score(_load_snapshot(args.snapshot), args)
+    return _score(_read_json_file(args.snapshot, "snapshot", Engine.restore), args)
 
 
 def _score(engine: Engine, args: argparse.Namespace,

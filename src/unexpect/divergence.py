@@ -17,6 +17,7 @@ point, so they double as a built-in self-test.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import Optional
 
@@ -199,7 +200,10 @@ def divergences(
     The mind table must be a complete code. Incomplete or Kraft-violating
     tables are rejected unless normalize_mind is set, in which case the
     table is renormalized first (which changes the measured values; the
-    flag makes that explicit).
+    flag makes that explicit). A positive world mass below 2^-1022 and a
+    mind length above 1022 bits (after any renormalization) are rejected:
+    within them 2^-L, p/d and d/p are normal floats, so both forms of each
+    divergence keep the precision the cross-check needs.
     """
     mind = pair.mind
     kraft = mind.kraft_sum()
@@ -214,6 +218,11 @@ def divergences(
         mind = normalized_mind(mind)
 
     world = pair.world
+    for sym, pi, bits in zip(world.support, world.mass, mind.length):
+        if 0.0 < pi < sys.float_info.min:
+            raise ValidationError(f"world mass of {sym!r} is {pi!r}, below 2**-1022")
+        if bits > 1022.0:
+            raise ValidationError(f"mind length of {sym!r} is {bits!r} bits, above 1022")
     n = len(world)
     support = world.support
     p = list(world.mass)

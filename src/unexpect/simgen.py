@@ -18,13 +18,11 @@ Kinds:
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from typing import Iterator, Optional
 
 from .core import (DiscreteDistribution, InvalidSpecError, SymbolId,
-                   ValidationError, _Value, _decode_json_line, _numbers,
-                   _require)
+                   ValidationError, _Value, _numbers, _require)
 from .memory import Observation
 
 _MASK64 = (1 << 64) - 1
@@ -142,8 +140,13 @@ class SourceSpec(_Value):
         elif self.kind == "zipf":
             if self.alphabet is None or self.alphabet < 1:
                 raise InvalidSpecError("zipf spec needs alphabet >= 1")
-            if self.exponent <= 0:
+            if not self.exponent > 0:  # also rejects NaN
                 raise InvalidSpecError(f"zipf exponent must be > 0, got {self.exponent}")
+            try:  # 1 / alphabet ** exponent is the smallest mass
+                float(self.alphabet) ** self.exponent
+            except OverflowError:
+                raise InvalidSpecError(f"zipf exponent must keep {self.alphabet} ** "
+                                       f"exponent a float, got {self.exponent}") from None
         else:
             raise InvalidSpecError(f"unknown kind {self.kind!r}")
 
@@ -218,16 +221,6 @@ class SourceSpec(_Value):
             raise InvalidSpecError(f"malformed spec: {exc}") from None
         except ValidationError as exc:  # e.g. "symbols" of "ab"
             raise InvalidSpecError(str(exc)) from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "SourceSpec":
-        try:
-            obj = _decode_json_line(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"invalid spec JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise InvalidSpecError("spec must be a JSON object")
-        return cls.from_dict(obj)
 
 
 def generate(spec: SourceSpec) -> Iterator[Observation]:

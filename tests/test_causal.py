@@ -173,8 +173,10 @@ class TestExplain:
 
     def test_rejects_infinite_description_cost(self):
         graph = CausalGraph({"s": 1.0})
-        with pytest.raises(ValidationError):
-            graph.explain("s", math.inf)
+        # A cost in bits is never negative either.
+        for c_d in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValidationError):
+                graph.explain("s", c_d)
 
     def test_negative_u_survives_raw(self):
         graph = CausalGraph({"s": 1.0})

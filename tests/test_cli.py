@@ -24,8 +24,8 @@ from unexpect.core import (
     ValidationError,
 )
 from unexpect.divergence import MachinePair
-from unexpect.engine import EngineConfig, TraceRecord, trace_to_jsonl
-from unexpect.memory import _decode_json_line
+from unexpect.engine import Engine, EngineConfig, TraceRecord, trace_to_jsonl
+from unexpect.memory import Observation, _decode_json_line
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -763,6 +763,23 @@ class TestExplain:
         assert code == 0
         assert json.loads(out)["posterior"] == 1.0
 
+    @pytest.mark.parametrize("source, cd, message", [
+        ("--graph", "-5", "--cd must be finite and >= 0, got -5.0"),
+        ("--graph", "nan", "--cd must be finite and >= 0, got nan"),
+        ("--graph", "inf", "--cd must be finite and >= 0, got inf"),
+        ("--bayes", "1", "--cd cannot be combined with --bayes"),
+    ], ids=["negative", "nan", "inf", "bayes"])
+    def test_cd_faults_name_the_flag(self, tmp_path, capsys, source, cd,
+                                     message):
+        # -5 printed "c_d_bits": -5.0 with exit 0; nan and inf exited 2
+        # without naming the flag; --bayes used the model's cost silently.
+        path = write(tmp_path / "f.json", json.dumps(
+            self.GRAPH if source == "--graph" else
+            {"evidence": 0.1, "causes": {"M": {"prior": 0.01, "likelihood": 0.9}}}))
+        code, out, err = run_cli(
+            capsys, ["explain", source, path, "--target", "s", "--cd", cd])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_unknown_target_is_data_error(self, tmp_path, capsys):
         graph = write(tmp_path / "g.json", json.dumps(self.GRAPH))
         code, _, err = run_cli(
@@ -878,6 +895,34 @@ class TestDivergenceCommand:
             ["divergence", "--world", world, "--mind", mind, "--normalize-mind"],
         )
         assert code == 0
+
+    @pytest.mark.parametrize("mass, bits", [
+        ([0.5, 0.5], [0, 1023]), ([0.5, 0.5], [0, 1030]),
+        ([0.5, 0.5], [0, 1075]), ([0.5, 0.5], [0, 1100]),
+        ([1.0, 5e-324], [1, 1]), ([0.5, 0.5], [0, 1022]),
+    ], ids=["1023-bits", "1030-bits", "1075-bits", "1100-bits", "mass-5e-324",
+            "1022-bits"])
+    def test_past_the_normal_floats_is_a_data_error(self, tmp_path, capsys,
+                                                     mass, bits):
+        # 1,030 bits failed the report's own KL cross-check, 1,075 bits
+        # ended in a ZeroDivisionError, and a mass of 5e-324 failed the
+        # cross-check; 2^-1022 is the least normal float.
+        world = write(tmp_path / "w.json",
+                      json.dumps({"symbols": ["a", "b"], "mass": mass}))
+        mind = write(tmp_path / "m.json",
+                     json.dumps({"symbols": ["a", "b"], "bits": bits}))
+        code, out, err = run_cli(
+            capsys, ["divergence", "--world", world, "--mind", mind])
+        if bits[1] == 1022:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["u"] == [1.0, -1021.0]
+        elif mass[1] < 1e-300:
+            assert (code, out) == (2, "")
+            assert err == "error: world mass of 'b' is 5e-324, below 2**-1022\n"
+        else:
+            assert (code, out) == (2, "")
+            assert err == (f"error: mind length of 'b' is {float(bits[1])} bits, "
+                           "above 1022\n")
 
     def test_from_trace_builds_pair(self, tmp_path, capsys):
         events = write(
@@ -1084,6 +1129,184 @@ def test_huge_integer_in_a_json_file_names_the_file(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err == (f"error: {what} {path}: an integer has more than "
                    f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def _snapshot_after(symbols):
+    engine = Engine(EngineConfig(warmup=0))
+    for t, symbol in enumerate(symbols):
+        engine.step(Observation(t, symbol))
+    return engine.snapshot()
+
+
+# Every file the CLI reads: what its messages call the file, the argv
+# that reads it (the file's path goes last; {events}, {tail}, {world}
+# and {mind} name helper files), and a valid file.
+FILE_KINDS = {
+    "config": ("config file", ["track", "--input", "{events}", "--output",
+                               os.devnull, "--config"],
+               {"alpha": 0.9, "warmup": 0, "estimator": "fir", "capacity": 2}),
+    "graph": ("graph file", ["explain", "--target", "O", "--cd", "1",
+                             "--output", os.devnull, "--graph"],
+              {"nodes": [{"id": "C", "prior_bits": 1.0}, {"id": "O"}],
+               "edges": [{"from": "C", "to": "O", "bits": 1.0}]}),
+    "model": ("model file", ["explain", "--target", "O", "--output",
+                             os.devnull, "--bayes"],
+              {"observation": "O", "evidence": 0.1,
+               "causes": {"M": {"prior": 0.01, "likelihood": 0.9}}}),
+    "world": ("world file", ["divergence", "--mind", "{mind}", "--output",
+                             os.devnull, "--world"],
+              {"symbols": ["a", "b"], "mass": [0.5, 0.5]}),
+    "mind": ("mind file", ["divergence", "--world", "{world}", "--output",
+                           os.devnull, "--mind"],
+             # b's 2^-60 is below the Kraft tolerance, so one value put in
+             # its place keeps the code complete.
+             {"symbols": ["a", "b"], "bits": [0.0, 60.0]}),
+    "snapshot": ("snapshot", ["replay", "--input", "{tail}", "--output",
+                              os.devnull, "--snapshot"],
+                 _snapshot_after("ABACAB")),
+    "spec": ("spec", ["simulate", "--out", os.devnull, "--spec"],
+             {"kind": "stationary", "length": 20, "seed": 1,
+              "symbols": ["a", "b"], "mass": [0.5, 0.5]}),
+}
+
+
+def file_argv(root, kind, path):
+    """The argv that reads `path` as a `kind` file, its helpers under root."""
+    helpers = {
+        "{events}": root / "events.jsonl", "{tail}": root / "tail.jsonl",
+        "{world}": root / "world.json", "{mind}": root / "mind.json",
+    }
+    for name, text in (("{events}", EVENTS), ("{tail}", '{"t": 10, "s": "C"}\n'),
+                       ("{world}", json.dumps(FILE_KINDS["world"][2])),
+                       ("{mind}", json.dumps(FILE_KINDS["mind"][2]))):
+        write(helpers[name], text)
+    argv = FILE_KINDS[kind][1]
+    return [str(helpers.get(arg, arg)) for arg in argv] + [str(path)]
+
+
+# Per kind: the key dropped from a valid file, and the message that
+# follows "<what> <path>: " (config has no required key: an unknown one
+# exits 1).
+MISSING_KEY = {
+    "graph": ("nodes", "malformed graph object: 'nodes'"),
+    "model": ("evidence", "malformed: 'evidence'"),
+    "world": ("mass", "malformed: 'mass'"),
+    "mind": ("bits", "malformed: 'bits'"),
+    "snapshot": ("stack", "stack is missing"),
+    "spec": ("length", "spec missing field: 'length'"),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "invalid-json", "array", "key"])
+@pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+def test_every_file_fault_names_its_file(tmp_path, capsys, kind, fault):
+    # All seven kinds go through one reader; each fault names the file.
+    what, _, valid = FILE_KINDS[kind]
+    path = tmp_path / "file.json"
+    if fault == "missing":
+        expected = 2, f"cannot read {what} {path}: No such file or directory"
+    elif fault == "invalid-json":
+        write(path, '{\n"a": 1,\n')
+        expected = 2, f"{what} {path}: invalid JSON at line 3"
+    elif fault == "array":
+        write(path, "[1, 2]")
+        expected = 2, f"{what} {path}: expected a JSON object"
+    elif kind == "config":
+        write(path, json.dumps({**valid, "bogus": 1}))
+        expected = 1, "--config: unknown key(s) ['bogus']"
+    else:
+        key, message = MISSING_KEY[kind]
+        write(path, json.dumps({k: v for k, v in valid.items() if k != key}))
+        expected = 2, f"{what} {path}: {message}"
+    code, out, err = run_cli(capsys, file_argv(tmp_path, kind, path))
+    assert (code, out, err) == (expected[0], "", f"error: {expected[1]}\n")
+
+
+def test_every_valid_file_is_read(tmp_path, capsys):
+    for kind, (_, _, valid) in FILE_KINDS.items():
+        path = write(tmp_path / f"{kind}.json", json.dumps(valid))
+        assert run_cli(capsys, file_argv(tmp_path, kind, path))[0] == 0, kind
+
+
+# Values put in place of one value of a valid file: the types a reader
+# must reject, and numbers at the ends of the int and float ranges.
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.sampled_from([1e308, -1e308, 5e-324, 0.0, -1.0, 0.5, 1075, 1022.5,
+                     math.inf, math.nan]),
+    st.recursive(st.integers(-3, 3) | st.text(max_size=2),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# A spec's size fields stay small: a length of 10**12 is a valid request
+# that would run for hours.
+SMALL_INTS = st.integers(-2, 40)
+SPEC_SIZES = {"length": SMALL_INTS, "alphabet": SMALL_INTS,
+              "base_labels": SMALL_INTS,
+              "offset_values": st.lists(SMALL_INTS, max_size=4) | SMALL_INTS}
+FUZZ_SPECS = [
+    FILE_KINDS["spec"][2],
+    {"kind": "changepoint", "length": 30, "seed": 2, "symbols": ["a", "b"],
+     "mass": [0.9, 0.1], "mass_after": [0.1, 0.9], "t_star": 15},
+    {"kind": "bifurcation", "length": 20, "seed": 3, "base_labels": 3,
+     "offset_values": [0, 100], "offset_mass": [0.5, 0.5]},
+    {"kind": "zipf", "length": 20, "seed": 4, "alphabet": 5, "exponent": 1.0},
+]
+
+
+@st.composite
+def fuzzed_file(draw, kind):
+    """Any JSON value, or a valid `kind` file with one key dropped or one
+    value replaced."""
+    how = draw(st.sampled_from(["any", "drop", "replace"]))
+    if how == "any":
+        return draw(ANY_JSON)
+    valid = draw(st.sampled_from(FUZZ_SPECS if kind == "spec"
+                                 else [FILE_KINDS[kind][2]]))
+    obj = json.loads(json.dumps(valid))
+    paths = [(path, is_key) for path, is_key in json_paths(obj)
+             if is_key or how == "replace"]
+    path, is_key = draw(st.sampled_from(paths))
+    owner = obj
+    for key in path[:-1]:
+        owner = owner[key]
+    if how == "drop":
+        del owner[path[-1]]
+    elif kind == "spec" and path[0] in SPEC_SIZES:
+        owner[path[-1]] = draw(SPEC_SIZES[path[0]] if len(path) == 1
+                               else SMALL_INTS)
+    else:
+        owner[path[-1]] = draw(ODD_VALUES)
+    return obj
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+def test_odd_file_exits_zero_one_or_two(tmp_path, kind):
+    # Whatever a file holds, the CLI exits 0, 1 or 2 with no traceback,
+    # and an error says so on stderr alone.
+    path = tmp_path / "file.json"
+    argv = file_argv(tmp_path, kind, path)
+
+    @settings(max_examples=120, deadline=None)
+    @given(fuzzed_file(kind))
+    def check(obj):
+        write(path, json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), err.getvalue()
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+
+    check()
 
 
 def ref_pair_from_trace(lines, world):
@@ -1339,6 +1562,24 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: spec {path}: {field}")
+
+    @pytest.mark.parametrize("exponent, message", [
+        (700, "zipf exponent must keep 3 ** exponent a float, got 700"),
+        (1e308, "zipf exponent must keep 3 ** exponent a float, got 1e+308"),
+        (math.nan, "zipf exponent must be > 0, got nan"),
+        (646, None),
+    ], ids=["700", "1e308", "nan", "646"])
+    def test_zipf_exponent_past_the_float_range_is_a_data_error(
+            self, tmp_path, capsys, exponent, message):
+        # 3 ** 700 overflows a float, which ended in a traceback; 3 ** 646
+        # does not. NaN passed the spec and failed as a mass of NaN.
+        spec = write(tmp_path / "spec.json", json.dumps({
+            "kind": "zipf", "length": 3, "alphabet": 3, "exponent": exponent}))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", spec])
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"error: spec {spec}: {message}\n")
 
     def test_bad_spec_is_data_error(self, tmp_path, capsys):
         spec = write(tmp_path / "spec.json", json.dumps({"kind": "weird",
