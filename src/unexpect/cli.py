@@ -102,11 +102,17 @@ def _open_output(path: Optional[str], flag: str) -> Iterator[IO[str]]:
 
 @contextlib.contextmanager
 def _open_input(path: Optional[str]) -> Iterator[IO[str]]:
+    """The lines of the file at path, or of standard input, read as UTF-8
+    whatever the locale. A byte that is not UTF-8 reads as its surrogate
+    escape, which the line readers reject naming the line."""
     if path is None or path == "-":
+        reconfigure = getattr(sys.stdin, "reconfigure", None)
+        if reconfigure is not None:  # io.StringIO and the like hold text
+            reconfigure(encoding="utf-8", errors="surrogateescape")
         yield sys.stdin
         return
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise _fail_data(f"cannot read {path}: {exc.strerror}") from None
     with fh:

@@ -14,7 +14,8 @@ from typing import IO, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
 from .core import (CodeLengthTable, DiscreteDistribution, UnexpectError,
-                   ValidationError, _decode_json_line, _numbers, _require)
+                   ValidationError, _decode_json_line, _numbers, _require,
+                   _require_utf8)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -92,6 +93,7 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
             continue
         else:
             try:
+                _require_utf8(line)
                 obj = _decode_json_line(line)
                 symbol = obj["symbol"]
                 c_ltm = obj["c_ltm"]

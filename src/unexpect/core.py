@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from typing import Iterable, Optional
 
@@ -149,6 +150,20 @@ def _decode_json_line(line: str):
         raise ValidationError(
             f"an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+# What a decoder with errors="surrogateescape" makes of each byte that
+# is not UTF-8: the byte plus 0xDC00.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _require_utf8(line: str) -> None:
+    """Raise ValidationError naming the first byte of line that was not
+    UTF-8, if line was read with errors="surrogateescape"."""
+    found = _ESCAPED_BYTE.search(line)
+    if found is not None:
+        raise ValidationError(
+            f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8")
 
 
 class _Value:

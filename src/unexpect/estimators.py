@@ -88,6 +88,10 @@ class FirEstimator:
         return {"buffer": list(self._buffer)}
 
 
+# IirEstimator's kept symbol when w() has kept nothing: equal to no symbol.
+_NOTHING = object()
+
+
 class IirEstimator:
     """One-pole low-pass filter with decay alpha.
 
@@ -97,6 +101,11 @@ class IirEstimator:
     O(1) per event regardless of alphabet size, and is preserved
     exactly by snapshots so replay stays bit-identical. A restored
     estimator starts from the `step`, `w` and `w_step` of its `state_dict`.
+
+    Each symbol has one entry, [stored rate, step stored at]. `w()` keeps
+    the entry it read and the rate it computed, and the `update()` of the
+    same symbol that follows (as in `Engine.step`) writes both slots of
+    that entry in place, so an event costs one dict lookup.
     """
 
     def __init__(self, alpha: float, step: int = 0,
@@ -107,72 +116,85 @@ class IirEstimator:
         _require("step", step, int, "a nonnegative integer", lambda n: n >= 0)
         self.alpha = alpha
         self._step = step
-        self._w: dict[SymbolId, float] = (
-            {} if w is None else dict(_require("w", w, dict, "an object")))
-        for symbol, rate in self._w.items():
+        w = {} if w is None else _require("w", w, dict, "an object")
+        for symbol, rate in w.items():
             # Its own message, which names the symbol.
             if (isinstance(rate, bool) or not isinstance(rate, (int, float))
                     or not 0.0 <= rate <= 1.0):  # also rejects NaN
                 raise ValidationError(
                     f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
-        self._w_step: dict[SymbolId, int] = {} if w_step is None else dict(
-            _require("w_step", w_step, dict, "an object"))
-        if self._w_step.keys() != self._w.keys():
-            odd = sorted(self._w_step.keys() ^ self._w.keys())[0]
+        w_step = {} if w_step is None else _require("w_step", w_step, dict,
+                                                     "an object")
+        if w_step.keys() != w.keys():
+            odd = sorted(w_step.keys() ^ w.keys())[0]
             raise ValidationError(
                 f"w_step must hold the symbols of w, and only those; {odd!r} "
-                f"is in {'w_step' if odd in self._w_step else 'w'} only")
-        for symbol, when in self._w_step.items():
+                f"is in {'w_step' if odd in w_step else 'w'} only")
+        for symbol, when in w_step.items():
             # Its own message, which names the symbol and the bound.
             if type(when) is not int or not 0 <= when <= step:
                 raise ValidationError(
                     f"w_step must hold steps in [0, {step}], got {when!r} for {symbol!r}")
         # Each update adds 1 - alpha to the rates and scales them by alpha,
         # so no run can make the decayed rates sum to more than 1.
-        total = math.fsum(rate * alpha ** (step - self._w_step[symbol])
-                          for symbol, rate in self._w.items())
+        total = math.fsum(rate * alpha ** (step - w_step[symbol])
+                          for symbol, rate in w.items())
         if total > 1.0 + 1e-9:
             raise ValidationError(
                 f"w must hold rates that sum to at most 1 after decay, got {total!r}")
-        # (symbol, step, rate) of the last materialized w(); not state.
-        self._decayed: tuple = (None, -1, 0.0)
+        self._entries: dict[SymbolId, list] = {
+            symbol: [rate, w_step[symbol]] for symbol, rate in w.items()}
+        # The symbol of the last w(), its entry (None if it has none) and
+        # the rate w() returned; not state. update() and sweep() set the
+        # symbol to _NOTHING, so a kept rate never outlives its step.
+        self._kept_symbol = _NOTHING
+        self._kept_entry: Optional[list] = None
+        self._kept_rate = 0.0
 
     def w(self, symbol: SymbolId) -> float:
-        stored = self._w.get(symbol)
-        if stored is None:
+        entry = self._kept_entry = self._entries.get(symbol)
+        self._kept_symbol = symbol
+        if entry is None:
             rate = 0.0  # new symbols start at 0 before their update
         else:
-            rate = stored * self.alpha ** (self._step - self._w_step[symbol])
-        self._decayed = (symbol, self._step, rate)
+            rate = entry[0] * self.alpha ** (self._step - entry[1])
+        self._kept_rate = rate
         return rate
 
     def update(self, obs: Observation) -> None:
         sym = obs.symbol
-        step = self._step
-        # The engine asks w(sym) just before update(sym); reuse that rate
-        # while no update has moved the step since.
-        decayed_sym, decayed_step, current = self._decayed
-        if decayed_step != step or decayed_sym != sym:
-            current = self.w(sym)
+        if sym != self._kept_symbol:  # else the engine asked w(sym) just now
+            self.w(sym)
+        entry = self._kept_entry
+        self._kept_symbol = _NOTHING  # the step moves on
         alpha = self.alpha
-        self._w[sym] = (1.0 - alpha) + alpha * current
-        self._w_step[sym] = self._step = step + 1
+        self._step = step = self._step + 1
+        rate = (1.0 - alpha) + alpha * self._kept_rate
+        if entry is None:
+            self._entries[sym] = [rate, step]
+        else:
+            entry[0] = rate
+            entry[1] = step
 
     def sweep(self, floor: float) -> None:
         """Forget every symbol whose rate is under floor / 2; a forgotten
         symbol's rate restarts from 0. A floor of 0 keeps everything."""
+        self._kept_symbol = _NOTHING  # its entry may be one dropped here
         if floor <= 0.0:
             return
-        for sym in [s for s in self._w if self.w(s) < floor / 2.0]:
-            del self._w[sym]
-            del self._w_step[sym]
-        self._decayed = (None, -1, 0.0)  # may name a symbol just dropped
+        entries, alpha, step = self._entries, self.alpha, self._step
+        for sym in [s for s, (stored, stored_step) in entries.items()
+                    if stored * alpha ** (step - stored_step) < floor / 2.0]:
+            del entries[sym]
 
     def tracked_symbols(self) -> list[SymbolId]:
-        return list(self._w)
+        return list(self._entries)
 
     def state_dict(self) -> dict:
-        return {"step": self._step, "w": dict(self._w), "w_step": dict(self._w_step)}
+        entries = self._entries
+        return {"step": self._step,
+                "w": {symbol: entry[0] for symbol, entry in entries.items()},
+                "w_step": {symbol: entry[1] for symbol, entry in entries.items()}}
 
 
 Estimator = Union[FirEstimator, IirEstimator]

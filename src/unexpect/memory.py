@@ -12,7 +12,8 @@ import re
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
-from .core import SymbolId, ValidationError, _Value, _decode_json_line, _require
+from .core import (SymbolId, ValidationError, _Value, _decode_json_line, _require,
+                   _require_utf8)
 
 
 class Observation(_Value):
@@ -63,19 +64,9 @@ class StmStack:
     def __len__(self) -> int:
         return len(self._stamps)
 
-    def __contains__(self, symbol: SymbolId) -> bool:
-        return symbol in self._stamp_of
-
     def items(self) -> list[SymbolId]:
         """Stack contents, top first."""
         return self._symbols[::-1]
-
-    def position(self, symbol: SymbolId) -> Optional[int]:
-        """Current 1-based position, or None if absent. Does not move."""
-        stamp = self._stamp_of.get(symbol)
-        if stamp is None:
-            return None
-        return len(self._stamps) - bisect_left(self._stamps, stamp)
 
     def observe(self, symbol: SymbolId) -> Optional[int]:
         """Move symbol to the top; return its pre-move position (None if new).
@@ -135,14 +126,19 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
 
 # The line `simulate` writes. JSON decodes a line this matches to the
 # same t and s: it allows no leading zero and no raw control character,
-# and the string holds no escape. At most 19 digits, so int() always
-# converts t; any other line goes through _parse_stripped.
+# and the string holds no escape, JSON's or an undecodable byte's. At
+# most 19 digits, so int() always converts t; any other line goes
+# through _parse_stripped.
 _CANONICAL_EVENT = re.compile(
-    r'\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f]*)"\}\n?')
+    r'\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f\udc80-\udcff]*)"\}\n?')
 
 
 def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
-    """Yield (1-based line number, Observation) pairs; blank lines skipped."""
+    """Yield (1-based line number, Observation) pairs; blank lines skipped.
+
+    A line that holds a surrogate escape of a byte that is not UTF-8
+    (U+DC80-U+DCFF) is rejected, naming the byte.
+    """
     canonical = _CANONICAL_EVENT.fullmatch
     for i, line in enumerate(lines):
         match = canonical(line)
@@ -154,6 +150,8 @@ def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
         if not stripped:
             continue
         try:
+            if not stripped.isascii():
+                _require_utf8(stripped)
             yield i + 1, _parse_stripped(stripped, i)
         except ValidationError as exc:
             raise ValidationError(f"line {i + 1}: {exc}") from None

@@ -48,9 +48,6 @@ class SplitMix64:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def next_below(self, n: int) -> int:
-        return self.next_u64() % n
-
 
 class CategoricalSampler:
     """Inverse-CDF sampling from a discrete distribution."""

@@ -34,11 +34,12 @@ _JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
 # (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
 # matches to the same symbol and to float(group 2): the pattern allows
 # no leading zero, no exponent and no raw control character, and the
-# symbol holds no escape. At most 19 digits of t, so that a t int()
-# would refuse is left to JSON. Compiled by its reader, not at import.
+# symbol holds no escape, JSON's or an undecodable byte's. At most 19
+# digits of t, so that a t int() would refuse is left to JSON. Compiled
+# by its reader, not at import.
 _COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
 _JSONL_PATTERN = (
-    r'\{"t": (?:0|[1-9][0-9]{0,18}), "symbol": "([^"\\\x00-\x1f]*)", '
+    r'\{"t": (?:0|[1-9][0-9]{0,18}), "symbol": "([^"\\\x00-\x1f\udc80-\udcff]*)", '
     r'"c_stm": (?:null|' + _COST + r'), "c_ltm": (?:null|(' + _COST + r')), '
     r'"u_raw": (?:null|' + _COST + r'), "u_clamped": (?:null|' + _COST + r'), '
     r'"novelty": (?:true|false), "change_flag": (?:true|false)\}\n?')

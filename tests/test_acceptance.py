@@ -188,7 +188,7 @@ class TestC05BayesEquivalence:
         rng = SplitMix64(5150)
         worst = 0.0
         for _ in range(1000):
-            k = 1 + rng.next_below(16)
+            k = 1 + rng.next_u64() % 16
             raw = [-math.log(1.0 - rng.next_float()) + 1e-9
                    for _ in range(k + 1)]
             total = math.fsum(raw)
@@ -218,7 +218,7 @@ class TestC06MinPathOracle:
         rng = SplitMix64(606)
         checked = 0
         for _ in range(500):
-            obj = random_dag(rng.next_float, rng.next_below)
+            obj = random_dag(rng.next_float, lambda n: rng.next_u64() % n)
             graph = CausalGraph.from_dict(obj)
             for node in obj["nodes"]:
                 assert graph.generation_complexity(node["id"]) == \
@@ -239,7 +239,7 @@ class TestC07DivergenceIdentities:
         abs_pos = abs_neg = 0
         worst = 0.0
         for _ in range(1000):
-            n = 2 + rng.next_below(63)
+            n = 2 + rng.next_u64() % 63
             support = tuple(f"s{i}" for i in range(n))
 
             def draw_masses():
@@ -349,18 +349,18 @@ class TestC10DeterminismAndReplay:
         for run in range(10):
             if run % 2 == 0:
                 spec = SourceSpec(
-                    kind="stationary", length=2_000, seed=rng.next_below(10_000),
+                    kind="stationary", length=2_000, seed=rng.next_u64() % 10_000,
                     distribution=DiscreteDistribution(
                         ("A", "B", "C"), (0.6, 0.3, 0.1)),
                 )
             else:
                 spec = SourceSpec(
                     kind="changepoint", length=2_000,
-                    seed=rng.next_below(10_000), t_star=1_000,
+                    seed=rng.next_u64() % 10_000, t_star=1_000,
                     distribution=bern(0.8), distribution_after=bern(0.2),
                 )
             events = list(generate(spec))
-            split = rng.next_below(len(events) + 1)
+            split = rng.next_u64() % (len(events) + 1)
             config = EngineConfig(alpha=0.99)
 
             full_engine = Engine(config)

@@ -109,11 +109,11 @@ class TestGenerationComplexity:
 
         rng = SplitMix64(7)
         for _ in range(50):
-            obj = random_dag(rng.next_float, rng.next_below)
+            obj = random_dag(rng.next_float, lambda n: rng.next_u64() % n)
             graph = CausalGraph.from_dict(obj)
             ids = [n["id"] for n in obj["nodes"]]
-            src = ids[rng.next_below(len(ids))]
-            dst = ids[rng.next_below(len(ids))]
+            src = ids[rng.next_u64() % len(ids)]
+            dst = ids[rng.next_u64() % len(ids)]
             if src == dst:
                 continue
             before = {n: graph.generation_complexity(n) for n in ids}
@@ -200,7 +200,7 @@ class TestAgainstBruteForce:
 
         rng = SplitMix64(2024)
         for _ in range(500):
-            obj = random_dag(rng.next_float, rng.next_below)
+            obj = random_dag(rng.next_float, lambda n: rng.next_u64() % n)
             graph = CausalGraph.from_dict(obj)
             for node in obj["nodes"]:
                 expected = brute_force_cost(obj, node["id"])

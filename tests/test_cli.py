@@ -25,7 +25,7 @@ from unexpect.core import (
 )
 from unexpect.divergence import MachinePair
 from unexpect.engine import Engine, EngineConfig, TraceRecord, trace_to_jsonl
-from unexpect.memory import Observation, _decode_json_line
+from unexpect.memory import _CANONICAL_EVENT, Observation, _decode_json_line
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -41,6 +41,17 @@ def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def child_env(**settings):
+    """The environment of a CLI child process: it imports the same package
+    as this test, with or without PYTHONPATH set by the caller, and takes
+    its text encoding settings from `settings` alone."""
+    src = os.path.dirname(os.path.dirname(unexpect.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("LC_ALL", "PYTHONIOENCODING", "PYTHONUTF8")}
+    return {**env, "PYTHONPATH": path, **settings}
 
 
 EVENTS = "\n".join(f'{{"t": {t}, "s": "{s}"}}'
@@ -334,32 +345,58 @@ class TestOutputPaths:
 
 
 class TestSnapshotReplay:
-    def make_stream(self, tmp_path, n=40):
-        rows = [f'{{"t": {t}, "s": "{"AB"[t % 2]}"}}' for t in range(n)]
+    def make_stream(self, tmp_path, n=40, split=25, symbols=None):
+        symbols = symbols or ["AB"[t % 2] for t in range(n)]
+        rows = [f'{{"t": {t}, "s": "{s}"}}' for t, s in enumerate(symbols)]
         full = write(tmp_path / "full.jsonl", "\n".join(rows) + "\n")
-        head = write(tmp_path / "head.jsonl", "\n".join(rows[:25]) + "\n")
-        tail = write(tmp_path / "tail.jsonl", "\n".join(rows[25:]) + "\n")
+        head = write(tmp_path / "head.jsonl", "\n".join(rows[:split]) + "\n")
+        tail = write(tmp_path / "tail.jsonl", "\n".join(rows[split:]) + "\n")
         return full, head, tail
 
-    def test_snapshot_then_replay_matches_uninterrupted(self, tmp_path, capsys):
-        full, head, tail = self.make_stream(tmp_path)
-        args = ["--alpha", "0.9"]
-        full_out = tmp_path / "full_trace.jsonl"
-        run_cli(capsys, ["track", *args, "--input", full,
-                         "--output", str(full_out)])
-        snap = tmp_path / "snap.json"
-        head_out = tmp_path / "head_trace.jsonl"
-        run_cli(capsys, ["track", *args, "--input", head,
-                         "--output", str(head_out), "--snapshot-out", str(snap)])
-        tail_out = tmp_path / "tail_trace.jsonl"
-        code, _, _ = run_cli(
-            capsys,
-            ["replay", "--snapshot", str(snap), "--input", tail,
-             "--output", str(tail_out)],
-        )
-        assert code == 0
-        assert (head_out.read_text() + tail_out.read_text()
-                == full_out.read_text())
+    @pytest.mark.parametrize("kind", ["iir", "fir-capacity", "iir-prune"])
+    def test_snapshot_then_replay_matches_uninterrupted(self, tmp_path, capsys,
+                                                        kind):
+        # The split run's trace and final snapshot are the whole run's.
+        if kind == "iir-prune":
+            # The sweeps at events 1,024 and 2,048 fall one in each half,
+            # and each forgets the 100 symbols seen once 900-1,000 events
+            # before it.
+            cfg = write(tmp_path / "cfg.json",
+                        json.dumps({"alpha": 0.99, "prune": True}))
+            args = ["--config", cfg]
+            once = {t: f"x{t}" for t in [*range(24, 124), *range(1124, 1224)]}
+            symbols = [once.get(t, "AB"[t % 2]) for t in range(2100)]
+            full, head, tail = self.make_stream(tmp_path, split=1050,
+                                                symbols=symbols)
+        elif kind == "fir-capacity":
+            # A 3-symbol stack evicts in each half; G first comes in the tail.
+            args = ["--estimator", "fir", "--window", "8", "--capacity", "3"]
+            full, head, tail = self.make_stream(
+                tmp_path, symbols=list("ABACBDABEACB" * 2 + "FAFBGAFB" * 2))
+        else:
+            args = ["--alpha", "0.9"]
+            full, head, tail = self.make_stream(tmp_path)
+        parts = ("full", "head", "tail")
+        out = {part: tmp_path / f"{part}_trace.jsonl" for part in parts}
+        snap = {part: tmp_path / f"{part}.json" for part in parts}
+        for part, argv in [("full", ["track", *args, "--input", full]),
+                           ("head", ["track", *args, "--input", head]),
+                           ("tail", ["replay", "--snapshot", str(snap["head"]),
+                                     "--input", tail])]:
+            code, _, err = run_cli(capsys, [*argv, "--output", str(out[part]),
+                                            "--snapshot-out", str(snap[part])])
+            assert (code, err) == (0, "")
+        assert (out["head"].read_text() + out["tail"].read_text()
+                == out["full"].read_text())
+        state = {part: json.loads(path.read_text()) for part, path in snap.items()}
+        assert state["tail"] == state["full"]
+        if kind == "fir-capacity":
+            assert state["head"]["seen_off_stack"] == ["A", "D", "E"]
+            assert state["full"]["seen_off_stack"] == ["C", "D", "E", "G"]
+        elif kind == "iir-prune":
+            # A null rate is a symbol a sweep forgot.
+            assert state["head"]["estimator"]["w"].count(None) == 100
+            assert state["full"]["estimator"]["w"].count(None) == 200
 
     def test_track_snapshot_in_rejects_config_flags(self, tmp_path, capsys):
         # replay is the one way to resume, and it takes no config flags:
@@ -692,6 +729,74 @@ def test_one_edit_snapshot_replays_or_exits_two(real_snapshots):
             assert err.getvalue().startswith(f"error: snapshot {path}: ")
 
     check()
+
+
+# How standard input decodes before `_open_input` reconfigures it: with
+# surrogate escapes (UTF-8 mode), strictly (a UTF-8 locale), and with a
+# character for every byte (Latin-1).
+STDIN_ENCODINGS = {
+    "utf8-mode": {"PYTHONUTF8": "1"},
+    "utf8-locale": {"PYTHONUTF8": "0", "LC_ALL": "C.UTF-8"},
+    "latin-1": {"PYTHONUTF8": "0", "PYTHONIOENCODING": "latin-1"},
+}
+
+
+class TestInputNotUtf8:
+    """A byte that is not UTF-8 exits 2 naming its line, in a file or on
+    standard input, whatever the locale. Each case holds one such byte in
+    line 2: (arguments, input, the error line)."""
+
+    EVENTS = b'{"t": 0, "s": "a"}\n{"t": 1, "s": "b\xffc"}\n{"t": 2, "s": "a"}\n'
+    CASES = {
+        "track": (["track"], EVENTS, "line 2: byte 0xff is not UTF-8"),
+        "track-token": (["track"], b"a\n\xfe\n", "line 2: byte 0xfe is not UTF-8"),
+        "track-split": (["track"], b"a\n\xe2\x82\n",
+                        "line 2: byte 0xe2 is not UTF-8"),
+        "replay": (["replay", "--snapshot", "{snapshot}"], EVENTS,
+                   "line 2: byte 0xff is not UTF-8"),
+        "divergence": (["divergence", "--from-trace"],
+                       b'{"symbol": "a", "c_ltm": 1.0}\n'
+                       b'{"symbol": "\xff", "c_ltm": 1.0}\n',
+                       "line 2: not a trace record: byte 0xff is not UTF-8"),
+    }
+
+    def argv(self, tmp_path, capsys, case):
+        """The case's arguments, with the snapshot of an empty stream."""
+        snapshot = str(tmp_path / "empty.json")
+        assert run_cli(capsys, ["track", "--input", os.devnull,
+                                "--snapshot-out", snapshot])[0] == 0
+        argv, data, message = self.CASES[case]
+        return [a.format(snapshot=snapshot) for a in argv], data, message
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_file(self, tmp_path, capsys, case):
+        argv, data, message = self.argv(tmp_path, capsys, case)
+        (tmp_path / "input").write_bytes(data)
+        code, _, err = run_cli(capsys, [*argv, "--input", str(tmp_path / "input"),
+                                        "--output", os.devnull])
+        assert (code, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("encoding", sorted(STDIN_ENCODINGS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stdin(self, tmp_path, capsys, case, encoding):
+        argv, data, message = self.argv(tmp_path, capsys, case)
+        child = subprocess.run(
+            [sys.executable, "-m", "unexpect.cli", *argv, "--output", os.devnull],
+            input=data, capture_output=True,
+            env=child_env(**STDIN_ENCODINGS[encoding]))
+        assert (child.returncode, child.stderr) == (2, f"error: {message}\n".encode())
+
+    def test_lines_simulate_writes_keep_the_fast_path(self, tmp_path, capsys):
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"kind": "zipf", "length": 50, "seed": 1, "alphabet": 20}))
+        events = tmp_path / "events.jsonl"
+        assert run_cli(capsys, ["simulate", "--spec", spec,
+                                "--out", str(events)])[0] == 0
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 50
+        assert all(_CANONICAL_EVENT.fullmatch(line) for line in lines)
+        escaped = self.EVENTS.decode("utf-8", "surrogateescape").splitlines()
+        assert _CANONICAL_EVENT.fullmatch(escaped[1]) is None
 
 
 class TestExplain:
@@ -1311,13 +1416,18 @@ def test_odd_file_exits_zero_one_or_two(tmp_path, kind):
 
 def ref_pair_from_trace(lines, world):
     """The trace reader before its canonical-line fast path: every line
-    through the JSON decoder."""
+    through the JSON decoder; plus the later rule that a line holding the
+    surrogate escape of a byte that is not UTF-8 is rejected."""
     counts = Counter()
     last_c_ltm = {}
     total = 0
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
+        escapes = [c for c in line if "\udc80" <= c <= "\udcff"]
+        if escapes:
+            raise _fail_data(f"line {lineno}: not a trace record: byte "
+                             f"0x{ord(escapes[0]) - 0xdc00:02x} is not UTF-8")
         try:
             obj = _decode_json_line(line)
             symbol = obj["symbol"]
@@ -1450,11 +1560,71 @@ class TestTraceReaderMatchesReference:
               EDITED_LINE % ("3", '"é"', "1.000000") + "\n",
               EDITED_LINE % ("4", '"\ud800"', "1.000000") + "\n",
               EDITED_LINE % ("5", '"A"', "null") + "\n"], True, None)
+    @example([EDITED_LINE % ("1", '"\\udcff"', "1.000000") + "\n",
+              EDITED_LINE % ("2", '"a\udcffb"', "1.000000") + "\n"], True, None)
     def test_reader_matches_reference(self, lines, final_newline, world):
         if lines and not final_newline:
             lines[-1] = lines[-1].rstrip("\n")
         assert pair_outcome(_pair_from_trace, lines, world) == pair_outcome(
             ref_pair_from_trace, lines, world)
+
+
+@st.composite
+def odd_line(draw, valid):
+    """A line as bytes: one drawn from `valid`, one with bytes spliced
+    in, any text or any bytes."""
+    how = draw(st.sampled_from(["valid", "splice", "text", "bytes"]))
+    if how == "text":
+        return draw(st.text(max_size=8)).encode("utf-8")
+    if how == "bytes":
+        return draw(st.binary(max_size=8) | st.sampled_from(
+            [b"\xff", b"\xed\xa0\x80", b"\xe2\x82", b"\xef\xbb\xbfa", b"\x00", b"\r"]))
+    line = draw(valid).encode("utf-8", "surrogatepass")
+    if how == "splice":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.binary(min_size=1, max_size=3)) + line[at:]
+    return line
+
+
+event_lines = st.builds(lambda t, s: json.dumps({"t": t, "s": s}),
+                        st.integers(0, 4), st.text(max_size=3))
+ODD_INPUTS = {
+    "track": (["track"], odd_line(event_lines)),
+    "divergence": (["divergence", "--from-trace"],
+                   odd_line(trace_records.map(trace_to_jsonl))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ODD_INPUTS))
+def test_odd_lines_exit_zero_one_or_two(tmp_path, command):
+    # Whatever bytes the lines hold, the CLI exits 0, 1 or 2 with no
+    # traceback, and gives the same output from a file and from a
+    # standard input whose own encoding is not UTF-8.
+    argv, lines = ODD_INPUTS[command]
+    path = tmp_path / "input"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(lines, max_size=6), st.sampled_from([b"\n", b"\r\n"]))
+    def check(lines, newline):
+        data = newline.join(lines)
+        path.write_bytes(data)
+        outcomes = []
+        for args, stdin in [([*argv, "--input", str(path)], io.StringIO()),
+                            (argv, io.TextIOWrapper(io.BytesIO(data), "latin-1"))]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                old, sys.stdin = sys.stdin, stdin
+                try:
+                    code = main(args)
+                finally:
+                    sys.stdin = old
+            assert code in (0, 1, 2), err.getvalue()
+            if code:
+                assert err.getvalue().startswith("error: ")
+            outcomes.append((code, out.getvalue(), err.getvalue()))
+        assert outcomes[0] == outcomes[1]
+
+    check()
 
 
 class TestSimulate:
@@ -1617,11 +1787,7 @@ class TestPipeline:
             "kind": "stationary", "length": 5, "seed": 0,
             "symbols": ["q"], "mass": [1.0],
         }))
-        # The child imports the same package as this test, with or
-        # without PYTHONPATH set by the caller.
-        src = os.path.dirname(os.path.dirname(unexpect.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+        env = child_env()
         sim = subprocess.run(
             [sys.executable, "-m", "unexpect.cli", "simulate",
              "--spec", str(spec)],

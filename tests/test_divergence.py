@@ -43,7 +43,7 @@ def optimal_mind(world):
 
 
 def random_pair(rng, max_size=64):
-    n = 2 + rng.next_below(max_size - 1)
+    n = 2 + rng.next_u64() % (max_size - 1)
     support = tuple(f"s{i}" for i in range(n))
 
     def masses():

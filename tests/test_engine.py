@@ -138,12 +138,11 @@ class TestStep:
 
     def test_calibrated_case_gives_zero_u(self):
         # symbol at stack position 4 with w = 0.25: both costs are 2 bits
-        engine = Engine(small_config(epsilon="off"))
-        engine.estimator._w["D"] = 0.25
-        engine.estimator._w_step["D"] = 0
+        config = small_config(epsilon="off")
+        engine = Engine(config)
+        engine.estimator = IirEstimator(config.alpha, 0, {"D": 0.25}, {"D": 0})
         for t, sym in enumerate(["D", "C", "B", "A"]):
             engine.stack.observe(sym)
-        engine.estimator._step = 0
         record = engine.step(Observation(0, "D"))
         assert record.c_stm == 2.0
         assert record.c_ltm == 2.0
@@ -619,6 +618,23 @@ any_float = st.one_of(
 )
 
 
+# Calls on an IirEstimator: w and update of a symbol, a sweep with a
+# floor, or a round trip through state_dict.
+iir_calls = st.one_of(
+    st.tuples(st.sampled_from(["w", "update"]), st.sampled_from("ABC")),
+    st.tuples(st.just("sweep"), st.one_of(
+        st.sampled_from([0.0, 0.01, 0.1, 0.25, 0.5]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True))),
+    st.tuples(st.just("round trip"), st.none()),
+)
+
+
+def iir_state_bits(state: dict) -> tuple:
+    """The step, w and w_step of an IIR state_dict, rates as their bits."""
+    return (state["step"], {s: exact([rate]) for s, rate in state["w"].items()},
+            state["w_step"])
+
+
 class TestLeanPathMatchesReference:
     """The engine against the format-1 engine and the older per-event
     path: the same records to the bit, the same serialized lines, and
@@ -682,22 +698,45 @@ class TestLeanPathMatchesReference:
         assert "b" in engine.estimator.tracked_symbols()
         assert engine.snapshot_json() == as_v4(reference.snapshot())
 
-    @given(st.sampled_from([0.5, 0.9, 0.99]),
-           st.lists(st.tuples(st.booleans(), st.sampled_from("ABC")), max_size=40))
+    @settings(max_examples=300)
+    @given(st.sampled_from([0.5, 0.9, 0.99]), st.lists(iir_calls, max_size=50))
+    # The engine's order, then w of another symbol before the update.
+    @example(0.5, [("w", "A"), ("update", "A"), ("w", "A"), ("w", "B"),
+                   ("update", "A"), ("update", "B")])
+    # A sweep between w and update that drops the symbol w read.
+    @example(0.5, [("update", "A"), ("update", "B"), ("update", "B"),
+                   ("update", "B"), ("w", "A"), ("sweep", 0.25), ("update", "A")])
+    # A sweep that keeps it, and a round trip between w and update.
+    @example(0.9, [("update", "A"), ("w", "A"), ("sweep", 0.01), ("update", "A"),
+                   ("w", "A"), ("round trip", None), ("update", "A")])
     def test_iir_rate_reuse_under_any_call_order(self, alpha, calls):
         # The engine calls w(s) right before update(s); other callers
-        # may call them in any order, and update must not reuse a rate
-        # that no longer holds.
-        estimator, reference = IirEstimator(alpha), RefIirEstimator(alpha)
-        for t, (is_update, symbol) in enumerate(calls):
-            if is_update:
-                estimator.update(Observation(t, symbol))
-                reference.update(Observation(t, symbol))
+        # may call w, update and sweep in any order, and update must not
+        # reuse a rate that no longer holds. Against the format-1
+        # estimator, which keeps a (symbol, step, rate) tuple, and
+        # RefIirEstimator, which keeps nothing: the same rates and the
+        # same state, to the bit, after any interleaving of w, update,
+        # sweep and a state_dict round trip.
+        estimator = IirEstimator(alpha)
+        references = [v1.IirEstimator(alpha), RefIirEstimator(alpha)]
+        for t, (call, arg) in enumerate(calls):
+            if call == "w":
+                rate = exact([estimator.w(arg)])
+                assert [exact([ref.w(arg)]) for ref in references] == [rate] * 2
+            elif call == "update":
+                for est in [estimator, *references]:
+                    est.update(Observation(t, arg))
+            elif call == "sweep":
+                estimator.sweep(arg)
+                for ref in references:
+                    ref.epsilon_spec = arg  # the format-1 sweep's floor
+                    ref._sweep()
             else:
-                assert exact([estimator.w(symbol)]) == exact([reference.w(symbol)])
-        expected = reference.state_dict()
-        assert estimator.state_dict() == {
-            key: expected[key] for key in ("step", "w", "w_step")}
+                estimator = IirEstimator(alpha, **estimator.state_dict())
+                references = [type(ref).from_state_dict(ref.state_dict())
+                              for ref in references]
+            state = iir_state_bits(estimator.state_dict())
+            assert [iir_state_bits(ref.state_dict()) for ref in references] == [state] * 2
 
     @settings(max_examples=500)
     @given(st.tuples(st.integers(min_value=0, max_value=2 ** 80), awkward_symbols,
