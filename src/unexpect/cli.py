@@ -59,8 +59,11 @@ class _Parser(argparse.ArgumentParser):
 def _open_output(path: Optional[str], flag: str) -> Iterator[IO[str]]:
     """Stdout passthrough; in-place writes to an existing FIFO or device;
     atomic write-then-rename for regular files and new paths. A path that
-    cannot be opened or replaced exits 1 naming `flag`."""
+    cannot be opened or replaced exits 1 naming `flag`, as does a closed
+    standard output."""
     if path is None or path == "-":
+        if sys.stdout is None:  # started with fd 1 closed
+            raise _fail_flag(f"{flag}: cannot write standard output: it is closed")
         yield sys.stdout
         sys.stdout.flush()
         return
@@ -104,8 +107,11 @@ def _open_output(path: Optional[str], flag: str) -> Iterator[IO[str]]:
 def _open_input(path: Optional[str]) -> Iterator[IO[str]]:
     """The lines of the file at path, or of standard input, read as UTF-8
     whatever the locale. A byte that is not UTF-8 reads as its surrogate
-    escape, which the line readers reject naming the line."""
+    escape, which the line readers reject naming the line. A closed
+    standard input exits 2, as a missing file does."""
     if path is None or path == "-":
+        if sys.stdin is None:  # started with fd 0 closed
+            raise _fail_data("cannot read standard input: it is closed")
         reconfigure = getattr(sys.stdin, "reconfigure", None)
         if reconfigure is not None:  # io.StringIO and the like hold text
             reconfigure(encoding="utf-8", errors="surrogateescape")

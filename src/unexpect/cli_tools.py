@@ -213,8 +213,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with _open_output(args.dist_out, "--dist-out") as fh:
             fh.write(dist.to_json() + "\n")
     with _open_output(args.out, "--out") as out:
-        for obs in simgen.generate(spec):
-            # encode_basestring_ascii is what json.dumps does with a str.
-            out.write('{"t": %d, "s": %s}\n'
-                      % (obs.t, encode_basestring_ascii(obs.symbol)))
+        write = out.write
+        # encode_basestring_ascii is what json.dumps does with a str.
+        for t, symbol in enumerate(simgen._stream(spec)):
+            write('{"t": %d, "s": %s}\n' % (t, encode_basestring_ascii(symbol)))
     return 0

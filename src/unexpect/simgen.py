@@ -17,13 +17,16 @@ Kinds:
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Iterator, Optional
+from bisect import bisect_right
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .core import (DiscreteDistribution, InvalidSpecError, SymbolId,
                    ValidationError, _Value, _numbers, _require)
-from .memory import Observation
+
+if TYPE_CHECKING:
+    from .memory import Observation
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -62,9 +65,14 @@ class CategoricalSampler:
         cum[-1] = 1.0  # guard against float shortfall at the top
         self._cum = cum
 
-    def draw(self) -> SymbolId:
-        idx = bisect.bisect_right(self._cum, self._rng.next_float())
-        return self._symbols[min(idx, len(self._symbols) - 1)]
+    def draws(self, n: int) -> Iterator[SymbolId]:
+        """n draws, one rng float each, bound once for the whole loop."""
+        next_float = self._rng.next_float
+        cum, symbols = self._cum, self._symbols
+        last = len(symbols) - 1
+        for _ in range(n):
+            i = bisect_right(cum, next_float())
+            yield symbols[i if i < last else last]
 
 
 def zipf_distribution(alphabet: int, exponent: float = 1.0) -> DiscreteDistribution:
@@ -220,31 +228,34 @@ class SourceSpec(_Value):
             raise InvalidSpecError(str(exc)) from None
 
 
-def generate(spec: SourceSpec) -> Iterator[Observation]:
-    """Emit the spec's stream; deterministic given (spec, seed)."""
+def _stream(spec: SourceSpec) -> Iterator[SymbolId]:
+    """The spec's symbols in order, all drawn from one rng seeded once."""
     rng = SplitMix64(spec.seed)
     if spec.kind == "stationary":
-        sampler = CategoricalSampler(spec.distribution, rng)
-        for t in range(spec.length):
-            yield Observation(t, sampler.draw())
-    elif spec.kind == "changepoint":
+        return CategoricalSampler(spec.distribution, rng).draws(spec.length)
+    if spec.kind == "changepoint":
         before = CategoricalSampler(spec.distribution, rng)
         after = CategoricalSampler(spec.distribution_after, rng)
-        for t in range(spec.length):
-            yield Observation(t, (before if t < spec.t_star else after).draw())
-    elif spec.kind == "bifurcation":
+        return chain(before.draws(spec.t_star),
+                     after.draws(spec.length - spec.t_star))
+    if spec.kind == "bifurcation":
         offset_sampler = CategoricalSampler(spec._offset_distribution(), rng)
-        offset = int(offset_sampler.draw())  # drawn once per run
+        offset = int(next(offset_sampler.draws(1)))  # drawn once per run
         base = CategoricalSampler(spec._base_distribution(), rng)
-        for t in range(spec.length):
-            yield Observation(t, str(int(base.draw()) + offset))
-    elif spec.kind == "zipf":
+        return (str(int(label) + offset) for label in base.draws(spec.length))
+    if spec.kind == "zipf":
         dist = zipf_distribution(spec.alphabet, spec.exponent)
-        sampler = CategoricalSampler(dist, rng)
-        for t in range(spec.length):
-            yield Observation(t, sampler.draw())
-    else:  # unreachable after validation
-        raise InvalidSpecError(f"unknown kind {spec.kind!r}")
+        return CategoricalSampler(dist, rng).draws(spec.length)
+    # unreachable after validation
+    raise InvalidSpecError(f"unknown kind {spec.kind!r}")
+
+
+def generate(spec: SourceSpec) -> Iterator[Observation]:
+    """Emit the spec's stream; deterministic given (spec, seed)."""
+    from .memory import Observation
+
+    for t, symbol in enumerate(_stream(spec)):
+        yield Observation(t, symbol)
 
 
 def stationary_distribution(spec: SourceSpec) -> DiscreteDistribution:

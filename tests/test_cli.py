@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,7 +26,13 @@ from unexpect.core import (
 )
 from unexpect.divergence import MachinePair
 from unexpect.engine import Engine, EngineConfig, TraceRecord, trace_to_jsonl
-from unexpect.memory import _CANONICAL_EVENT, Observation, _decode_json_line
+from unexpect.memory import (
+    _CANONICAL_EVENT,
+    Observation,
+    _decode_json_line,
+    read_events,
+)
+from unexpect.simgen import SourceSpec, generate
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -787,16 +794,99 @@ class TestInputNotUtf8:
         assert (child.returncode, child.stderr) == (2, f"error: {message}\n".encode())
 
     def test_lines_simulate_writes_keep_the_fast_path(self, tmp_path, capsys):
-        spec = write(tmp_path / "spec.json", json.dumps(
-            {"kind": "zipf", "length": 50, "seed": 1, "alphabet": 20}))
-        events = tmp_path / "events.jsonl"
-        assert run_cli(capsys, ["simulate", "--spec", spec,
-                                "--out", str(events)])[0] == 0
-        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert len(lines) == 50
-        assert all(_CANONICAL_EVENT.fullmatch(line) for line in lines)
+        """simulate's lines match the canonical-event regex, except for a
+        non-ASCII symbol, which it writes as a \\uXXXX escape as
+        json.dumps does; those lines take the JSON path, and every line
+        reads back to the observation generate gives."""
+        ascii_spec = {"kind": "zipf", "length": 50, "seed": 1, "alphabet": 20}
+        wide_spec = {"kind": "stationary", "length": 200, "seed": 4,
+                     "symbols": ["a", "é", "字", "😀"], "mass": [0.25] * 4}
+        for spec in (ascii_spec, wide_spec):
+            path = write(tmp_path / "spec.json", json.dumps(spec))
+            events = tmp_path / "events.jsonl"
+            assert run_cli(capsys, ["simulate", "--spec", path,
+                                    "--out", str(events)])[0] == 0
+            text = events.read_text(encoding="utf-8")
+            assert text.isascii()
+            lines = text.splitlines(keepends=True)
+            expected = list(generate(SourceSpec.from_dict(spec)))
+            assert len(lines) == len(expected) == spec["length"]
+            for line, obs in zip(lines, expected):
+                assert (bool(_CANONICAL_EVENT.fullmatch(line))
+                        == obs.symbol.isascii())
+            assert [obs for _, obs in read_events(lines)] == expected
+        assert {obs.symbol for obs in expected} == set(wide_spec["symbols"])
         escaped = self.EVENTS.decode("utf-8", "surrogateescape").splitlines()
         assert _CANONICAL_EVENT.fullmatch(escaped[1]) is None
+
+
+class TestClosedStandardStreams:
+    """A closed standard input exits 2, as a missing --input file does; a
+    closed standard output exits 1 naming the flag that would write it, as
+    an unwritable path does."""
+
+    def snapshot(self, tmp_path, capsys):
+        """The snapshot of an empty stream."""
+        path = str(tmp_path / "empty.json")
+        assert run_cli(capsys, ["track", "--input", os.devnull,
+                                "--snapshot-out", path])[0] == 0
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["track"], ["replay", "--snapshot", "{snapshot}"],
+        ["divergence", "--from-trace"]], ids=lambda argv: argv[0])
+    def test_closed_stdin_is_a_data_error(self, tmp_path, capsys, monkeypatch,
+                                          argv):
+        snapshot = self.snapshot(tmp_path, capsys)
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run_cli(capsys, [a.format(snapshot=snapshot) for a in argv]
+                                 + ["--output", os.devnull])
+        assert (code, out, err) == (
+            2, "", "error: cannot read standard input: it is closed\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["track", "-i", os.devnull], "--output"),
+        (["replay", "--snapshot", "{snapshot}", "-i", os.devnull], "--output"),
+        (["track", "-i", os.devnull, "-o", os.devnull, "--snapshot-out", "-"],
+         "--snapshot-out"),
+        (["simulate", "--spec", "{spec}"], "--out"),
+        (["simulate", "--spec", "{spec}", "--out", os.devnull, "--dist-out", "-"],
+         "--dist-out"),
+        (["divergence", "--from-trace", "--normalize-mind", "-i", "{trace}"],
+         "--output"),
+        (["explain", "--graph", "{graph}", "--target", "s", "--cd", "1"],
+         "--output"),
+    ], ids=["track", "replay", "track-snapshot-out", "simulate",
+            "simulate-dist-out", "divergence", "explain"])
+    def test_closed_stdout_names_the_flag(self, tmp_path, capsys, monkeypatch,
+                                          argv, flag):
+        names = {
+            "snapshot": self.snapshot(tmp_path, capsys),
+            "spec": write(tmp_path / "spec.json", json.dumps(
+                {"kind": "zipf", "length": 5, "alphabet": 3})),
+            "graph": write(tmp_path / "graph.json", json.dumps(
+                {"nodes": [{"id": "c", "prior_bits": 1.0}, {"id": "s"}],
+                 "edges": [{"from": "c", "to": "s", "bits": 2.0}]})),
+            "trace": write(tmp_path / "trace.jsonl",
+                           '{"symbol": "a", "c_ltm": 1.0}\n'),
+        }
+        monkeypatch.setattr("sys.stdout", None)
+        code, out, err = run_cli(capsys, [a.format(**names) for a in argv])
+        assert (code, out, err) == (
+            1, "", f"error: {flag}: cannot write standard output: it is closed\n")
+
+    @pytest.mark.parametrize("redirect, argv, code, message", [
+        ("<&-", ["track", "-o", os.devnull], 2,
+         "cannot read standard input: it is closed"),
+        (">&-", ["track", "-i", os.devnull], 1,
+         "--output: cannot write standard output: it is closed"),
+    ], ids=["stdin", "stdout"])
+    def test_closed_descriptor_in_a_child(self, redirect, argv, code, message):
+        child = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh",
+             sys.executable, "-m", "unexpect.cli", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert (child.returncode, child.stderr) == (code, f"error: {message}\n")
 
 
 class TestExplain:
@@ -1628,6 +1718,35 @@ def test_odd_lines_exit_zero_one_or_two(tmp_path, command):
 
 
 class TestSimulate:
+    # The sha256 of simulate's output for one spec of each kind, as every
+    # version since SplitMix64 and inverse-CDF sampling has written it.
+    PINNED = {
+        "stationary": (
+            {"kind": "stationary", "length": 2000, "seed": 5,
+             "symbols": ["a", "b", "c"], "mass": [0.5, 0.3, 0.2]},
+            "dc29c093e85a61f5d7abc42682bea46dc47edcebdaf4bcb4bf273563dd9ff4c9"),
+        "changepoint": (
+            {"kind": "changepoint", "length": 3000, "seed": 1,
+             "symbols": ["a", "b", "c", "d"], "mass": [0.7, 0.2, 0.05, 0.05],
+             "mass_after": [0.05, 0.05, 0.2, 0.7], "t_star": 1500},
+            "1e503103a452bbcc81283550763f73d4f8b76433e0146c4e655d58bf1ecc5e52"),
+        "bifurcation": (
+            {"kind": "bifurcation", "length": 2000, "seed": 9, "base_labels": 10,
+             "offset_values": [0, 1000], "offset_mass": [0.5, 0.5]},
+            "2cfdec8b332fd4d236f20a7ee51ba9802d4d2b4e30b2a616851f5ac51e0d58af"),
+        "zipf": (
+            {"kind": "zipf", "length": 2000, "seed": 3, "alphabet": 1000},
+            "715a87d8b141eab79aa50f70ef4eb22a6803be22cf4f2129d2c1904a2273f195"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_each_kind_writes_its_pinned_stream(self, tmp_path, capsys, kind):
+        spec, digest = self.PINNED[kind]
+        path = write(tmp_path / "spec.json", json.dumps(spec))
+        code, out, err = run_cli(capsys, ["simulate", "--spec", path])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_deterministic_output(self, tmp_path, capsys):
         spec = write(tmp_path / "spec.json", json.dumps({
             "kind": "stationary", "length": 100, "seed": 12,

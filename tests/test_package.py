@@ -67,7 +67,7 @@ class TestLazyPackage:
         tools = base + ["unexpect.cli_tools"]
         stages = [
             (["simulate", "--spec", str(spec), "--out", events],
-             tools + ["unexpect.memory", "unexpect.simgen"]),
+             tools + ["unexpect.simgen"]),
             (["track", "-i", events, "-o", trace, "--snapshot-out", snap],
              scoring),
             (["replay", "--snapshot", snap, "-i", os.devnull, "-o", os.devnull],

@@ -1,12 +1,17 @@
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from unexpect.core import DiscreteDistribution, InvalidSpecError
 from unexpect.simgen import (
     SourceSpec,
     SplitMix64,
+    _stream,
     generate,
     stationary_distribution,
     zipf_distribution,
@@ -171,3 +176,95 @@ class TestSpecValidation:
         )
         with pytest.raises(InvalidSpecError):
             stationary_distribution(bif)
+
+
+def ref_generate(spec):
+    """The stream as (t, symbol) pairs, one sampler call per event: the
+    inverse CDF `bisect_right(cum, rng.next_float())`, clamped by
+    `min(idx, n - 1)`, with the top of `cum` set to 1.0."""
+    rng = SplitMix64(spec.seed)
+
+    def sampler(dist):
+        cum = list(accumulate(dist.mass))
+        cum[-1] = 1.0
+        return lambda: dist.support[min(bisect_right(cum, rng.next_float()),
+                                         len(cum) - 1)]
+
+    n = spec.length
+    if spec.kind == "changepoint":
+        before, after = sampler(spec.distribution), sampler(spec.distribution_after)
+        symbols = [(before if t < spec.t_star else after)() for t in range(n)]
+    elif spec.kind == "bifurcation":
+        offset = int(sampler(spec._offset_distribution())())
+        base = sampler(spec._base_distribution())
+        symbols = [str(int(base()) + offset) for _ in range(n)]
+    else:
+        draw = sampler(stationary_distribution(spec))
+        symbols = [draw() for _ in range(n)]
+    return list(enumerate(symbols))
+
+
+@st.composite
+def masses(draw, n):
+    """n masses summing to 1 within the tolerance: zeros allowed, and the
+    running sum may fall short of 1 at the top."""
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-12, 0.1, 0.3, 1.0, 7.0]),
+                            min_size=n, max_size=n).filter(any))
+    total = sum(weights)
+    short = draw(st.sampled_from([1.0, 1.0 - 5e-10]))
+    return tuple(w / total * short for w in weights)
+
+
+@st.composite
+def specs(draw):
+    kind = draw(st.sampled_from(["stationary", "changepoint", "bifurcation", "zipf"]))
+    length = draw(st.integers(0, 200))
+    seed = draw(st.integers(0, 2**64 - 1))
+    if kind == "zipf":
+        return SourceSpec(kind, length, seed, alphabet=draw(st.integers(1, 40)),
+                          exponent=draw(st.sampled_from([0.5, 1.0, 2.5])))
+    if kind == "bifurcation":
+        labels = draw(st.integers(1, 6))
+        values = draw(st.lists(st.integers(-50, 1000), min_size=1, max_size=4,
+                               unique=True))
+        return SourceSpec(
+            kind, length, seed, base_labels=labels,
+            base_mass=draw(st.none() | masses(labels)),
+            offset_values=tuple(values), offset_mass=draw(masses(len(values))))
+    n = draw(st.integers(1, 6))
+    symbols = tuple("abcdef"[:n])
+    if kind == "stationary":
+        return SourceSpec(kind, length, seed,
+                          distribution=DiscreteDistribution(symbols, draw(masses(n))))
+    return SourceSpec(
+        kind, length, seed, t_star=draw(st.integers(0, max(length - 1, 0))),
+        distribution=DiscreteDistribution(symbols, draw(masses(n))),
+        distribution_after=DiscreteDistribution(symbols, draw(masses(n))))
+
+
+ONE = DiscreteDistribution(("a",), (1.0,))
+SHORT = DiscreteDistribution(("a", "b", "c"), (0.1, 0.2, 0.7 - 5e-10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs())
+@example(SourceSpec("stationary", 0, 3, distribution=SHORT))
+@example(SourceSpec("stationary", 1, 3, distribution=ONE))
+@example(SourceSpec("changepoint", 0, 1, distribution=ONE, distribution_after=ONE,
+                    t_star=0))
+@example(SourceSpec("changepoint", 1, 1, distribution=SHORT, distribution_after=ONE,
+                    t_star=0))
+@example(SourceSpec("changepoint", 50, 2, distribution=ONE, distribution_after=SHORT,
+                    t_star=0))
+@example(SourceSpec("bifurcation", 1, 4, base_labels=1, offset_values=(7,),
+                    offset_mass=(1.0,)))
+@example(SourceSpec("bifurcation", 0, 4, base_labels=3, offset_values=(0, 9),
+                    offset_mass=(0.5, 0.5)))
+@example(SourceSpec("zipf", 1, 5, alphabet=1))
+@example(SourceSpec("zipf", 0, 5, alphabet=10))
+def test_stream_matches_one_draw_per_call(spec):
+    """The draw loop of `_stream`, and `generate` over it, give the stream
+    of a per-draw sampler, for every kind."""
+    expected = ref_generate(spec)
+    assert [(o.t, o.symbol) for o in generate(spec)] == expected
+    assert list(_stream(spec)) == [symbol for _, symbol in expected]
