@@ -9,8 +9,10 @@ import math
 import re
 import sys
 from collections import Counter
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import IO, Optional
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
 from .core import (CodeLengthTable, DiscreteDistribution, UnexpectError,
@@ -73,49 +75,66 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
+# Trace lines read, matched and tallied at a time by _pair_from_trace.
+_BLOCK_LINES = 1024
+
+
+def _pair_from_trace(lines: Iterable[str],
+                     world: Optional[DiscreteDistribution]):
     """World = empirical symbol frequencies, mind = last seen c_ltm."""
     from .traceio import _JSONL_PATTERN
 
     counts: Counter[str] = Counter()
-    last_c_ltm: dict[str, float] = {}
-    total = 0
-    # A line as trace_to_jsonl writes it is one match; any other takes
-    # the JSON path. Compiled here, so that no other command pays for it.
-    canonical = re.compile(_JSONL_PATTERN).fullmatch
-    for lineno, line in enumerate(lines, 1):
-        match = canonical(line)
-        if match is not None:
-            symbol, c_ltm = match.groups()
-            if c_ltm is not None:
-                c_ltm = float(c_ltm)
-        elif not line.strip():
+    # symbol -> its last c_ltm: a JSON number, or a canonical line's text
+    last_c_ltm: dict = {}
+    # Compiled here, so that no other command pays for it.
+    pattern = re.compile(_JSONL_PATTERN)
+    canonical, find_all = pattern.fullmatch, pattern.findall
+    lines = iter(lines)
+    lineno = 0
+    while block := list(islice(lines, _BLOCK_LINES)):
+        found = find_all("".join(block))
+        # Iterating a file gives each line at most one newline, at its
+        # end, and a match spans a whole line with its newline, so there
+        # are as many matches as lines only if every line is one as
+        # trace_to_jsonl writes it. Such a block is tallied in C.
+        if len(found) == len(block):
+            counts.update(map(itemgetter(0), found))
+            last_c_ltm.update(filter(itemgetter(1), found))
+            lineno += len(block)
             continue
-        else:
-            try:
-                _require_utf8(line)
-                obj = _decode_json_line(line)
-                symbol = obj["symbol"]
-                c_ltm = obj["c_ltm"]
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValidationError) as exc:
-                raise _fail_data(
-                    f"line {lineno}: not a trace record: {exc}") from None
-        # Inline, not _require: these two run on every trace line.
-        if not isinstance(symbol, str):
-            raise _fail_data(f'line {lineno}: "symbol" must be a string, got {symbol!r}')
-        if c_ltm is not None and (
-            isinstance(c_ltm, bool) or not isinstance(c_ltm, (int, float))
-            or not 0.0 <= c_ltm <= sys.float_info.max  # also rejects NaN
-        ):
-            raise _fail_data(
-                f'line {lineno}: "c_ltm" must be null or a finite number >= 0, '
-                f"got {c_ltm!r}"
-            )
-        counts[symbol] += 1
-        total += 1
-        if c_ltm is not None:
-            last_c_ltm[symbol] = float(c_ltm)
+        # Any other block goes a line at a time: a canonical line is one
+        # match, a blank line is skipped and any other takes the JSON path.
+        for lineno, line in enumerate(block, lineno + 1):
+            match = canonical(line)
+            if match is not None:
+                symbol, c_ltm = match.groups()
+            elif not line.strip():
+                continue
+            else:
+                try:
+                    _require_utf8(line)
+                    obj = _decode_json_line(line)
+                    symbol = obj["symbol"]
+                    c_ltm = obj["c_ltm"]
+                except (json.JSONDecodeError, KeyError, TypeError,
+                        ValidationError) as exc:
+                    raise _fail_data(
+                        f"line {lineno}: not a trace record: {exc}") from None
+                if not isinstance(symbol, str):
+                    raise _fail_data(
+                        f'line {lineno}: "symbol" must be a string, got {symbol!r}')
+                if c_ltm is not None and (
+                    isinstance(c_ltm, bool) or not isinstance(c_ltm, (int, float))
+                    or not 0.0 <= c_ltm <= sys.float_info.max  # also rejects NaN
+                ):
+                    raise _fail_data(
+                        f'line {lineno}: "c_ltm" must be null or a finite '
+                        f"number >= 0, got {c_ltm!r}")
+            counts[symbol] += 1
+            if c_ltm is not None:
+                last_c_ltm[symbol] = c_ltm
+    total = sum(counts.values())
     if not total:
         raise _fail_data("empty trace: nothing to report on")
     if world is None:
@@ -123,13 +142,18 @@ def _pair_from_trace(lines: IO[str], world: Optional[DiscreteDistribution]):
         world = DiscreteDistribution(
             support, tuple(counts[s] / total for s in support)
         )
+    else:
+        unknown = sorted(counts.keys() - world.support)
+        if unknown:
+            raise _fail_data(
+                f"trace symbol(s) not in the world's support: {unknown}")
     missing = [s for s in world.support if s not in last_c_ltm]
     if missing:
         raise _fail_data(
             f"trace carries no description cost for symbol(s): {missing}"
         )
     mind = CodeLengthTable(
-        world.support, tuple(last_c_ltm[s] for s in world.support)
+        world.support, tuple(float(last_c_ltm[s]) for s in world.support)
     )
     from .divergence import MachinePair
 

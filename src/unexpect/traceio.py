@@ -35,14 +35,20 @@ _JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
 # matches to the same symbol and to float(group 2): the pattern allows
 # no leading zero, no exponent and no raw control character, and the
 # symbol holds no escape, JSON's or an undecodable byte's. At most 19
-# digits of t, so that a t int() would refuse is left to JSON. Compiled
-# by its reader, not at import.
+# digits of t, so that a t int() would refuse is left to JSON. c_ltm is
+# a cost its reader accepts as is: no sign, and at most 308 integer
+# digits, so its float is finite (-0.000000 and longer costs are left to
+# JSON). A line starts at ^ and ends at its newline or the text's end
+# (multi-line mode), so one compiled pattern serves fullmatch on a line
+# and findall on a block of lines. Compiled by its reader, not at import.
 _COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
 _JSONL_PATTERN = (
-    r'\{"t": (?:0|[1-9][0-9]{0,18}), "symbol": "([^"\\\x00-\x1f\udc80-\udcff]*)", '
-    r'"c_stm": (?:null|' + _COST + r'), "c_ltm": (?:null|(' + _COST + r')), '
+    r'(?m)^\{"t": (?:0|[1-9][0-9]{0,18}), '
+    r'"symbol": "([^"\\\x00-\x1f\udc80-\udcff]*)", '
+    r'"c_stm": (?:null|' + _COST + r'), '
+    r'"c_ltm": (?:null|((?:0|[1-9][0-9]{0,307})\.[0-9]{6})), '
     r'"u_raw": (?:null|' + _COST + r'), "u_clamped": (?:null|' + _COST + r'), '
-    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}\n?')
+    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}(?:\n|\Z)')
 
 
 def trace_to_jsonl(record: tuple) -> str:

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 
 import unexpect
 from unexpect.cli import _Exit, _fail_data, main
-from unexpect.cli_tools import _pair_from_trace
+from unexpect.cli_tools import _BLOCK_LINES, _pair_from_trace
 from unexpect.core import (
     CodeLengthTable,
     DiscreteDistribution,
     UnexpectError,
     ValidationError,
 )
-from unexpect.divergence import MachinePair
-from unexpect.engine import Engine, EngineConfig, TraceRecord, trace_to_jsonl
+from unexpect.divergence import MachinePair, divergences
+from unexpect.engine import (Engine, EngineConfig, TraceRecord, run_stream,
+                             trace_to_jsonl)
 from unexpect.memory import (
     _CANONICAL_EVENT,
     Observation,
@@ -1139,6 +1140,22 @@ class TestDivergenceCommand:
         # empirical world is (0.75, 0.25) and the learned code is close
         assert abs(report["d_wrel"]) < 0.15
 
+    def test_from_trace_symbol_outside_the_world_is_data_error(
+            self, tmp_path, capsys, monkeypatch):
+        # Every symbol has a cost: the ones outside the world are named,
+        # sorted, before any cost is looked for.
+        world = write(tmp_path / "w.json",
+                      json.dumps({"symbols": ["a"], "mass": [1.0]}))
+        trace = "".join(
+            trace_to_jsonl(TraceRecord(t, s, 1.0, 1.0, 0.0, 0.0, False, False))
+            + "\n" for t, s in enumerate("adba"))
+        code, out, err = run_cli(
+            capsys, ["divergence", "--from-trace", "--world", world],
+            stdin_text=trace, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == ("error: trace symbol(s) not in the world's support: "
+                       "['b', 'd']\n")
+
     def test_from_trace_rejects_mind_flag(self, capsys):
         code, _, err = run_cli(
             capsys, ["divergence", "--from-trace", "--mind", "m.json"]
@@ -1506,8 +1523,9 @@ def test_odd_file_exits_zero_one_or_two(tmp_path, kind):
 
 def ref_pair_from_trace(lines, world):
     """The trace reader before its canonical-line fast path: every line
-    through the JSON decoder; plus the later rule that a line holding the
-    surrogate escape of a byte that is not UTF-8 is rejected."""
+    through the JSON decoder; plus the later rules that a line holding the
+    surrogate escape of a byte that is not UTF-8 is rejected, and that
+    every trace symbol must be in the support of a given world."""
     counts = Counter()
     last_c_ltm = {}
     total = 0
@@ -1546,6 +1564,9 @@ def ref_pair_from_trace(lines, world):
         world = DiscreteDistribution(
             support, tuple(counts[s] / total for s in support)
         )
+    unknown = sorted(s for s in counts if s not in world.support)
+    if unknown:
+        raise _fail_data(f"trace symbol(s) not in the world's support: {unknown}")
     missing = [s for s in world.support if s not in last_c_ltm]
     if missing:
         raise _fail_data(
@@ -1621,16 +1642,26 @@ def edited_lines(draw):
     return line + draw(st.sampled_from(["\n", "\n", "\r\n", "", " \n"]))
 
 
+trace_lines = st.lists(
+    st.one_of(trace_records.map(lambda r: trace_to_jsonl(r) + "\n"),
+              edited_lines(), st.sampled_from(["\n", " \n", ""])),
+    max_size=8)
+trace_worlds = st.sampled_from(
+    [None, DiscreteDistribution(("A", "B"), (0.5, 0.5))])
+# Canonical lines over the world's symbols, with null and finite costs,
+# to pad drawn lines out past one and two blocks.
+PAD_LINES = [
+    trace_to_jsonl(TraceRecord(t, "AB"[t % 2], 1.0, (t % 7) / 4 if t % 5 else None,
+                               0.0, 0.0, False, False)) + "\n"
+    for t in range(2 * _BLOCK_LINES + 8)]
+
+
 class TestTraceReaderMatchesReference:
     """_pair_from_trace against the JSON-only reader it replaced: the
     same pair, or the same exit code and message, on any trace."""
 
     @settings(deadline=None, max_examples=300)
-    @given(st.lists(st.one_of(trace_records.map(lambda r: trace_to_jsonl(r) + "\n"),
-                              edited_lines(), st.sampled_from(["\n", " \n", ""])),
-                    max_size=8),
-           st.booleans(),
-           st.sampled_from([None, DiscreteDistribution(("A", "B"), (0.5, 0.5))]))
+    @given(trace_lines, st.booleans(), trace_worlds)
     # At most one bad line in each, and last: the first bad line ends a run.
     @example([EDITED_LINE % ("-0", '"A"', "1.000000") + "\n",
               EDITED_LINE % ("01", '"A"', "1.000000") + "\n"], True, None)
@@ -1657,6 +1688,61 @@ class TestTraceReaderMatchesReference:
             lines[-1] = lines[-1].rstrip("\n")
         assert pair_outcome(_pair_from_trace, lines, world) == pair_outcome(
             ref_pair_from_trace, lines, world)
+
+    @settings(deadline=None, max_examples=60)
+    @given(trace_lines, st.integers(0, 8),
+           st.one_of(st.integers(_BLOCK_LINES - 3, _BLOCK_LINES + 1),
+                     st.integers(2 * _BLOCK_LINES - 3, 2 * _BLOCK_LINES + 8)),
+           st.booleans(), trace_worlds)
+    # A bad line as the first of the second block, and of the third.
+    @example([EDITED_LINE % ("1", '"A"', "-1.000000") + "\n"], 0, _BLOCK_LINES,
+             True, None)
+    @example(['{"symbol": "A", "c_ltm": "x"}\n'], 0, 2 * _BLOCK_LINES, True, None)
+    # Forms the regex leaves to JSON, as the last line of a full block.
+    @example([EDITED_LINE % ("1", '"A"', "-0.000000") + "\n"], 0, _BLOCK_LINES - 1,
+             True, None)
+    @example([EDITED_LINE % ("1", '"A"', "1" * 309 + ".000000") + "\n"], 0,
+             _BLOCK_LINES - 1, True, None)
+    @example([EDITED_LINE % ("1", '"A"', "9" * 309 + ".000000") + "\n"], 0,
+             _BLOCK_LINES - 1, True, None)
+    def test_blocks_match_reference(self, lines, at, pad, final_newline, world):
+        # The drawn lines sit before and after `pad` canonical lines, so
+        # that they straddle the ends of the reader's blocks.
+        lines = lines[:at] + PAD_LINES[:pad] + lines[at:]
+        if not final_newline:
+            lines[-1] = lines[-1].rstrip("\n")
+        assert pair_outcome(_pair_from_trace, lines, world) == pair_outcome(
+            ref_pair_from_trace, lines, world)
+
+
+@pytest.mark.parametrize("source", ["lf-file", "crlf-file", "lf-stdin",
+                                    "crlf-stdin"])
+def test_trace_past_two_blocks_reads_the_same_every_way(tmp_path, source):
+    # The report divergences() gives for the pair the trace holds, read
+    # from a file (its CRLF ends read as LF) or from standard input (its
+    # CRLF lines take the JSON path).
+    spec = SourceSpec.from_dict({"kind": "zipf", "length": 2 * _BLOCK_LINES + 300,
+                                 "alphabet": 40, "seed": 5})
+    records = list(run_stream(generate(spec), EngineConfig()))
+    counts = Counter(r.symbol for r in records)
+    last_c_ltm = {r.symbol: float("%.6f" % r.c_ltm) for r in records}
+    support = tuple(sorted(counts))
+    pair = MachinePair(
+        DiscreteDistribution(support, tuple(counts[s] / len(records)
+                                            for s in support)),
+        CodeLengthTable(support, tuple(last_c_ltm[s] for s in support)))
+    expected = json.dumps(divergences(pair, normalize_mind=True).to_dict()) + "\n"
+    newline = "\r\n" if source.startswith("crlf") else "\n"
+    data = "".join(trace_to_jsonl(r) + newline for r in records).encode()
+    argv = [sys.executable, "-m", "unexpect.cli", "divergence", "--from-trace",
+            "--normalize-mind"]
+    if source.endswith("file"):
+        (tmp_path / "trace.jsonl").write_bytes(data)
+        argv += ["--input", str(tmp_path / "trace.jsonl")]
+    child = subprocess.run(argv, input=data if source.endswith("stdin") else b"",
+                           capture_output=True, env=child_env(), timeout=60)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout.decode() == expected
 
 
 @st.composite
