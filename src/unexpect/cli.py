@@ -106,15 +106,17 @@ def _open_output(path: Optional[str], flag: str) -> Iterator[IO[str]]:
 @contextlib.contextmanager
 def _open_input(path: Optional[str]) -> Iterator[IO[str]]:
     """The lines of the file at path, or of standard input, read as UTF-8
-    whatever the locale. A byte that is not UTF-8 reads as its surrogate
-    escape, which the line readers reject naming the line. A closed
-    standard input exits 2, as a missing file does."""
+    whatever the locale and with universal newlines. A byte that is not
+    UTF-8 reads as its surrogate escape, which the line readers reject
+    naming the line. A closed standard input exits 2, as a missing file
+    does."""
     if path is None or path == "-":
         if sys.stdin is None:  # started with fd 0 closed
             raise _fail_data("cannot read standard input: it is closed")
         reconfigure = getattr(sys.stdin, "reconfigure", None)
         if reconfigure is not None:  # io.StringIO and the like hold text
-            reconfigure(encoding="utf-8", errors="surrogateescape")
+            # Universal newlines, as open() reads a file with.
+            reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
         yield sys.stdin
         return
     try:

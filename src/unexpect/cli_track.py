@@ -8,13 +8,14 @@ import contextlib
 import math
 import sys
 from collections import deque
+from itertools import count, islice
 from typing import IO, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
 from .core import UnexpectError, ValidationError
 from .engine import Engine, EngineConfig
 from .estimators import EPSILON_AUTO, EPSILON_OFF
-from .memory import read_events
+from .memory import _CANONICAL_EVENT, Observation, read_events
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl
 
 # EngineConfig field -> the flag that sets it and its range, for the
@@ -65,6 +66,26 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         raise _fail_flag(f"{flag} must be {rng}, got {merged[exc.field]!r}") from None
 
 
+# Event lines read, scored and written at a time by _run_engine_over.
+_BLOCK_LINES = 256
+
+
+def _write_lines(write, texts: list[str], numbered) -> None:
+    """Write the trace lines in one call. If a symbol cannot be encoded,
+    write them again one at a time, up to the line that names it;
+    `numbered` gives each text's (line number, Observation)."""
+    try:
+        write("\n".join(texts) + "\n")
+    except UnicodeEncodeError:  # e.g. a lone surrogate in CSV
+        for text, (lineno, obs) in zip(texts, numbered):
+            try:
+                write(text + "\n")
+            except UnicodeEncodeError as exc:
+                raise _fail_data(f"line {lineno}: cannot write symbol "
+                                 f"{obs.symbol!r}: {exc.reason}") from None
+        raise
+
+
 def _run_engine_over(
     engine: Engine,
     lines: IO[str],
@@ -72,7 +93,7 @@ def _run_engine_over(
     out: IO[str],
     stability: Optional[tuple[int, float]] = None,
 ) -> None:
-    """Read, score and write one event at a time."""
+    """Read, score and write the events a block of lines at a time."""
     write = out.write
     if emit == "csv":
         write(TRACE_CSV_HEADER + "\n")
@@ -81,20 +102,42 @@ def _run_engine_over(
         to_line = trace_to_jsonl
     step = engine.step
     histories: dict[str, deque] = {}
-    for lineno, obs in read_events(lines):
+    find_all = _CANONICAL_EVENT.findall
+    lines = iter(lines)
+    start = 0  # the 0-based index of the block's first line
+    while block := list(islice(lines, _BLOCK_LINES)):
+        found = find_all("".join(block))
+        # Iterating a file gives each line at most one newline, at its
+        # end, and a match spans a whole line with its newline, so there
+        # are as many matches as lines only if every line is one as
+        # `simulate` writes it. Any other block goes through read_events.
+        if len(found) == len(block):
+            events = [Observation(int(t), symbol) for t, symbol in found]
+
+            def numbered():
+                return zip(count(start + 1), events)
+        else:
+            def numbered():
+                return read_events(block, start)
+        texts: list[str] = []
+        add = texts.append
+        # The lines scored before a fault are written before it exits,
+        # as one line at a time would have.
         try:
-            record = step(obs)
-        except UnexpectError as exc:
-            raise _fail_data(f"line {lineno}: {exc}") from None
-        if stability is not None:
-            histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
-                engine.estimator.w(obs.symbol)
-            )
-        try:
-            write(to_line(record) + "\n")
-        except UnicodeEncodeError as exc:  # e.g. a lone surrogate in CSV
-            raise _fail_data(f"line {lineno}: cannot write symbol "
-                             f"{obs.symbol!r}: {exc.reason}") from None
+            for lineno, obs in numbered():
+                try:
+                    record = step(obs)
+                except UnexpectError as exc:
+                    raise _fail_data(f"line {lineno}: {exc}") from None
+                if stability is not None:
+                    histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
+                        engine.estimator.w(obs.symbol)
+                    )
+                add(to_line(record))
+        finally:
+            if texts:
+                _write_lines(write, texts, numbered())
+        start += len(block)
     if stability is not None:
         window, delta = stability
         # Each history holds at most the last `window` rates.

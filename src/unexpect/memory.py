@@ -128,19 +128,27 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
 # same t and s: it allows no leading zero and no raw control character,
 # and the string holds no escape, JSON's or an undecodable byte's. At
 # most 19 digits, so int() always converts t; any other line goes
-# through _parse_stripped.
+# through _parse_stripped. A line starts at ^ and ends at its newline or
+# the text's end (multi-line mode), so one compiled pattern serves
+# fullmatch on a line and findall on a block of lines.
 _CANONICAL_EVENT = re.compile(
-    r'\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f\udc80-\udcff]*)"\}\n?')
+    r'^\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f\udc80-\udcff]*)"\}(?:\n|\Z)',
+    re.M)
 
 
-def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
+def read_events(lines: Iterable[str],
+                start: int = 0) -> Iterator[tuple[int, Observation]]:
     """Yield (1-based line number, Observation) pairs; blank lines skipped.
+
+    `start` is the 0-based index of the first line, for lines that
+    continue a stream: a bare token's t and every line number count
+    from it.
 
     A line that holds a surrogate escape of a byte that is not UTF-8
     (U+DC80-U+DCFF) is rejected, naming the byte.
     """
     canonical = _CANONICAL_EVENT.fullmatch
-    for i, line in enumerate(lines):
+    for i, line in enumerate(lines, start):
         match = canonical(line)
         if match is not None:
             t, symbol = match.groups()

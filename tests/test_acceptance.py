@@ -182,6 +182,68 @@ class TestC04ChangeDetection:
         assert ok
 
 
+def first_flag(spec):
+    """The t of the first flagged event of the stream, or None."""
+    step = Engine(EngineConfig()).step
+    for obs in generate(spec):
+        if step(obs).change_flag:
+            return obs.t
+    return None
+
+
+FOUR = DiscreteDistribution(tuple("abcd"), (0.7, 0.2, 0.05, 0.05))
+# The stationary controls of C04 beyond its two-symbol one, and the
+# `shift4-iir` benchmark stream: (stream of a seed, length that may pass
+# without a flag, the count today's rule gives on seeds 1-10). The rule
+# fails each, so each is a strict xfail until the detector changes.
+C04_CONTROLS = {
+    "four-symbols": (
+        lambda seed: SourceSpec("stationary", 25_000, seed, distribution=FOUR),
+        25_000, "FA 10/10: first flags at t = 3,222-11,292"),
+    "skew-8": (
+        lambda seed: SourceSpec(
+            "stationary", 15_000, seed,
+            distribution=DiscreteDistribution(*TestC03ErgodicCalibration
+                                              .SCENARIOS["skew-8"])),
+        15_000, "FA 3/10: first flags at t = 6,712-13,749"),
+    "uniform-10": (
+        lambda seed: SourceSpec(
+            "stationary", 20_000, seed,
+            distribution=DiscreteDistribution(tuple("0123456789"), (0.1,) * 10)),
+        20_000, "FA 10/10: first flags at t = 3,039-3,092"),
+    "zipf-1k": (
+        lambda seed: SourceSpec("zipf", 20_000, seed, alphabet=1_000),
+        20_000, "FA 10/10: first flags at t = 3,028-3,049"),
+    "shift4": (
+        lambda seed: SourceSpec(
+            "changepoint", 25_000, seed, t_star=12_500, distribution=FOUR,
+            distribution_after=DiscreteDistribution(tuple("abcd"),
+                                                    (0.05, 0.05, 0.2, 0.7))),
+        12_500, "a flag before the change at t = 12,500 in 10/10: first "
+                "flags at t = 3,222-11,292"),
+}
+
+
+class TestC04Controls:
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason=f"today's rule (EWMA of u_clamped above theta = 1 bit): "
+                   f"{row[2]}"))
+        for name, row in C04_CONTROLS.items()])
+    def test_no_flag_before_a_change(self, name):
+        # Each run stops at its first flag.
+        stream, quiet, _ = C04_CONTROLS[name]
+        started = time.process_time()
+        firsts = [first_flag(stream(seed)) for seed in range(1, 11)]
+        early = sum(t is not None and t < quiet for t in firsts)
+        elapsed = time.process_time() - started
+        report(f"C04 control-{name}", early == 0,
+               f"{early}/10 seeds flag before t = {quiet}, "
+               f"cpu {elapsed:.1f}s")
+        assert early == 0
+
+
 class TestC05BayesEquivalence:
     def test_minimal_cost_cause_is_maximum_posterior_cause(self):
         started = time.process_time()

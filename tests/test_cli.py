@@ -9,7 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import unexpect
 from unexpect.cli import _Exit, _fail_data, main
 from unexpect.cli_tools import _BLOCK_LINES, _pair_from_trace
+from unexpect.cli_track import _BLOCK_LINES as _EVENT_BLOCK_LINES
+from unexpect.cli_track import _run_engine_over
 from unexpect.core import (
     CodeLengthTable,
     DiscreteDistribution,
@@ -34,6 +36,7 @@ from unexpect.memory import (
     read_events,
 )
 from unexpect.simgen import SourceSpec, generate
+from unexpect.traceio import TRACE_CSV_HEADER, trace_to_csv
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -1719,8 +1722,8 @@ class TestTraceReaderMatchesReference:
                                     "crlf-stdin"])
 def test_trace_past_two_blocks_reads_the_same_every_way(tmp_path, source):
     # The report divergences() gives for the pair the trace holds, read
-    # from a file (its CRLF ends read as LF) or from standard input (its
-    # CRLF lines take the JSON path).
+    # from a file or from standard input, both of which read CRLF ends
+    # as LF.
     spec = SourceSpec.from_dict({"kind": "zipf", "length": 2 * _BLOCK_LINES + 300,
                                  "alphabet": 40, "seed": 5})
     records = list(run_stream(generate(spec), EngineConfig()))
@@ -1743,6 +1746,198 @@ def test_trace_past_two_blocks_reads_the_same_every_way(tmp_path, source):
                            capture_output=True, env=child_env(), timeout=60)
     assert (child.returncode, child.stderr) == (0, b"")
     assert child.stdout.decode() == expected
+
+
+def ref_run_engine_over(engine, lines, emit, out, stability=None):
+    """_run_engine_over as it was before it took a block of lines at a
+    time: read, score and write one event at a time."""
+    write = out.write
+    if emit == "csv":
+        write(TRACE_CSV_HEADER + "\n")
+        to_line = trace_to_csv
+    else:
+        to_line = trace_to_jsonl
+    step = engine.step
+    histories = {}
+    for lineno, obs in read_events(lines):
+        try:
+            record = step(obs)
+        except UnexpectError as exc:
+            raise _fail_data(f"line {lineno}: {exc}") from None
+        if stability is not None:
+            histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
+                engine.estimator.w(obs.symbol)
+            )
+        try:
+            write(to_line(record) + "\n")
+        except UnicodeEncodeError as exc:
+            raise _fail_data(f"line {lineno}: cannot write symbol "
+                             f"{obs.symbol!r}: {exc.reason}") from None
+    if stability is not None:
+        window, delta = stability
+        unstable = sorted(
+            sym for sym, hist in histories.items()
+            if len(hist) == window and max(hist) - min(hist) > delta
+        )
+        print(
+            f"ltm stability over last {window} updates (delta={delta}): "
+            + (f"unstable symbols: {', '.join(unstable)}" if unstable else "all stable"),
+            file=sys.stderr,
+        )
+
+
+def score_outcome(run, lines, emit, stability):
+    """(exit code, stdout bytes, stderr) of `run` over the lines, with
+    the exit code and message main would give. Standard output is UTF-8,
+    strict, as a real one may be, so that a lone surrogate in a CSV
+    symbol cannot be written."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            run(Engine(EngineConfig()), lines, emit, out, stability)
+            code = 0
+        except _Exit as exc:
+            code = exc.code
+            print(f"error: {exc}", file=err)
+        except UnexpectError as exc:
+            code = 2
+            print(f"error: {exc}", file=err)
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+# Event lines as templates of their t: `simulate`'s own form, other
+# spacing, escaped and non-ASCII symbols, bare tokens, blank lines and
+# lines each reader must reject or fail to score or write.
+EVENT_FORMS = [
+    '{"t": %d, "s": "A"}', '{"t": %d, "s": "B"}', '{"t": %d, "s": ""}',
+    '{"t":%d,"s":"A"}', ' {"t": %d, "s": "B"} ', '{"s": "A", "t": %d}',
+    '{"t": %d, "s": "\\u0041"}', '{"t": %d, "s": "a\\"b"}',
+    '{"t": %d, "s": "é"}', '{"t": %d, "s": "字😀"}', '{"t": %d, "s": "\\u00e9"}',
+    "A", "  B  ", "tok en", "", " ", "\t",
+    '\ufeff{"t": %d, "s": "A"}', "\ufeffA",
+    '{"t": %d, "s": "a\udcffb"}', "a\udc80",
+    '{"t": 1' + "0" * 19 + ', "s": "A"}',
+    '{"t": 0, "s": "A"}', '{"t": %d, "s": "A"',
+    '{"t": %d, "s": "\\ud800"}', '{"t": %d, "s": "\ud800"}',
+]
+event_forms = st.lists(st.sampled_from(EVENT_FORMS), max_size=8)
+
+
+def canonical_forms(n):
+    """n lines as `simulate` writes them, over three symbols."""
+    return ['{"t": %d, "s": "' + "ABC"[i % 3] + '"}' for i in range(n)]
+
+
+def event_text(forms):
+    """The lines of the forms, each with its own 0-based index as t."""
+    return [(form % i if "%d" in form else form) + "\n"
+            for i, form in enumerate(forms)]
+
+
+class TestEventBlocksMatchReference:
+    """_run_engine_over against the line-at-a-time loop it replaced: the
+    same exit code, standard output and standard error on any input."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(event_forms, st.integers(0, 8),
+           st.one_of(st.integers(0, 4),
+                     st.integers(_EVENT_BLOCK_LINES - 4, _EVENT_BLOCK_LINES + 1),
+                     st.integers(2 * _EVENT_BLOCK_LINES - 4,
+                                 2 * _EVENT_BLOCK_LINES + 8)),
+           st.booleans(), st.sampled_from(["jsonl", "csv"]),
+           st.sampled_from([None, (1, 0.0), (3, 0.01)]))
+    # A fault as the last line of the first block and the first of the
+    # second, and an unencodable symbol in each.
+    @example(['{"t": 0, "s": "A"}'], 0, _EVENT_BLOCK_LINES - 1, True, "jsonl", None)
+    @example(['{"t": %d, "s": "A"'], 0, _EVENT_BLOCK_LINES, True, "csv", None)
+    @example(['{"t": %d, "s": "\ud800"}'], 0, _EVENT_BLOCK_LINES - 1, True,
+             "csv", (3, 0.01))
+    @example(['{"t": %d, "s": "\\ud800"}'], 0, _EVENT_BLOCK_LINES, True,
+             "csv", None)
+    @example(["", "A", ""], 0, _EVENT_BLOCK_LINES - 2, False, "jsonl", (1, 0.0))
+    def test_blocks_match_reference(self, forms, at, pad, final_newline, emit,
+                                    stability):
+        # The drawn lines sit before and after `pad` canonical lines, so
+        # that they straddle the ends of the first and second block.
+        forms = forms[:at] + canonical_forms(pad) + forms[at:]
+        lines = event_text(forms)
+        if lines and not final_newline:
+            lines[-1] = lines[-1][:-1]
+        assert score_outcome(_run_engine_over, lines, emit, stability) == (
+            score_outcome(ref_run_engine_over, lines, emit, stability))
+
+
+class TestFaultInSecondBlock:
+    """A fault at line N exits 2 naming N, after the trace lines of the
+    lines before it, and leaves no --output file behind."""
+
+    FAULTS = {
+        "non-monotonic": ('{"t": 0, "s": "A"}', "time 0 does not increase"),
+        "invalid-json": ('{"t": %d, "s": "A"', "invalid JSON event"),
+        "unencodable": ('{"t": %d, "s": "\\ud800"}', "cannot write symbol"),
+    }
+
+    @pytest.mark.parametrize("where", [0, _EVENT_BLOCK_LINES // 2])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_prefix_and_line_number(self, tmp_path, capsys, fault, where):
+        form, message = self.FAULTS[fault]
+        at = _EVENT_BLOCK_LINES + where  # 0-based index of the bad line
+        lines = event_text(canonical_forms(at) + [form] + canonical_forms(5))
+        snap = str(tmp_path / "snap.json")
+        assert run_cli(capsys, ["track", "-i", os.devnull,
+                                "--snapshot-out", snap])[0] == 0
+        argv = ["replay", "--snapshot", snap, "--emit", "csv"]
+        write(tmp_path / "head", "".join(lines[:at]))
+        code, expected, _ = run_cli(capsys, [*argv, "-i", str(tmp_path / "head")])
+        assert code == 0 and expected.count("\n") == at + 1  # and the header
+        write(tmp_path / "events", "".join(lines))
+        code, out, err = run_cli(capsys, [*argv, "-i", str(tmp_path / "events")])
+        assert (code, out) == (2, expected)
+        assert err.startswith(f"error: line {at + 1}: ") and message in err
+        target = tmp_path / "out" / "trace.csv"
+        target.parent.mkdir()
+        assert run_cli(capsys, [*argv, "-i", str(tmp_path / "events"),
+                                "-o", str(target)])[:2] == (2, "")
+        assert list(target.parent.iterdir()) == []
+
+    def test_bare_tokens_keep_their_line_index(self, capsys, monkeypatch):
+        blank = {i for end in (_EVENT_BLOCK_LINES, 2 * _EVENT_BLOCK_LINES,
+                               8 * _EVENT_BLOCK_LINES)
+                 for i in range(end - 3, end + 3)}
+        lines = ["\n" if i in blank else "AB"[i % 2] + "\n" for i in range(2100)]
+        code, out, _ = run_cli(capsys, ["track"], stdin_text="".join(lines),
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        assert [json.loads(line)["t"] for line in out.splitlines()] == [
+            i for i in range(2100) if i not in blank]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("command", ["track", "divergence"])
+def test_standard_input_reads_as_input_does(tmp_path, command, newline):
+    # The same bytes give the same output and exit code from standard
+    # input and from --input, whatever their line ends.
+    spec = SourceSpec.from_dict({"kind": "zipf", "length": _EVENT_BLOCK_LINES + 40,
+                                 "alphabet": 20, "seed": 2})
+    if command == "track":
+        argv = ["track"]
+        lines = [f'{{"t": {o.t}, "s": "{o.symbol}"}}' for o in generate(spec)]
+        lines.append("a\rb")  # two bare tokens if \r ends a line, one if not
+    else:
+        argv = ["divergence", "--from-trace", "--normalize-mind"]
+        lines = [trace_to_jsonl(r)
+                 for r in run_stream(generate(spec), EngineConfig())]
+    data = newline.join(lines).encode() + newline.encode()
+    (tmp_path / "input").write_bytes(data)
+    outcomes = []
+    for args, stdin in [(["--input", str(tmp_path / "input")], b""), ([], data)]:
+        child = subprocess.run(
+            [sys.executable, "-m", "unexpect.cli", *argv, *args], input=stdin,
+            capture_output=True, env=child_env(), timeout=60)
+        outcomes.append((child.returncode, child.stdout, child.stderr))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][2] == b""
 
 
 @st.composite

@@ -132,6 +132,14 @@ class TestEventParsing:
             (3, Observation(9, "B")),
             (4, Observation(3, "C")),
         ]
+        # Lines that continue a stream count from their first index.
+        assert list(read_events(lines, 7)) == [
+            (8, Observation(7, "A")),
+            (10, Observation(9, "B")),
+            (11, Observation(10, "C")),
+        ]
+        with pytest.raises(ValidationError, match="^line 9: invalid JSON"):
+            list(read_events(["", "{"], 7))
 
 
 # -- reference: event parsing through json.loads -----------------------
