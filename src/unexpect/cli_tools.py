@@ -88,8 +88,7 @@ def _pair_from_trace(lines: Iterable[str],
     # symbol -> its last c_ltm: a JSON number, or a canonical line's text
     last_c_ltm: dict = {}
     # Compiled here, so that no other command pays for it.
-    pattern = re.compile(_JSONL_PATTERN)
-    canonical, find_all = pattern.fullmatch, pattern.findall
+    find_all = re.compile(_JSONL_PATTERN).findall
     lines = iter(lines)
     lineno = 0
     while block := list(islice(lines, _BLOCK_LINES)):
@@ -103,34 +102,30 @@ def _pair_from_trace(lines: Iterable[str],
             last_c_ltm.update(filter(itemgetter(1), found))
             lineno += len(block)
             continue
-        # Any other block goes a line at a time: a canonical line is one
-        # match, a blank line is skipped and any other takes the JSON path.
+        # Any other block goes a line at a time: a blank line is skipped
+        # and any other takes the JSON path.
         for lineno, line in enumerate(block, lineno + 1):
-            match = canonical(line)
-            if match is not None:
-                symbol, c_ltm = match.groups()
-            elif not line.strip():
+            if not line.strip():
                 continue
-            else:
-                try:
-                    _require_utf8(line)
-                    obj = _decode_json_line(line)
-                    symbol = obj["symbol"]
-                    c_ltm = obj["c_ltm"]
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValidationError) as exc:
-                    raise _fail_data(
-                        f"line {lineno}: not a trace record: {exc}") from None
-                if not isinstance(symbol, str):
-                    raise _fail_data(
-                        f'line {lineno}: "symbol" must be a string, got {symbol!r}')
-                if c_ltm is not None and (
-                    isinstance(c_ltm, bool) or not isinstance(c_ltm, (int, float))
-                    or not 0.0 <= c_ltm <= sys.float_info.max  # also rejects NaN
-                ):
-                    raise _fail_data(
-                        f'line {lineno}: "c_ltm" must be null or a finite '
-                        f"number >= 0, got {c_ltm!r}")
+            try:
+                _require_utf8(line)
+                obj = _decode_json_line(line)
+                symbol = obj["symbol"]
+                c_ltm = obj["c_ltm"]
+            except (json.JSONDecodeError, KeyError, TypeError,
+                    ValidationError) as exc:
+                raise _fail_data(
+                    f"line {lineno}: not a trace record: {exc}") from None
+            if not isinstance(symbol, str):
+                raise _fail_data(
+                    f'line {lineno}: "symbol" must be a string, got {symbol!r}')
+            if c_ltm is not None and (
+                isinstance(c_ltm, bool) or not isinstance(c_ltm, (int, float))
+                or not 0.0 <= c_ltm <= sys.float_info.max  # also rejects NaN
+            ):
+                raise _fail_data(
+                    f'line {lineno}: "c_ltm" must be null or a finite '
+                    f"number >= 0, got {c_ltm!r}")
             counts[symbol] += 1
             if c_ltm is not None:
                 last_c_ltm[symbol] = c_ltm

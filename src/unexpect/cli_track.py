@@ -8,14 +8,13 @@ import contextlib
 import math
 import sys
 from collections import deque
-from itertools import count, islice
 from typing import IO, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
 from .core import UnexpectError, ValidationError
 from .engine import Engine, EngineConfig
 from .estimators import EPSILON_AUTO, EPSILON_OFF
-from .memory import _CANONICAL_EVENT, Observation, read_events
+from .memory import _event_blocks
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl
 
 # EngineConfig field -> the flag that sets it and its range, for the
@@ -66,18 +65,14 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         raise _fail_flag(f"{flag} must be {rng}, got {merged[exc.field]!r}") from None
 
 
-# Event lines read, scored and written at a time by _run_engine_over.
-_BLOCK_LINES = 256
-
-
-def _write_lines(write, texts: list[str], numbered) -> None:
+def _write_lines(write, texts: list[str], events: list) -> None:
     """Write the trace lines in one call. If a symbol cannot be encoded,
     write them again one at a time, up to the line that names it;
-    `numbered` gives each text's (line number, Observation)."""
+    `events` gives each text's (line number, Observation)."""
     try:
         write("\n".join(texts) + "\n")
     except UnicodeEncodeError:  # e.g. a lone surrogate in CSV
-        for text, (lineno, obs) in zip(texts, numbered):
+        for text, (lineno, obs) in zip(texts, events):
             try:
                 write(text + "\n")
             except UnicodeEncodeError as exc:
@@ -102,29 +97,13 @@ def _run_engine_over(
         to_line = trace_to_jsonl
     step = engine.step
     histories: dict[str, deque] = {}
-    find_all = _CANONICAL_EVENT.findall
-    lines = iter(lines)
-    start = 0  # the 0-based index of the block's first line
-    while block := list(islice(lines, _BLOCK_LINES)):
-        found = find_all("".join(block))
-        # Iterating a file gives each line at most one newline, at its
-        # end, and a match spans a whole line with its newline, so there
-        # are as many matches as lines only if every line is one as
-        # `simulate` writes it. Any other block goes through read_events.
-        if len(found) == len(block):
-            events = [Observation(int(t), symbol) for t, symbol in found]
-
-            def numbered():
-                return zip(count(start + 1), events)
-        else:
-            def numbered():
-                return read_events(block, start)
+    for events in _event_blocks(lines):
         texts: list[str] = []
         add = texts.append
         # The lines scored before a fault are written before it exits,
         # as one line at a time would have.
         try:
-            for lineno, obs in numbered():
+            for lineno, obs in events:
                 try:
                     record = step(obs)
                 except UnexpectError as exc:
@@ -136,8 +115,7 @@ def _run_engine_over(
                 add(to_line(record))
         finally:
             if texts:
-                _write_lines(write, texts, numbered())
-        start += len(block)
+                _write_lines(write, texts, events)
     if stability is not None:
         window, delta = stability
         # Each history holds at most the last `window` rates.

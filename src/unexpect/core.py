@@ -121,28 +121,11 @@ def _numbers(name: str, value) -> tuple:
     return tuple(value)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def _decode_json_line(line: str):
     """json.loads(line): the same value, or the same error and message.
-
-    A line (or a whole file) holding one JSON value followed by nothing
-    but JSON whitespace is decoded by a single raw_decode scan, without
-    the whitespace regex json.loads runs on both ends. Anything else
-    (leading whitespace, extra data, a syntax error) goes to json.loads,
-    which produces the canonical result or error. The one exception: an
-    integer longer than int() converts raises ValidationError, where
-    json.loads raises a bare ValueError.
-    """
+    The one exception: an integer longer than int() converts raises
+    ValidationError, where json.loads raises a bare ValueError."""
     try:
-        try:
-            value, end = _raw_decode(line)
-        except json.JSONDecodeError:
-            pass
-        else:
-            if end == len(line) or not line[end:].strip(" \t\n\r"):
-                return value
         return json.loads(line)
     except json.JSONDecodeError:
         raise

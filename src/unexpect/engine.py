@@ -146,9 +146,9 @@ class EngineConfig(_Value):
             require(name, (int, float), "a number")
         for name in ("window", "min_hits"):
             require(name, int, "an integer")
-        if self.estimator == "iir" and not 0.0 < self.alpha < 1.0:
+        if not 0.0 < self.alpha < 1.0:
             fail("alpha", "in (0, 1)", self.alpha)
-        if self.estimator == "fir" and self.window < 1:
+        if self.window < 1:
             fail("window", ">= 1", self.window)
         if self.epsilon not in (EPSILON_AUTO, EPSILON_OFF):
             require("epsilon", (int, float), "a number")

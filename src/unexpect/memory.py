@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .core import (SymbolId, ValidationError, _Value, _decode_json_line, _require,
@@ -98,16 +99,10 @@ class StmStack:
         return pre
 
 
-def parse_event(line: str, lineno: int) -> Observation:
-    """Parse one event line: {"t": int, "s": str} or a bare token.
-
-    Bare tokens get t = lineno (0-based physical line index).
-    """
-    return _parse_stripped(line.strip(), lineno)
-
-
 def _parse_stripped(stripped: str, lineno: int) -> Observation:
-    """parse_event for a line already stripped of surrounding whitespace."""
+    """One event line, stripped of surrounding whitespace:
+    {"t": int, "s": str} or a bare token, which gets t = lineno (its
+    0-based physical line index)."""
     if stripped.startswith("{"):
         try:
             obj = _decode_json_line(stripped)
@@ -127,39 +122,62 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
 # The line `simulate` writes. JSON decodes a line this matches to the
 # same t and s: it allows no leading zero and no raw control character,
 # and the string holds no escape, JSON's or an undecodable byte's. At
-# most 19 digits, so int() always converts t; any other line goes
-# through _parse_stripped. A line starts at ^ and ends at its newline or
-# the text's end (multi-line mode), so one compiled pattern serves
-# fullmatch on a line and findall on a block of lines.
+# most 19 digits, so int() always converts t. A line starts at ^ and
+# ends at its newline or the text's end (multi-line mode), so that one
+# findall checks a block of lines.
 _CANONICAL_EVENT = re.compile(
     r'^\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f\udc80-\udcff]*)"\}(?:\n|\Z)',
     re.M)
+
+# Event lines read ahead and checked at a time by _event_blocks.
+_BLOCK_LINES = 256
+
+
+def _event_blocks(lines: Iterable[str],
+                  start: int = 0) -> Iterator[list[tuple[int, Observation]]]:
+    """The (1-based line number, Observation) pairs of read_events, one
+    list per block of _BLOCK_LINES lines. A faulty line ends the run:
+    the events of its block before it come first, then ValidationError."""
+    find_all = _CANONICAL_EVENT.findall
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        found = find_all("".join(block))
+        # Each line has at most one newline, at its end, and a match
+        # spans a whole line with its newline, so there are as many
+        # matches as lines only if every line is one as `simulate` writes
+        # it. Any other block goes a line at a time.
+        if len(found) == len(block):
+            yield [(i, Observation(int(t), symbol))
+                   for i, (t, symbol) in enumerate(found, start + 1)]
+        else:
+            events = []
+            for i, line in enumerate(block, start):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                try:
+                    if not stripped.isascii():
+                        _require_utf8(stripped)
+                    events.append((i + 1, _parse_stripped(stripped, i)))
+                except ValidationError as exc:
+                    yield events
+                    raise ValidationError(f"line {i + 1}: {exc}") from None
+            yield events
+        start += len(block)
 
 
 def read_events(lines: Iterable[str],
                 start: int = 0) -> Iterator[tuple[int, Observation]]:
     """Yield (1-based line number, Observation) pairs; blank lines skipped.
 
-    `start` is the 0-based index of the first line, for lines that
-    continue a stream: a bare token's t and every line number count
-    from it.
+    Each item of `lines` is one line, with at most one newline, at its
+    end, as iterating a file or splitlines(keepends=True) gives; up to
+    _BLOCK_LINES lines are read ahead. `start` is the 0-based index of
+    the first line, for lines that continue a stream: a bare token's t
+    and every line number count from it.
 
     A line that holds a surrogate escape of a byte that is not UTF-8
     (U+DC80-U+DCFF) is rejected, naming the byte.
     """
-    canonical = _CANONICAL_EVENT.fullmatch
-    for i, line in enumerate(lines, start):
-        match = canonical(line)
-        if match is not None:
-            t, symbol = match.groups()
-            yield i + 1, Observation(int(t), symbol)
-            continue
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            if not stripped.isascii():
-                _require_utf8(stripped)
-            yield i + 1, _parse_stripped(stripped, i)
-        except ValidationError as exc:
-            raise ValidationError(f"line {i + 1}: {exc}") from None
+    for events in _event_blocks(lines, start):
+        yield from events

@@ -39,8 +39,8 @@ _JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
 # a cost its reader accepts as is: no sign, and at most 308 integer
 # digits, so its float is finite (-0.000000 and longer costs are left to
 # JSON). A line starts at ^ and ends at its newline or the text's end
-# (multi-line mode), so one compiled pattern serves fullmatch on a line
-# and findall on a block of lines. Compiled by its reader, not at import.
+# (multi-line mode), so that one findall checks a block of lines.
+# Compiled by its reader, not at import.
 _COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
 _JSONL_PATTERN = (
     r'(?m)^\{"t": (?:0|[1-9][0-9]{0,18}), '

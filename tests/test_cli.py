@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import unexpect
 from unexpect.cli import _Exit, _fail_data, main
 from unexpect.cli_tools import _BLOCK_LINES, _pair_from_trace
-from unexpect.cli_track import _BLOCK_LINES as _EVENT_BLOCK_LINES
 from unexpect.cli_track import _run_engine_over
 from unexpect.core import (
     CodeLengthTable,
@@ -29,6 +28,7 @@ from unexpect.core import (
 from unexpect.divergence import MachinePair, divergences
 from unexpect.engine import (Engine, EngineConfig, TraceRecord, run_stream,
                              trace_to_jsonl)
+from unexpect.memory import _BLOCK_LINES as _EVENT_BLOCK_LINES
 from unexpect.memory import (
     _CANONICAL_EVENT,
     Observation,
@@ -124,6 +124,23 @@ class TestTrack:
         code, _, err = run_cli(capsys, ["track", "--alpha", "1.5"])
         assert code == 1
         assert "--alpha" in err and "(0, 1)" in err
+
+    @pytest.mark.parametrize("argv, flag, shown", [
+        (["--estimator", "fir", "--window", "3", "--alpha", "nan"], "--alpha",
+         "nan"),
+        (["--window", "0"], "--window", "0"),
+    ], ids=["fir-alpha-nan", "iir-window-0"])
+    def test_alpha_and_window_are_checked_whatever_the_estimator(
+            self, tmp_path, capsys, argv, flag, shown):
+        # Each was checked only under its own estimator: both exited 0,
+        # and a NaN alpha went into the snapshot as NaN, which is not JSON.
+        snap = tmp_path / "s.json"
+        code, out, err = run_cli(capsys, ["track", "-i", os.devnull, *argv,
+                                          "--snapshot-out", str(snap)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} must be ") and err.endswith(
+            f", got {shown}\n")
+        assert not snap.exists()
 
     @pytest.mark.parametrize("source", ["nan", "inf", "config NaN"])
     def test_non_finite_theta_names_the_flag(self, tmp_path, capsys, source):

@@ -3,9 +3,10 @@
 `_build_config` merges a `--config` file under the flags and leaves the
 checks to `EngineConfig`, naming the flag from the `ValidationError`'s
 field. The reference below is the merge as it was when the CLI kept its
-own copy of every check, verbatim. With at most one bad value, the two
-must give the same config (types included) or the same exit code and
-message; with several, the same exit code.
+own copy of every check, verbatim but for one later rule: alpha and
+window are checked whatever the estimator. With at most one bad value,
+the two must give the same config (types included) or the same exit
+code and message; with several, the same exit code.
 """
 
 import argparse
@@ -66,9 +67,9 @@ def ref_build_config(args: argparse.Namespace) -> EngineConfig:
     if merged["estimator"] not in ("iir", "fir"):
         raise bad("estimator")
     alpha, window = typed("alpha", real), typed("window", int)
-    if merged["estimator"] == "iir" and not 0.0 < alpha < 1.0:
+    if not 0.0 < alpha < 1.0:
         raise bad("alpha")
-    if merged["estimator"] == "fir" and window < 1:
+    if window < 1:
         raise bad("window")
     if merged["epsilon"] not in (estimators.EPSILON_AUTO, estimators.EPSILON_OFF):
         if isinstance(merged["epsilon"], bool):

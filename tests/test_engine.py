@@ -369,6 +369,18 @@ class TestSnapshots:
         with pytest.raises(VersionMismatchError):
             Engine.restore({"format_version": 4})  # missing everything else
 
+    @pytest.mark.parametrize("alpha", [5, math.nan])
+    def test_fir_snapshot_with_alpha_out_of_range_is_rejected(self, alpha):
+        # A FIR never reads alpha; it was not checked, and a NaN one made
+        # a snapshot that is not JSON.
+        engine = Engine(small_config(estimator="fir", window=5))
+        for obs in observations("ABA"):
+            engine.step(obs)
+        snap = engine.snapshot()
+        snap["config"]["alpha"] = alpha
+        with pytest.raises(VersionMismatchError, match="^alpha must be in"):
+            Engine.restore(snap)
+
     @pytest.mark.parametrize("part, key, value", [
         ("estimator", "w_step", [9, 9]),  # the estimator's own check
         ("detector", "hits", -1),  # the detector's own check
@@ -464,6 +476,10 @@ class TestConfigValidation:
         ({"beta": 1.0}, "beta"),
         ({"theta": math.inf}, "theta"),
         ({"min_hits": 0}, "min_hits"),
+        # Each of these was checked only under its own estimator.
+        ({"estimator": "fir", "alpha": 5}, "alpha"),
+        ({"estimator": "fir", "alpha": math.nan}, "alpha"),
+        ({"estimator": "iir", "window": 0}, "window"),
     ])
     def test_range_errors_name_the_field(self, kwargs, field):
         # `track` names the flag from the field; a NaN epsilon used to

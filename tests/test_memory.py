@@ -1,18 +1,20 @@
+import io
 import json
 import math
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unexpect.core import ValidationError
 from unexpect.engine import Engine
 from unexpect.memory import (
+    _BLOCK_LINES,
     Observation,
     StmStack,
     _decode_json_line,
-    parse_event,
+    _parse_stripped,
     read_events,
 )
 
@@ -101,6 +103,12 @@ class TestStmStack:
         items = stack.items()
         assert len(items) == len(set(items))
         assert len(items) <= len(set(stream))
+
+
+def parse_event(line, lineno):
+    """One event line as read_events parses it, surrounding whitespace
+    and all, without the line number in a message."""
+    return _parse_stripped(line.strip(), lineno)
 
 
 class TestEventParsing:
@@ -297,3 +305,51 @@ class TestLineDecoderMatchesJsonLoads:
     def test_read_events_matches_reference(self, lines):
         assert outcome(lambda: list(read_events(lines))) == outcome(
             lambda: list(ref_read_events(lines)))
+
+
+def run_until_fault(events):
+    """The pairs an event iterator yields, and the message of the
+    ValidationError that ends it (None if none does)."""
+    got = []
+    try:
+        for pair in events:
+            got.append(pair)
+    except ValidationError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def canonical_lines(n):
+    """n lines as `simulate` writes them, each with its index as t."""
+    return ['{"t": %d, "s": "%s"}\n' % (i, "AB"[i % 2]) for i in range(n)]
+
+
+# Lines as a file gives them: one newline each, at the end.
+file_lines = st.lists((json_lines() | texts).map(
+    lambda line: line.replace("\n", "") + "\n"), max_size=5)
+
+
+class TestReadEventsAcrossBlocks:
+    """read_events checks _BLOCK_LINES lines per regex pass; the drawn
+    lines sit before and after `pad` canonical lines, so that they
+    straddle the ends of the first and second block. A faulty line must
+    come after every event before it, as one line at a time gives."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(file_lines, st.integers(0, 5),
+           st.one_of(st.integers(0, 4),
+                     st.integers(_BLOCK_LINES - 4, _BLOCK_LINES + 1),
+                     st.integers(2 * _BLOCK_LINES - 4, 2 * _BLOCK_LINES + 8)),
+           st.sampled_from([0, 7]))
+    # A bad line as the first line of the second block and in its middle.
+    @example(['{"t": 1\n'], 0, _BLOCK_LINES, 0)
+    @example(['{"t": 1\n'], 0, _BLOCK_LINES + _BLOCK_LINES // 2, 7)
+    @example(['a\udcffb\n', "A\n"], 1, _BLOCK_LINES + 1, 0)
+    @example(["\n", "A\n"], 0, _BLOCK_LINES - 1, 7)
+    def test_blocks_match_reference(self, drawn, at, pad, start):
+        lines = drawn[:at] + canonical_lines(pad) + drawn[at:]
+        # The reference counts lines from 0: `start` blank lines first.
+        expected = run_until_fault(ref_read_events(["\n"] * start + lines))
+        assert run_until_fault(read_events(lines, start)) == expected
+        assert run_until_fault(
+            read_events(io.StringIO("".join(lines)), start)) == expected

@@ -157,9 +157,10 @@ class RefEngineConfig:
             require(name, (int, float), "a number")
         for name in ("window", "min_hits"):
             require(name, int, "an integer")
-        if self.estimator == "iir" and not 0.0 < self.alpha < 1.0:
+        # Both, whatever the estimator: a later rule.
+        if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.estimator == "fir" and self.window < 1:
+        if self.window < 1:
             raise ValidationError(f"window must be >= 1, got {self.window}")
         if self.epsilon not in (EPSILON_AUTO, estimators.EPSILON_OFF):
             require("epsilon", (int, float), "a number")
