@@ -95,27 +95,31 @@ def _run_engine_over(
         to_line = trace_to_csv
     else:
         to_line = trace_to_jsonl
-    step = engine.step
     histories: dict[str, deque] = {}
+    if stability is None:
+        score = engine.step_block
+    else:
+        # The rate after each event, so one step at a time.
+        def score(observations, records):
+            step, rate, window = engine.step, engine.estimator.w, stability[0]
+            for obs in observations:
+                records.append(step(obs))
+                history = histories.get(obs.symbol)
+                if history is None:
+                    history = histories[obs.symbol] = deque(maxlen=window)
+                history.append(rate(obs.symbol))
+    records: list = []
     for events in _event_blocks(lines):
-        texts: list[str] = []
-        add = texts.append
         # The lines scored before a fault are written before it exits,
         # as one line at a time would have.
         try:
-            for lineno, obs in events:
-                try:
-                    record = step(obs)
-                except UnexpectError as exc:
-                    raise _fail_data(f"line {lineno}: {exc}") from None
-                if stability is not None:
-                    histories.setdefault(obs.symbol, deque(maxlen=stability[0])).append(
-                        engine.estimator.w(obs.symbol)
-                    )
-                add(to_line(record))
+            score([obs for _, obs in events], records)
+        except UnexpectError as exc:
+            raise _fail_data(f"line {events[len(records)][0]}: {exc}") from None
         finally:
-            if texts:
-                _write_lines(write, texts, events)
+            if records:
+                _write_lines(write, list(map(to_line, records)), events)
+                records.clear()
     if stability is not None:
         window, delta = stability
         # Each history holds at most the last `window` rates.

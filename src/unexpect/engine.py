@@ -21,6 +21,8 @@ infinities.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from itertools import islice
 from math import ceil, inf, isfinite, log2
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -41,9 +43,10 @@ from .estimators import (
     Estimator,
     FirEstimator,
     IirEstimator,
+    _NOTHING,
     resolve_epsilon,
 )
-from .memory import Observation, StmStack
+from .memory import _BLOCK_LINES, Observation, StmStack
 # Re-exported: the trace format's owner is traceio.
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl  # noqa: F401
 
@@ -272,6 +275,120 @@ class Engine:
         return tuple.__new__(
             TraceRecord, (t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, flag))
 
+    def step_block(self, observations: Iterable[Observation],
+                   records: list) -> None:
+        """Score each observation as `step` does, appending its record to
+        `records`; the same records and the same state, in one loop.
+
+        The stack, estimator, detector and counters live in locals for
+        the block and are written back on every exit. If event k raises
+        NonMonotonicTimeError, `records` has gained the k - 1 records
+        before it and the engine is as after k - 1 `step` calls."""
+        stack, estimator, detector = self.stack, self.estimator, self.detector
+        # The state held in locals; the containers change in place.
+        seen = self._seen
+        last_t, events_seen, n_seen = self.last_t, self.events_seen, len(seen)
+        stamp_of, stamps, symbols = stack._stamp_of, stack._stamps, stack._symbols
+        clock, capacity = stack._clock, stack.capacity
+        ewma, hits = detector.ewma, detector.hits
+        beta, theta, min_hits = detector.beta, detector.theta, detector.min_hits
+        keep = 1.0 - beta
+        fir = self.config.estimator == "fir"
+        if fir:
+            buffer, counts, window = estimator._buffer, estimator._counts, estimator.window
+            pop_oldest = buffer.popleft
+            add_newest = buffer.append
+        else:
+            entries, step, alpha = estimator._entries, estimator._step, estimator.alpha
+            gain = 1.0 - alpha
+        fixed_floor, warmup = self._fixed_floor, self.warmup
+        prune, prune_every = self._prune, self._PRUNE_EVERY
+        get_stamp, add, new = stamp_of.get, records.append, tuple.__new__
+        try:
+            for obs in observations:
+                t = obs.t
+                symbol = obs.symbol
+                if last_t is not None and t <= last_t:
+                    raise NonMonotonicTimeError(
+                        f"time {t} does not increase past {last_t}")
+                # Measure against the state before this event, as step does.
+                if fir:
+                    w = counts.get(symbol, 0) / window
+                else:
+                    entry = entries.get(symbol)
+                    w = 0.0 if entry is None else entry[0] * alpha ** (step - entry[1])
+                floor = fixed_floor
+                if floor is None:
+                    floor = events_seen + n_seen
+                    floor = 1.0 / (floor if floor > 1 else 1)
+                if w > floor:
+                    floor = w
+                c_ltm = log2(1.0 / floor) if floor != 0.0 else inf
+                # StmStack.observe
+                stamp = get_stamp(symbol)
+                if stamp == clock:
+                    position = 1
+                else:
+                    clock += 1
+                    stamp_of[symbol] = clock
+                    if stamp is None:
+                        position = None
+                        if capacity is not None and len(stamps) >= capacity:
+                            del stamps[0]
+                            del stamp_of[symbols.pop(0)]
+                    else:
+                        index = bisect_left(stamps, stamp)
+                        position = len(stamps) - index
+                        del stamps[index]
+                        del symbols[index]
+                    stamps.append(clock)
+                    symbols.append(symbol)
+                if position is None:
+                    seen.add(symbol)
+                    n_seen = len(seen)
+                    record = (t, symbol, inf, c_ltm, None, None, True, hits >= min_hits)
+                else:
+                    c_stm = log2(position)
+                    u_raw = c_ltm - c_stm
+                    u_clamped = 0.0 if u_raw < 0.0 else u_raw
+                    if isfinite(u_clamped) and events_seen >= warmup:
+                        # ChangeDetector.update
+                        ewma = keep * u_clamped + beta * ewma
+                        hits = hits + 1 if ewma > theta else 0
+                    record = (t, symbol, c_stm, c_ltm, u_raw, u_clamped, False,
+                              hits >= min_hits)
+                if fir:  # FirEstimator.update
+                    if len(buffer) == window:
+                        old = pop_oldest()
+                        left = counts[old] - 1
+                        if left:
+                            counts[old] = left
+                        else:
+                            del counts[old]
+                    add_newest(symbol)
+                    counts[symbol] = counts.get(symbol, 0) + 1
+                else:  # IirEstimator.update, with the rate w above
+                    step += 1
+                    if entry is None:
+                        entries[symbol] = [gain + alpha * w, step]
+                    else:
+                        entry[0] = gain + alpha * w
+                        entry[1] = step
+                last_t = t
+                events_seen += 1
+                add(new(TraceRecord, record))
+                if prune and events_seen % prune_every == 0:
+                    estimator._step = step
+                    estimator.sweep(resolve_epsilon(self.config.epsilon, events_seen,
+                                                    n_seen))
+        finally:
+            self.last_t, self.events_seen = last_t, events_seen
+            stack._clock = clock
+            detector.ewma, detector.hits = ewma, hits
+            if not fir:
+                estimator._step = step
+                estimator._kept_symbol = _NOTHING  # its kept rate is stale
+
     # -- snapshots ---------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -393,10 +510,30 @@ class Engine:
 def run_stream(
     events: Iterable[Observation], config: Optional[EngineConfig] = None
 ) -> Iterator[TraceRecord]:
-    """Fold an engine over time-ordered events; deterministic."""
+    """Fold an engine over time-ordered events; deterministic. Reads
+    _BLOCK_LINES events ahead and scores them with one step_block call.
+    The records of the events before a fault, a time that does not
+    increase or an exception from `events`, are yielded before it."""
     engine = Engine(config)
-    for i, obs in enumerate(events):
+    events = iter(events)
+    scored = 0
+    while True:
+        block: list[Observation] = []
+        fault = None
         try:
-            yield engine.step(obs)
+            block.extend(islice(events, _BLOCK_LINES))
+        except Exception as exc:  # block holds the events before it
+            fault = exc
+        records: list[TraceRecord] = []
+        try:
+            engine.step_block(block, records)
         except NonMonotonicTimeError as exc:
-            raise NonMonotonicTimeError(f"event {i + 1}: {exc}") from None
+            yield from records
+            raise NonMonotonicTimeError(
+                f"event {scored + len(records) + 1}: {exc}") from None
+        yield from records
+        if fault is not None:
+            raise fault
+        if len(block) < _BLOCK_LINES:
+            return
+        scored += len(records)

@@ -23,8 +23,12 @@ class Observation(_Value):
     __slots__ = ("t", "symbol")
 
     def __init__(self, t: int, symbol: SymbolId):
-        if t < 0:
-            raise ValidationError(f"time index must be >= 0, got {t}")
+        # A float or bool t, or a symbol that is no str, would be scored,
+        # then written to a snapshot that Engine.restore rejects.
+        if type(t) is not int or t < 0:
+            raise ValidationError(f"time index must be a nonnegative integer, got {t!r}")
+        if type(symbol) is not str:
+            raise ValidationError(f"symbol must be a string, got {symbol!r}")
         _set_t(self, t)
         _set_symbol(self, symbol)
 

@@ -1885,6 +1885,49 @@ class TestEventBlocksMatchReference:
             score_outcome(ref_run_engine_over, lines, emit, stability))
 
 
+def test_replay_sweeps_mid_block_as_step_does(tmp_path, capsys):
+    # The replay of a snapshot taken after 300 events reads its blocks
+    # from event 301, so the prune sweep at event 1,024 falls 212 events
+    # into its third block. The trace and snapshot equal Engine.step's.
+    config = EngineConfig(alpha=0.99, prune=True)
+    spec = SourceSpec.from_dict({"kind": "zipf", "length": 1200,
+                                 "alphabet": 200, "seed": 3})
+    events = list(generate(spec))
+    lines = [f'{{"t": {obs.t}, "s": "{obs.symbol}"}}\n' for obs in events]
+    reference = Engine(config)
+    expected = [trace_to_jsonl(reference.step(obs)) + "\n" for obs in events]
+    cfg = write(tmp_path / "cfg.json", json.dumps(config.to_dict()))
+    head = write(tmp_path / "head", "".join(lines[:300]))
+    rest = write(tmp_path / "rest", "".join(lines[300:]))
+    snap = str(tmp_path / "snap.json")
+    assert run_cli(capsys, ["track", "--config", cfg, "-i", head,
+                            "--snapshot-out", snap]) == (0, "".join(expected[:300]), "")
+    assert run_cli(capsys, ["replay", "--snapshot", snap, "-i", rest,
+                            "--snapshot-out", snap]) == (0, "".join(expected[300:]), "")
+    with open(snap, encoding="utf-8") as fh:
+        assert fh.read() == reference.snapshot_json() + "\n"
+    # The sweep forgot some rates.
+    assert None in reference.snapshot()["estimator"]["w"]
+
+
+@pytest.mark.parametrize("fault_at", [None, _EVENT_BLOCK_LINES + 40])
+def test_stability_trace_equals_the_block_trace(tmp_path, capsys, fault_at):
+    # --stability-* scores one step at a time, for the rate after each
+    # event; its trace, exit code and message are those of the block path.
+    lines = event_text(canonical_forms(2 * _EVENT_BLOCK_LINES + 50))
+    if fault_at is not None:
+        lines[fault_at] = '{"t": 3, "s": "A"}\n'
+    events = write(tmp_path / "events", "".join(lines))
+    block = run_cli(capsys, ["track", "-i", events])
+    stepped = run_cli(capsys, ["track", "-i", events, "--stability-m", "3",
+                               "--stability-delta", "0.01"])
+    assert stepped[:2] == block[:2]
+    assert block[0] == (0 if fault_at is None else 2)
+    if fault_at is not None:
+        assert block[2] == stepped[2] == (
+            f"error: line {fault_at + 1}: time 3 does not increase past {fault_at - 1}\n")
+
+
 class TestFaultInSecondBlock:
     """A fault at line N exits 2 naming N, after the trace lines of the
     lines before it, and leaves no --output file behind."""

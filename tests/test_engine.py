@@ -242,6 +242,32 @@ class TestRunStream:
         with pytest.raises(NonMonotonicTimeError, match="event 2"):
             list(run_stream(events, small_config()))
 
+    def test_fault_in_second_block_yields_the_records_before_it(self):
+        # Event 300 repeats the time of event 299; run_stream scores a
+        # block of 256 at a time, and still yields the 299 before it.
+        events = observations(["A", "B", "C"] * 100)
+        events[299] = Observation(298, "C")
+        engine, got = Engine(small_config()), []
+        with pytest.raises(NonMonotonicTimeError,
+                           match=r"^event 300: time 298 does not increase past 298$"):
+            for record in run_stream(events, small_config()):
+                got.append(record)
+        assert got == [engine.step(obs) for obs in events[:299]]
+
+    def test_fault_of_the_events_comes_after_the_records_before_it(self):
+        # The events raise at event 300, in run_stream's second block.
+        head = observations(["A", "B", "C"] * 100)[:299]
+
+        def events():
+            yield from head
+            raise ValueError("bad event 300")
+
+        engine, got = Engine(small_config()), []
+        with pytest.raises(ValueError, match="^bad event 300$"):
+            for record in run_stream(events(), small_config()):
+                got.append(record)
+        assert got == [engine.step(obs) for obs in head]
+
     def test_deterministic(self):
         spec = SourceSpec(
             kind="stationary", length=500, seed=11,
@@ -669,9 +695,13 @@ class TestLeanPathMatchesReference:
         # on as two: one restored from its own snapshot, one from the
         # reference's snapshot converted by as_v4. A gap of 0 repeats a
         # time, which every engine must reject without learning the event.
+        # A fourth engine scores the same events through step_block.
         split = data.draw(st.integers(min_value=0, max_value=len(gaps)))
         reference = sweeping_every(v1.Engine(config), prune_every)
         engines = [sweeping_every(Engine(config), prune_every)]
+        # The reference's records (None where it refused the event) and,
+        # at each refused event, its message and its state before it.
+        stream, expected_records, refused = [], [], {}
 
         def resume():
             return [sweeping_every(Engine.restore_json(text), prune_every)
@@ -683,14 +713,18 @@ class TestLeanPathMatchesReference:
             if i == split:
                 engines = resume()
             obs = Observation(t, symbol)
+            stream.append(obs)
             try:
                 expected = reference.step(obs)
             except NonMonotonicTimeError as exc:
+                refused[i] = (str(exc), as_v4(reference.snapshot()))
+                expected_records.append(None)
                 for engine in engines:
                     with pytest.raises(NonMonotonicTimeError) as raised:
                         engine.step(obs)
                     assert str(raised.value) == str(exc)
             else:
+                expected_records.append(exact(expected))
                 for engine in engines:
                     record = engine.step(obs)
                     assert exact(record) == exact(expected)
@@ -701,6 +735,45 @@ class TestLeanPathMatchesReference:
             engines = resume()
         for engine in engines:
             assert engine.snapshot_json() == as_v4(reference.snapshot())
+
+        # Blocks end where hypothesis draws and at the split, where the
+        # block engine is restored from its own snapshot. A refused event
+        # ends its call; the rest of its block goes in the next one.
+        ends = data.draw(st.sets(st.integers(min_value=0, max_value=len(gaps))))
+        blocked = sweeping_every(Engine(config), prune_every)
+        start = 0
+        for end in sorted(ends | {split, len(gaps)}):
+            if start == split:
+                blocked = sweeping_every(Engine.restore_json(blocked.snapshot_json()),
+                                         prune_every)
+            while start <= end:
+                records = []
+                try:
+                    blocked.step_block(stream[start:end], records)
+                except NonMonotonicTimeError as exc:
+                    at = start + len(records)  # the refused event
+                    assert (str(exc), blocked.snapshot_json()) == refused[at]
+                else:
+                    at = end
+                assert list(map(exact, records)) == expected_records[start:at]
+                start = at + 1
+            start = end
+        assert blocked.snapshot_json() == as_v4(reference.snapshot())
+
+    def test_step_block_leaves_no_stale_rate_behind(self):
+        # A rate that w() kept before a block must not serve an update
+        # after it, as it would not after the same events through step.
+        engines = [Engine(small_config()), Engine(small_config())]
+        for engine in engines:
+            engine.step(Observation(0, "A"))
+            engine.estimator.w("A")
+        block = [Observation(1, "B"), Observation(2, "B")]
+        engines[0].step_block(block, [])
+        for obs in block:
+            engines[1].step(obs)
+        for engine in engines:
+            engine.estimator.update(Observation(3, "A"))
+        assert engines[0].snapshot_json() == engines[1].snapshot_json()
 
     def test_prune_sweep_then_the_dropped_symbol_returns(self):
         # The sweep at step 1024 drops "b", the last symbol it reads; the

@@ -111,6 +111,31 @@ def parse_event(line, lineno):
     return _parse_stripped(line.strip(), lineno)
 
 
+class TestObservation:
+    @pytest.mark.parametrize("t, symbol, message", [
+        (1.5, "b", "time index must be a nonnegative integer, got 1.5"),
+        (2.0, "b", "time index must be a nonnegative integer, got 2.0"),
+        (True, "b", "time index must be a nonnegative integer, got True"),
+        ("1", "b", "time index must be a nonnegative integer, got '1'"),
+        (-1, "b", "time index must be a nonnegative integer, got -1"),
+        (0, 7, "symbol must be a string, got 7"),
+        (0, None, "symbol must be a string, got None"),
+        (0, b"a", "symbol must be a string, got b'a'"),
+    ])
+    def test_rejects_what_a_snapshot_cannot_hold(self, t, symbol, message):
+        # The engine would score it, then write a snapshot that
+        # Engine.restore rejects.
+        with pytest.raises(ValidationError) as info:
+            Observation(t, symbol)
+        assert str(info.value) == message
+
+    def test_what_it_accepts_survives_a_snapshot(self):
+        engine = Engine()
+        for obs in [Observation(0, ""), Observation(2 ** 70, "é")]:
+            engine.step(obs)
+        assert Engine.restore_json(engine.snapshot_json()).snapshot() == engine.snapshot()
+
+
 class TestEventParsing:
     def test_json_event(self):
         obs = parse_event('{"t": 5, "s": "A"}', 0)

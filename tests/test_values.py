@@ -90,8 +90,13 @@ class RefObservation:
     symbol: SymbolId
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError(f"time index must be >= 0, got {self.t}")
+        # Beyond the dataclass: an int t and a str symbol, exactly, as
+        # only those survive a snapshot round trip.
+        if type(self.t) is not int or self.t < 0:
+            raise ValidationError(
+                f"time index must be a nonnegative integer, got {self.t!r}")
+        if type(self.symbol) is not str:
+            raise ValidationError(f"symbol must be a string, got {self.symbol!r}")
 
 
 @dataclass
@@ -333,8 +338,8 @@ code_tables = valid(CodeLengthTable, code_table_args())
 @st.composite
 def observation_args(draw):
     t = draw(st.integers(-2, 3) | st.integers(0, 2**70)
-             | st.sampled_from(["1", 1.5, None]))
-    return [t, draw(syms | texts)], {}
+             | st.sampled_from(["1", 1.5, 2.0, None, True, False]))
+    return [t, draw(syms | texts | st.sampled_from([7, None, b"a", True]))], {}
 
 
 @st.composite
