@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import islice
 from math import ceil, inf, isfinite, log2
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -46,7 +45,7 @@ from .estimators import (
     _NOTHING,
     resolve_epsilon,
 )
-from .memory import _BLOCK_LINES, Observation, StmStack
+from .memory import Observation, StmStack
 # Re-exported: the trace format's owner is traceio.
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl  # noqa: F401
 
@@ -510,30 +509,10 @@ class Engine:
 def run_stream(
     events: Iterable[Observation], config: Optional[EngineConfig] = None
 ) -> Iterator[TraceRecord]:
-    """Fold an engine over time-ordered events; deterministic. Reads
-    _BLOCK_LINES events ahead and scores them with one step_block call.
-    The records of the events before a fault, a time that does not
-    increase or an exception from `events`, are yielded before it."""
+    """Fold an engine over time-ordered events; deterministic."""
     engine = Engine(config)
-    events = iter(events)
-    scored = 0
-    while True:
-        block: list[Observation] = []
-        fault = None
+    for i, obs in enumerate(events):
         try:
-            block.extend(islice(events, _BLOCK_LINES))
-        except Exception as exc:  # block holds the events before it
-            fault = exc
-        records: list[TraceRecord] = []
-        try:
-            engine.step_block(block, records)
+            yield engine.step(obs)
         except NonMonotonicTimeError as exc:
-            yield from records
-            raise NonMonotonicTimeError(
-                f"event {scored + len(records) + 1}: {exc}") from None
-        yield from records
-        if fault is not None:
-            raise fault
-        if len(block) < _BLOCK_LINES:
-            return
-        scored += len(records)
+            raise NonMonotonicTimeError(f"event {i + 1}: {exc}") from None

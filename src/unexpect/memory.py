@@ -137,13 +137,13 @@ _CANONICAL_EVENT = re.compile(
 _BLOCK_LINES = 256
 
 
-def _event_blocks(lines: Iterable[str],
-                  start: int = 0) -> Iterator[list[tuple[int, Observation]]]:
+def _event_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, Observation]]]:
     """The (1-based line number, Observation) pairs of read_events, one
     list per block of _BLOCK_LINES lines. A faulty line ends the run:
     the events of its block before it come first, then ValidationError."""
     find_all = _CANONICAL_EVENT.findall
     lines = iter(lines)
+    start = 0
     while block := list(islice(lines, _BLOCK_LINES)):
         found = find_all("".join(block))
         # Each line has at most one newline, at its end, and a match
@@ -170,18 +170,15 @@ def _event_blocks(lines: Iterable[str],
         start += len(block)
 
 
-def read_events(lines: Iterable[str],
-                start: int = 0) -> Iterator[tuple[int, Observation]]:
+def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
     """Yield (1-based line number, Observation) pairs; blank lines skipped.
 
     Each item of `lines` is one line, with at most one newline, at its
     end, as iterating a file or splitlines(keepends=True) gives; up to
-    _BLOCK_LINES lines are read ahead. `start` is the 0-based index of
-    the first line, for lines that continue a stream: a bare token's t
-    and every line number count from it.
+    _BLOCK_LINES lines are read ahead.
 
     A line that holds a surrogate escape of a byte that is not UTF-8
     (U+DC80-U+DCFF) is rejected, naming the byte.
     """
-    for events in _event_blocks(lines, start):
+    for events in _event_blocks(lines):
         yield from events

@@ -909,6 +909,19 @@ class TestClosedStandardStreams:
             capture_output=True, text=True, env=child_env(), timeout=60)
         assert (child.returncode, child.stderr) == (code, f"error: {message}\n")
 
+    def test_reader_that_closes_the_pipe_early(self, tmp_path):
+        # About 0.5 MB of events, more than a pipe holds, so that simulate
+        # is still writing when the reader goes.
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"kind": "zipf", "length": 20_000, "seed": 1, "alphabet": 100}))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "unexpect.cli", "simulate", "--spec", spec],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert child.stdout.readline() == b'{"t": 0, "s": "10"}\n'
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (0, b"")
+
 
 class TestExplain:
     GRAPH = {
@@ -984,7 +997,8 @@ class TestExplain:
         ("--graph", "nan", "--cd must be finite and >= 0, got nan"),
         ("--graph", "inf", "--cd must be finite and >= 0, got inf"),
         ("--bayes", "1", "--cd cannot be combined with --bayes"),
-    ], ids=["negative", "nan", "inf", "bayes"])
+        ("--graph", None, "--cd is required with --graph"),
+    ], ids=["negative", "nan", "inf", "bayes", "missing"])
     def test_cd_faults_name_the_flag(self, tmp_path, capsys, source, cd,
                                      message):
         # -5 printed "c_d_bits": -5.0 with exit 0; nan and inf exited 2
@@ -992,8 +1006,9 @@ class TestExplain:
         path = write(tmp_path / "f.json", json.dumps(
             self.GRAPH if source == "--graph" else
             {"evidence": 0.1, "causes": {"M": {"prior": 0.01, "likelihood": 0.9}}}))
+        cd_args = [] if cd is None else ["--cd", cd]
         code, out, err = run_cli(
-            capsys, ["explain", source, path, "--target", "s", "--cd", cd])
+            capsys, ["explain", source, path, "--target", "s", *cd_args])
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_unknown_target_is_data_error(self, tmp_path, capsys):
@@ -1182,6 +1197,14 @@ class TestDivergenceCommand:
         )
         assert code == 1
         assert "--mind" in err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--world", "w.json"], ["--mind", "m.json"],
+    ], ids=["neither", "world-only", "mind-only"])
+    def test_world_and_mind_are_required_without_from_trace(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["divergence", *argv])
+        assert (code, out, err) == (
+            1, "", "error: --world and --mind are required (or use --from-trace)\n")
 
     def test_tau_must_be_positive(self, capsys):
         for tau in ("0", "-1", "nan", "inf"):
@@ -1452,6 +1475,24 @@ def test_every_file_fault_names_its_file(tmp_path, capsys, kind, fault):
         expected = 2, f"{what} {path}: {message}"
     code, out, err = run_cli(capsys, file_argv(tmp_path, kind, path))
     assert (code, out, err) == (expected[0], "", f"error: {expected[1]}\n")
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("missing", "No such file or directory"), ("directory", "Is a directory"),
+])
+@pytest.mark.parametrize("argv", [
+    ["track"], ["replay", "--snapshot", "{snapshot}"], ["divergence", "--from-trace"],
+], ids=lambda argv: argv[0])
+def test_unreadable_input_exits_two(tmp_path, capsys, argv, fault, reason):
+    snapshot = write(tmp_path / "snapshot.json",
+                     json.dumps(FILE_KINDS["snapshot"][2]))
+    path = tmp_path / "input"
+    if fault == "directory":
+        path.mkdir()
+    argv = [a.format(snapshot=snapshot) for a in argv]
+    code, out, err = run_cli(capsys, [*argv, "--input", str(path),
+                                      "--output", os.devnull])
+    assert (code, out, err) == (2, "", f"error: cannot read {path}: {reason}\n")
 
 
 def test_every_valid_file_is_read(tmp_path, capsys):

@@ -243,8 +243,8 @@ class TestRunStream:
             list(run_stream(events, small_config()))
 
     def test_fault_in_second_block_yields_the_records_before_it(self):
-        # Event 300 repeats the time of event 299; run_stream scores a
-        # block of 256 at a time, and still yields the 299 before it.
+        # Event 300 repeats the time of event 299; the 299 records
+        # before it are yielded first.
         events = observations(["A", "B", "C"] * 100)
         events[299] = Observation(298, "C")
         engine, got = Engine(small_config()), []
@@ -255,7 +255,7 @@ class TestRunStream:
         assert got == [engine.step(obs) for obs in events[:299]]
 
     def test_fault_of_the_events_comes_after_the_records_before_it(self):
-        # The events raise at event 300, in run_stream's second block.
+        # The events raise at event 300, after 299 good ones.
         head = observations(["A", "B", "C"] * 100)[:299]
 
         def events():
@@ -267,6 +267,27 @@ class TestRunStream:
             for record in run_stream(events(), small_config()):
                 got.append(record)
         assert got == [engine.step(obs) for obs in head]
+
+    def test_reads_one_event_per_record(self):
+        # The fold is lazy: the first record draws only the first event.
+        drawn = []
+
+        def events():
+            for obs in observations(["A", "B", "C"] * 100):
+                drawn.append(obs)
+                yield obs
+
+        first = next(run_stream(events(), small_config()))
+        assert first == Engine(small_config()).step(Observation(0, "A"))
+        assert len(drawn) == 1
+
+    def test_bad_item_comes_after_the_records_before_it(self):
+        events = [Observation(0, "a"), Observation(1, "b"), ("x",)]
+        engine, got = Engine(small_config()), []
+        with pytest.raises(AttributeError):
+            for record in run_stream(events, small_config()):
+                got.append(record)
+        assert got == [engine.step(obs) for obs in events[:2]]
 
     def test_deterministic(self):
         spec = SourceSpec(

@@ -165,14 +165,8 @@ class TestEventParsing:
             (3, Observation(9, "B")),
             (4, Observation(3, "C")),
         ]
-        # Lines that continue a stream count from their first index.
-        assert list(read_events(lines, 7)) == [
-            (8, Observation(7, "A")),
-            (10, Observation(9, "B")),
-            (11, Observation(10, "C")),
-        ]
-        with pytest.raises(ValidationError, match="^line 9: invalid JSON"):
-            list(read_events(["", "{"], 7))
+        with pytest.raises(ValidationError, match="^line 2: invalid JSON"):
+            list(read_events(["", "{"]))
 
 
 # -- reference: event parsing through json.loads -----------------------
@@ -364,17 +358,15 @@ class TestReadEventsAcrossBlocks:
     @given(file_lines, st.integers(0, 5),
            st.one_of(st.integers(0, 4),
                      st.integers(_BLOCK_LINES - 4, _BLOCK_LINES + 1),
-                     st.integers(2 * _BLOCK_LINES - 4, 2 * _BLOCK_LINES + 8)),
-           st.sampled_from([0, 7]))
+                     st.integers(2 * _BLOCK_LINES - 4, 2 * _BLOCK_LINES + 8)))
     # A bad line as the first line of the second block and in its middle.
-    @example(['{"t": 1\n'], 0, _BLOCK_LINES, 0)
-    @example(['{"t": 1\n'], 0, _BLOCK_LINES + _BLOCK_LINES // 2, 7)
-    @example(['a\udcffb\n', "A\n"], 1, _BLOCK_LINES + 1, 0)
-    @example(["\n", "A\n"], 0, _BLOCK_LINES - 1, 7)
-    def test_blocks_match_reference(self, drawn, at, pad, start):
+    @example(['{"t": 1\n'], 0, _BLOCK_LINES)
+    @example(['{"t": 1\n'], 0, _BLOCK_LINES + _BLOCK_LINES // 2)
+    @example(['a\udcffb\n', "A\n"], 1, _BLOCK_LINES + 1)
+    @example(["\n", "A\n"], 0, _BLOCK_LINES - 1)
+    def test_blocks_match_reference(self, drawn, at, pad):
         lines = drawn[:at] + canonical_lines(pad) + drawn[at:]
-        # The reference counts lines from 0: `start` blank lines first.
-        expected = run_until_fault(ref_read_events(["\n"] * start + lines))
-        assert run_until_fault(read_events(lines, start)) == expected
+        expected = run_until_fault(ref_read_events(lines))
+        assert run_until_fault(read_events(lines)) == expected
         assert run_until_fault(
-            read_events(io.StringIO("".join(lines)), start)) == expected
+            read_events(io.StringIO("".join(lines)))) == expected

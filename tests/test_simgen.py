@@ -1,3 +1,4 @@
+import json
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
@@ -155,13 +156,23 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             SourceSpec(kind="bifurcation", length=10, seed=0, base_labels=4)
 
-    def test_json_round_trip(self):
-        spec = SourceSpec(
+    @pytest.mark.parametrize("spec", [
+        spec_stationary((0.5, 0.3, 0.2), seed=4, length=100),
+        SourceSpec(
             kind="changepoint", length=100, seed=9, t_star=50,
             distribution=DiscreteDistribution(("x", "y"), (0.75, 0.25)),
             distribution_after=DiscreteDistribution(("x", "y"), (0.25, 0.75)),
-        )
-        again = SourceSpec.from_dict(spec.to_dict())
+        ),
+        SourceSpec(kind="bifurcation", length=100, seed=3, base_labels=3,
+                   offset_values=(0, 10), offset_mass=(0.5, 0.5)),
+        SourceSpec(kind="bifurcation", length=100, seed=3, base_labels=3,
+                   base_mass=(0.5, 0.25, 0.25), offset_values=(0, 10),
+                   offset_mass=(0.75, 0.25)),
+        SourceSpec(kind="zipf", length=100, seed=6, alphabet=50, exponent=1.5),
+    ], ids=["stationary", "changepoint", "bifurcation", "bifurcation-base-mass",
+            "zipf"])
+    def test_json_round_trip(self, spec):
+        again = SourceSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
         assert [o.symbol for o in generate(again)] == [
             o.symbol for o in generate(spec)
