@@ -17,8 +17,14 @@ over at least ten pairs the change wins at least nine tenths of them,
 and its median is better than the parent's by more than the parent's
 interquartile range. Every run's metrics are printed as it ends.
 
+Each run has PYTHONDONTWRITEBYTECODE=1 in its environment, so that no
+run leaves a bytecode cache for the next; a checkout that already holds
+one (src/unexpect/__pycache__) would skip compiling the package, which
+moves setup_s and track_eps, so it is refused.
+
 Exits 1 if any run exits non-zero, prints no result or reports failed
-checks, and 2 if the two checkouts define different benchmarks.
+checks, and 2 if the two checkouts define different benchmarks or either
+holds a bytecode cache of the package.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ def run_once(checkout: str, command: list, workload: str, seed: int,
     proc = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
                    "--seconds", f"{seconds:g}", "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
@@ -117,6 +124,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     sides = {"parent": args.parent_dir, "change": args.change_dir}
+    for checkout in sides.values():
+        cache = os.path.join(checkout, "src", "unexpect", "__pycache__")
+        if os.path.isdir(cache):
+            print(f"error: {cache} exists; the benchmark runs with no "
+                  "bytecode cache, so delete it", file=sys.stderr)
+            return 2
     values = {side: [] for side in sides}
     any_failed = False
     for i in range(args.pairs):

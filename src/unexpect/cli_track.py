@@ -14,7 +14,7 @@ from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_f
 from .core import UnexpectError, ValidationError
 from .engine import Engine, EngineConfig
 from .estimators import EPSILON_AUTO, EPSILON_OFF
-from .memory import _event_blocks
+from .memory import Observation, _event_blocks
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl
 
 # EngineConfig field -> the flag that sets it and its range, for the
@@ -65,19 +65,19 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         raise _fail_flag(f"{flag} must be {rng}, got {merged[exc.field]!r}") from None
 
 
-def _write_lines(write, texts: list[str], events: list) -> None:
+def _write_lines(write, texts: list[str], line_numbers, symbols) -> None:
     """Write the trace lines in one call. If a symbol cannot be encoded,
     write them again one at a time, up to the line that names it;
-    `events` gives each text's (line number, Observation)."""
+    `line_numbers` and `symbols` give each text's line and symbol."""
     try:
         write("\n".join(texts) + "\n")
     except UnicodeEncodeError:  # e.g. a lone surrogate in CSV
-        for text, (lineno, obs) in zip(texts, events):
+        for text, lineno, symbol in zip(texts, line_numbers, symbols):
             try:
                 write(text + "\n")
             except UnicodeEncodeError as exc:
                 raise _fail_data(f"line {lineno}: cannot write symbol "
-                                 f"{obs.symbol!r}: {exc.reason}") from None
+                                 f"{symbol!r}: {exc.reason}") from None
         raise
 
 
@@ -100,25 +100,25 @@ def _run_engine_over(
         score = engine.step_block
     else:
         # The rate after each event, so one step at a time.
-        def score(observations, records):
+        def score(times, symbols, records):
             step, rate, window = engine.step, engine.estimator.w, stability[0]
-            for obs in observations:
-                records.append(step(obs))
-                history = histories.get(obs.symbol)
+            for t, symbol in zip(times, symbols):
+                records.append(step(Observation(t, symbol)))
+                history = histories.get(symbol)
                 if history is None:
-                    history = histories[obs.symbol] = deque(maxlen=window)
-                history.append(rate(obs.symbol))
+                    history = histories[symbol] = deque(maxlen=window)
+                history.append(rate(symbol))
     records: list = []
-    for events in _event_blocks(lines):
+    for line_numbers, times, symbols in _event_blocks(lines):
         # The lines scored before a fault are written before it exits,
         # as one line at a time would have.
         try:
-            score([obs for _, obs in events], records)
+            score(times, symbols, records)
         except UnexpectError as exc:
-            raise _fail_data(f"line {events[len(records)][0]}: {exc}") from None
+            raise _fail_data(f"line {line_numbers[len(records)]}: {exc}") from None
         finally:
             if records:
-                _write_lines(write, list(map(to_line, records)), events)
+                _write_lines(write, list(map(to_line, records)), line_numbers, symbols)
                 records.clear()
     if stability is not None:
         window, delta = stability

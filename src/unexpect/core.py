@@ -121,12 +121,22 @@ def _numbers(name: str, value) -> tuple:
     return tuple(value)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, if no key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValidationError(f"JSON object repeats key {repeated!r}")
+    return obj
+
+
 def _decode_json_line(line: str):
-    """json.loads(line): the same value, or the same error and message.
-    The one exception: an integer longer than int() converts raises
-    ValidationError, where json.loads raises a bare ValueError."""
+    """json.loads(line), or its error and message; but ValidationError for
+    an object that repeats a key (json.loads keeps the last value) and an
+    integer longer than int() converts (a bare ValueError from json.loads)."""
     try:
-        return json.loads(line)
+        return json.loads(line, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         raise
     except ValueError:  # from int(), past sys.get_int_max_str_digits()

@@ -274,20 +274,21 @@ class Engine:
         return tuple.__new__(
             TraceRecord, (t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, flag))
 
-    def step_block(self, observations: Iterable[Observation],
+    def step_block(self, times: Iterable[int], symbols: Iterable[SymbolId],
                    records: list) -> None:
-        """Score each observation as `step` does, appending its record to
-        `records`; the same records and the same state, in one loop.
+        """Score the events zip(times, symbols) as `step` scores their
+        Observations, appending each record to `records`: the same records
+        and the same state, in one loop, with no Observation per event.
 
-        The stack, estimator, detector and counters live in locals for
-        the block and are written back on every exit. If event k raises
-        NonMonotonicTimeError, `records` has gained the k - 1 records
-        before it and the engine is as after k - 1 `step` calls."""
+        The stack, estimator, detector and counters live in locals, written
+        back on every exit. If event k raises ValidationError (Observation's
+        message) or NonMonotonicTimeError, `records` has gained the k - 1
+        records before it and the engine is as after k - 1 `step` calls."""
         stack, estimator, detector = self.stack, self.estimator, self.detector
         # The state held in locals; the containers change in place.
         seen = self._seen
         last_t, events_seen, n_seen = self.last_t, self.events_seen, len(seen)
-        stamp_of, stamps, symbols = stack._stamp_of, stack._stamps, stack._symbols
+        stamp_of, stamps, stacked = stack._stamp_of, stack._stamps, stack._symbols
         clock, capacity = stack._clock, stack.capacity
         ewma, hits = detector.ewma, detector.hits
         beta, theta, min_hits = detector.beta, detector.theta, detector.min_hits
@@ -304,9 +305,9 @@ class Engine:
         prune, prune_every = self._prune, self._PRUNE_EVERY
         get_stamp, add, new = stamp_of.get, records.append, tuple.__new__
         try:
-            for obs in observations:
-                t = obs.t
-                symbol = obs.symbol
+            for t, symbol in zip(times, symbols):
+                if type(t) is not int or type(symbol) is not str or t < 0:
+                    Observation(t, symbol)  # raises the one message for it
                 if last_t is not None and t <= last_t:
                     raise NonMonotonicTimeError(
                         f"time {t} does not increase past {last_t}")
@@ -334,14 +335,14 @@ class Engine:
                         position = None
                         if capacity is not None and len(stamps) >= capacity:
                             del stamps[0]
-                            del stamp_of[symbols.pop(0)]
+                            del stamp_of[stacked.pop(0)]
                     else:
                         index = bisect_left(stamps, stamp)
                         position = len(stamps) - index
                         del stamps[index]
-                        del symbols[index]
+                        del stacked[index]
                     stamps.append(clock)
-                    symbols.append(symbol)
+                    stacked.append(symbol)
                 if position is None:
                     seen.add(symbol)
                     n_seen = len(seen)
@@ -501,7 +502,7 @@ class Engine:
     def restore_json(cls, text: str) -> "Engine":
         try:
             obj = _decode_json_line(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, ValidationError) as exc:
             raise VersionMismatchError(f"unreadable snapshot: {exc}") from None
         return cls.restore(obj)
 

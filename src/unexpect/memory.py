@@ -33,7 +33,7 @@ class Observation(_Value):
         _set_symbol(self, symbol)
 
 
-# The slots' own setters: the parser makes one Observation per event
+# The slots' own setters: read_events makes one Observation per event
 # line, and two direct calls cost less than _fill's loop.
 _set_t = Observation.t.__set__
 _set_symbol = Observation.symbol.__set__
@@ -137,10 +137,10 @@ _CANONICAL_EVENT = re.compile(
 _BLOCK_LINES = 256
 
 
-def _event_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, Observation]]]:
-    """The (1-based line number, Observation) pairs of read_events, one
-    list per block of _BLOCK_LINES lines. A faulty line ends the run:
-    the events of its block before it come first, then ValidationError."""
+def _event_blocks(lines: Iterable[str]) -> Iterator[tuple]:
+    """read_events' events as columns, one (line numbers, times, symbols)
+    triple per block of _BLOCK_LINES lines. A faulty line ends the run: the
+    columns of its block's events before it come first, then ValidationError."""
     find_all = _CANONICAL_EVENT.findall
     lines = iter(lines)
     start = 0
@@ -151,10 +151,10 @@ def _event_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, Observation]
         # matches as lines only if every line is one as `simulate` writes
         # it. Any other block goes a line at a time.
         if len(found) == len(block):
-            yield [(i, Observation(int(t), symbol))
-                   for i, (t, symbol) in enumerate(found, start + 1)]
+            times, symbols = zip(*found)
+            yield range(start + 1, start + 1 + len(block)), list(map(int, times)), symbols
         else:
-            events = []
+            line_numbers, times, symbols = [], [], []
             for i, line in enumerate(block, start):
                 stripped = line.strip()
                 if not stripped:
@@ -162,11 +162,14 @@ def _event_blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, Observation]
                 try:
                     if not stripped.isascii():
                         _require_utf8(stripped)
-                    events.append((i + 1, _parse_stripped(stripped, i)))
+                    obs = _parse_stripped(stripped, i)
                 except ValidationError as exc:
-                    yield events
+                    yield line_numbers, times, symbols
                     raise ValidationError(f"line {i + 1}: {exc}") from None
-            yield events
+                line_numbers.append(i + 1)
+                times.append(obs.t)
+                symbols.append(obs.symbol)
+            yield line_numbers, times, symbols
         start += len(block)
 
 
@@ -180,5 +183,5 @@ def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
     A line that holds a surrogate escape of a byte that is not UTF-8
     (U+DC80-U+DCFF) is rejected, naming the byte.
     """
-    for events in _event_blocks(lines):
-        yield from events
+    for line_numbers, times, symbols in _event_blocks(lines):
+        yield from zip(line_numbers, map(Observation, times, symbols))

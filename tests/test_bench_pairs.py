@@ -1,6 +1,9 @@
-"""The summary of scripts/bench_pairs.py on fixed numbers."""
+"""scripts/bench_pairs.py: its summary on fixed numbers, and the
+environment of its runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,36 @@ def test_rejects_unpaired_values_and_unknown_direction():
         summarize(PARENT, PARENT[:9], "higher")
     with pytest.raises(ValueError):
         summarize(PARENT, PARENT, "faster")
+
+
+def test_each_run_writes_no_bytecode_cache(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(kwargs)
+        result = {"metrics": {"track_eps": {"value": 1.0}}, "failed": 0}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    metrics, failed = bench_pairs.run_once(str(tmp_path), ["python3", "run.py"],
+                                           "shift4-iir", 1, 1.0)
+    assert (metrics, failed) == ({"track_eps": 1.0}, 0)
+    assert calls[0]["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert calls[0]["cwd"] == str(tmp_path)
+
+
+@pytest.mark.parametrize("cached", ["parent", "change"])
+def test_a_checkout_with_a_bytecode_cache_exits_two(monkeypatch, tmp_path,
+                                                    capsys, cached):
+    monkeypatch.setattr(bench_pairs, "run_once", pytest.fail)  # never runs
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text('{"command": ["x"]}')
+    cache = tmp_path / cached / "src" / "unexpect" / "__pycache__"
+    cache.mkdir(parents=True)
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--pairs", "1", "--seconds", "1",
+                             "--first-seed", "1"])
+    assert code == 2
+    assert str(cache) in capsys.readouterr().err

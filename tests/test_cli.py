@@ -205,6 +205,14 @@ class TestTrack:
         assert err == ("error: line 2: an integer has more than "
                        f"{sys.get_int_max_str_digits()} digits\n")
 
+    def test_repeated_key_exits_two_with_line(self, capsys, monkeypatch):
+        # json.loads keeps the last value, so this line was scored at t = 5.
+        text = '{"t": 0, "s": "A"}\n{"t": 1, "s": "a", "t": 5}\n'
+        code, out, err = run_cli(capsys, ["track"], stdin_text=text,
+                                 monkeypatch=monkeypatch)
+        assert code == 2 and len(out.splitlines()) == 1
+        assert err == "error: line 2: JSON object repeats key 't'\n"
+
     def test_failed_run_leaves_no_output_file(self, tmp_path, capsys):
         events = write(tmp_path / "bad.jsonl",
                        '{"t": 3, "s": "A"}\n{"t": 1, "s": "B"}\n')
@@ -1345,6 +1353,16 @@ class TestDivergenceCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_from_trace_repeated_key_names_the_line(self, capsys, monkeypatch):
+        trace = '{"symbol": "A", "c_ltm": 1.0, "symbol": "B"}\n'
+        code, _, err = run_cli(
+            capsys, ["divergence", "--from-trace", "--normalize-mind"],
+            stdin_text=trace, monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert err == ("error: line 1: not a trace record: JSON object "
+                       "repeats key 'symbol'\n")
+
     def test_from_trace_huge_integer_names_the_line(self, capsys, monkeypatch):
         trace = '{"t": %s, "symbol": "A", "c_ltm": 1.0}\n' % ("1" * 5000)
         code, _, err = run_cli(
@@ -1475,6 +1493,20 @@ def test_every_file_fault_names_its_file(tmp_path, capsys, kind, fault):
         expected = 2, f"{what} {path}: {message}"
     code, out, err = run_cli(capsys, file_argv(tmp_path, kind, path))
     assert (code, out, err) == (expected[0], "", f"error: {expected[1]}\n")
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+def test_repeated_key_in_a_json_file_names_the_file(tmp_path, capsys, kind):
+    # json.loads keeps the last value: a config file of {"alpha": 0.9,
+    # "alpha": 0.5} ran with alpha 0.5. The valid file, its first key
+    # given twice.
+    what, _, valid = FILE_KINDS[kind]
+    key = next(iter(valid))
+    text = json.dumps(valid)[:-1] + f", {json.dumps(key)}: {json.dumps(valid[key])}}}"
+    path = write(tmp_path / "file.json", text)
+    code, out, err = run_cli(capsys, file_argv(tmp_path, kind, path))
+    assert (code, out, err) == (
+        2, "", f"error: {what} {path}: JSON object repeats key {key!r}\n")
 
 
 @pytest.mark.parametrize("fault, reason", [

@@ -217,6 +217,24 @@ class TestStep:
         record = engine.step(Observation(3, "NEW"))
         assert record.novelty and record.change_flag  # unchanged, not reset
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("t, symbol", [(1.0, "A"), (True, "A"), (-1, "A"),
+                                           (10, 5), (10, None)])
+    def test_step_block_checks_columns_as_observation(self, k, t, symbol):
+        # Event k of the block is bad; Observation owns the rule and its
+        # message, and the k - 1 events before it are scored as by step.
+        times, symbols = [0, 1, 2][:k - 1] + [t], ["A", "B", "A"][:k - 1] + [symbol]
+        with pytest.raises(ValidationError) as expected:
+            Observation(t, symbol)
+        engine, reference = Engine(small_config()), Engine(small_config())
+        records = []
+        with pytest.raises(ValidationError) as raised:
+            engine.step_block(times + [11], symbols + ["C"], records)
+        assert str(raised.value) == str(expected.value)
+        assert records == [reference.step(Observation(*event))
+                           for event in zip(times[:k - 1], symbols[:k - 1])]
+        assert engine.snapshot_json() == reference.snapshot_json()
+
 
 class TestWarmup:
     def test_auto_warmup_scales_with_alpha(self):
@@ -415,6 +433,17 @@ class TestSnapshots:
             Engine.restore_json('{"format_version": 4, "config"')
         with pytest.raises(VersionMismatchError):
             Engine.restore({"format_version": 4})  # missing everything else
+
+    @pytest.mark.parametrize("text, fault", [
+        ('{"format_version": 4, "format_version": 4}',
+         "JSON object repeats key 'format_version'"),
+        ('{"format_version": %s}' % ("1" * 5000), "an integer has more than"),
+    ], ids=["repeated-key", "huge-integer"])
+    def test_undecodable_snapshot_text_is_a_version_mismatch(self, text, fault):
+        # Engine.restore turns every fault into a VersionMismatchError;
+        # the text's decoder raised a bare ValidationError for these two.
+        with pytest.raises(VersionMismatchError, match="^unreadable snapshot: " + fault):
+            Engine.restore_json(text)
 
     @pytest.mark.parametrize("alpha", [5, math.nan])
     def test_fir_snapshot_with_alpha_out_of_range_is_rejected(self, alpha):
@@ -761,6 +790,8 @@ class TestLeanPathMatchesReference:
         # block engine is restored from its own snapshot. A refused event
         # ends its call; the rest of its block goes in the next one.
         ends = data.draw(st.sets(st.integers(min_value=0, max_value=len(gaps))))
+        times = [obs.t for obs in stream]
+        symbols = [obs.symbol for obs in stream]
         blocked = sweeping_every(Engine(config), prune_every)
         start = 0
         for end in sorted(ends | {split, len(gaps)}):
@@ -770,7 +801,8 @@ class TestLeanPathMatchesReference:
             while start <= end:
                 records = []
                 try:
-                    blocked.step_block(stream[start:end], records)
+                    blocked.step_block(times[start:end], symbols[start:end],
+                                       records)
                 except NonMonotonicTimeError as exc:
                     at = start + len(records)  # the refused event
                     assert (str(exc), blocked.snapshot_json()) == refused[at]
@@ -788,10 +820,9 @@ class TestLeanPathMatchesReference:
         for engine in engines:
             engine.step(Observation(0, "A"))
             engine.estimator.w("A")
-        block = [Observation(1, "B"), Observation(2, "B")]
-        engines[0].step_block(block, [])
-        for obs in block:
-            engines[1].step(obs)
+        engines[0].step_block([1, 2], ["B", "B"], [])
+        for t in (1, 2):
+            engines[1].step(Observation(t, "B"))
         for engine in engines:
             engine.estimator.update(Observation(3, "A"))
         assert engines[0].snapshot_json() == engines[1].snapshot_json()

@@ -14,6 +14,7 @@ from unexpect.memory import (
     Observation,
     StmStack,
     _decode_json_line,
+    _event_blocks,
     _parse_stripped,
     read_events,
 )
@@ -370,3 +371,7 @@ class TestReadEventsAcrossBlocks:
         assert run_until_fault(read_events(lines)) == expected
         assert run_until_fault(
             read_events(io.StringIO("".join(lines)))) == expected
+        # The columns track scores, zipped, up to the same fault.
+        assert run_until_fault(
+            event for columns in _event_blocks(lines) for event in zip(*columns)
+        ) == ([(i, obs.t, obs.symbol) for i, obs in expected[0]], expected[1])
