@@ -15,7 +15,7 @@ from .core import UnexpectError, ValidationError
 from .engine import Engine, EngineConfig
 from .estimators import EPSILON_AUTO, EPSILON_OFF
 from .memory import Observation, _event_blocks
-from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl
+from .traceio import TRACE_CSV_HEADER, _TRACE_LINES
 
 # EngineConfig field -> the flag that sets it and its range, for the
 # message of a bad value; a ValidationError's field picks the row.
@@ -92,34 +92,32 @@ def _run_engine_over(
     write = out.write
     if emit == "csv":
         write(TRACE_CSV_HEADER + "\n")
-        to_line = trace_to_csv
-    else:
-        to_line = trace_to_jsonl
     histories: dict[str, deque] = {}
     if stability is None:
         score = engine.step_block
     else:
         # The rate after each event, so one step at a time.
-        def score(times, symbols, records):
+        def score(times, symbols, texts, emit):
             step, rate, window = engine.step, engine.estimator.w, stability[0]
+            to_line = _TRACE_LINES[emit][2]  # trace_to_jsonl or trace_to_csv
             for t, symbol in zip(times, symbols):
-                records.append(step(Observation(t, symbol)))
+                texts.append(to_line(step(Observation(t, symbol))))
                 history = histories.get(symbol)
                 if history is None:
                     history = histories[symbol] = deque(maxlen=window)
                 history.append(rate(symbol))
-    records: list = []
+    texts: list[str] = []
     for line_numbers, times, symbols in _event_blocks(lines):
         # The lines scored before a fault are written before it exits,
         # as one line at a time would have.
         try:
-            score(times, symbols, records)
+            score(times, symbols, texts, emit)
         except UnexpectError as exc:
-            raise _fail_data(f"line {line_numbers[len(records)]}: {exc}") from None
+            raise _fail_data(f"line {line_numbers[len(texts)]}: {exc}") from None
         finally:
-            if records:
-                _write_lines(write, list(map(to_line, records)), line_numbers, symbols)
-                records.clear()
+            if texts:
+                _write_lines(write, texts, line_numbers, symbols)
+                texts.clear()
     if stability is not None:
         window, delta = stability
         # Each history holds at most the last `window` rates.

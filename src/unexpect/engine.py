@@ -46,6 +46,7 @@ from .estimators import (
     resolve_epsilon,
 )
 from .memory import Observation, StmStack
+from .traceio import _TRACE_LINES
 # Re-exported: the trace format's owner is traceio.
 from .traceio import TRACE_CSV_HEADER, trace_to_csv, trace_to_jsonl  # noqa: F401
 
@@ -275,15 +276,18 @@ class Engine:
             TraceRecord, (t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, flag))
 
     def step_block(self, times: Iterable[int], symbols: Iterable[SymbolId],
-                   records: list) -> None:
+                   lines: list, emit: str) -> None:
         """Score the events zip(times, symbols) as `step` scores their
-        Observations, appending each record to `records`: the same records
-        and the same state, in one loop, with no Observation per event.
-
-        The stack, estimator, detector and counters live in locals, written
-        back on every exit. If event k raises ValidationError (Observation's
-        message) or NonMonotonicTimeError, `records` has gained the k - 1
-        records before it and the engine is as after k - 1 `step` calls."""
+        Observations and append each record's trace_to_jsonl or trace_to_csv
+        line (`emit` "jsonl" or "csv") to `lines`, in one loop with the state
+        in locals, written back on every exit. If event k raises
+        ValidationError (Observation's message, or a column that ends first)
+        or NonMonotonicTimeError, `lines` has gained the k - 1 lines before
+        it and the engine is as after k - 1 `step` calls."""
+        _require("emit", emit, str, "'jsonl' or 'csv'", _TRACE_LINES.__contains__)
+        template, encode, to_line = _TRACE_LINES[emit]
+        # "%.6f" % log2(p) at index p, up to the deepest position met; not state.
+        stm_texts = self.__dict__.setdefault("_stm_texts", [None, "0.000000"])
         stack, estimator, detector = self.stack, self.estimator, self.detector
         # The state held in locals; the containers change in place.
         seen = self._seen
@@ -303,9 +307,9 @@ class Engine:
             gain = 1.0 - alpha
         fixed_floor, warmup = self._fixed_floor, self.warmup
         prune, prune_every = self._prune, self._PRUNE_EVERY
-        get_stamp, add, new = stamp_of.get, records.append, tuple.__new__
+        get_stamp, add = stamp_of.get, lines.append
         try:
-            for t, symbol in zip(times, symbols):
+            for t, symbol in zip(times, symbols, strict=True):
                 if type(t) is not int or type(symbol) is not str or t < 0:
                     Observation(t, symbol)  # raises the one message for it
                 if last_t is not None and t <= last_t:
@@ -346,17 +350,31 @@ class Engine:
                 if position is None:
                     seen.add(symbol)
                     n_seen = len(seen)
-                    record = (t, symbol, inf, c_ltm, None, None, True, hits >= min_hits)
+                    add(to_line((t, symbol, inf, c_ltm, None, None, True, hits >= min_hits)))
                 else:
                     c_stm = log2(position)
                     u_raw = c_ltm - c_stm
                     u_clamped = 0.0 if u_raw < 0.0 else u_raw
-                    if isfinite(u_clamped) and events_seen >= warmup:
-                        # ChangeDetector.update
-                        ewma = keep * u_clamped + beta * ewma
-                        hits = hits + 1 if ewma > theta else 0
-                    record = (t, symbol, c_stm, c_ltm, u_raw, u_clamped, False,
-                              hits >= min_hits)
+                    if not isfinite(u_clamped):  # c_ltm is inf: no update
+                        add(to_line((t, symbol, c_stm, c_ltm, u_raw, u_clamped,
+                                     False, hits >= min_hits)))
+                    else:
+                        if events_seen >= warmup:  # ChangeDetector.update
+                            ewma = keep * u_clamped + beta * ewma
+                            hits = hits + 1 if ewma > theta else 0
+                        # The texts are exact: c_stm is log2(position), whose
+                        # text stm_texts keeps; at position 1 it is +0.0, and
+                        # x - +0.0 is x for every float, so u_raw is c_ltm to
+                        # the bit; u_clamped is u_raw itself if u_raw >= 0.
+                        u_text = ltm_text = "%.6f" % c_ltm
+                        if position != 1:
+                            u_text = "%.6f" % u_raw
+                            while len(stm_texts) <= position:  # deepest yet
+                                stm_texts.append("%.6f" % log2(len(stm_texts)))
+                        add(template % (t, encode(symbol), stm_texts[position],
+                                        ltm_text, u_text,
+                                        u_text if u_raw >= 0.0 else "0.000000",
+                                        "true" if hits >= min_hits else "false"))
                 if fir:  # FirEstimator.update
                     if len(buffer) == window:
                         old = pop_oldest()
@@ -376,11 +394,14 @@ class Engine:
                         entry[1] = step
                 last_t = t
                 events_seen += 1
-                add(new(TraceRecord, record))
                 if prune and events_seen % prune_every == 0:
                     estimator._step = step
                     estimator.sweep(resolve_epsilon(self.config.epsilon, events_seen,
                                                     n_seen))
+        except ValueError as exc:  # zip's strict check, or a caller's iterator
+            if not str(exc).startswith("zip() argument"):
+                raise
+            raise ValidationError(f"times and symbols differ in length: {exc}") from None
         finally:
             self.last_t, self.events_seen = last_t, events_seen
             stack._clock = clock

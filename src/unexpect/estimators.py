@@ -53,9 +53,7 @@ class FirEstimator:
     """
 
     def __init__(self, window: int, buffer: Sequence[SymbolId] = ()):
-        if window < 1:
-            raise ValidationError(f"window must be >= 1, got {window}")
-        self.window = window
+        self.window = _require("window", window, int, "an integer >= 1", lambda n: n >= 1)
         # Strings only: no event could match anything else.
         self._buffer: deque[SymbolId] = deque(_symbols("buffer", buffer))
         if len(self._buffer) > window:  # it would never shrink

@@ -54,8 +54,8 @@ class StmStack:
 
     def __init__(self, capacity: Optional[int] = None,
                  items: Iterable[SymbolId] = ()):
-        if capacity is not None and capacity < 1:
-            raise ValidationError(f"capacity must be >= 1, got {capacity}")
+        if capacity is not None:
+            _require("capacity", capacity, int, "an integer >= 1", lambda n: n >= 1)
         self.capacity = capacity
         top_first = list(dict.fromkeys(items))  # as produced by items()
         if capacity is not None and len(top_first) > capacity:

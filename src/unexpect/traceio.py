@@ -26,10 +26,10 @@ _JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
 # both serializers render with one format and no _num call. The guard:
 # no cost is None and their sum is finite (NaN and inf carry into the
 # sum; finite costs whose sum overflows take the general template,
-# which renders them the same).
-_JSONL_FINITE = ('{"t": %s, "symbol": %s, "c_stm": %.6f, "c_ltm": %.6f, '
-                 '"u_raw": %.6f, "u_clamped": %.6f, "novelty": false, '
-                 '"change_flag": %s}')
+# which renders them the same). _JSONL_FAST takes the costs' texts.
+_JSONL_FAST = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, "u_raw": %s, '
+               '"u_clamped": %s, "novelty": false, "change_flag": %s}')
+_JSONL_FINITE = _JSONL_FAST % ("%s", "%s", "%.6f", "%.6f", "%.6f", "%.6f", "%s")
 # The line trace_to_jsonl writes, for readers that want only the symbol
 # (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
 # matches to the same symbol and to float(group 2): the pattern allows
@@ -68,6 +68,7 @@ def trace_to_jsonl(record: tuple) -> str:
         "true" if novelty else "false", "true" if change_flag else "false")
 
 
+
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
@@ -92,3 +93,10 @@ def trace_to_csv(record: tuple) -> str:
         t, _csv_field(symbol),
         _num(c_stm, ""), _num(c_ltm, ""), _num(u_raw, ""), _num(u_clamped, ""),
         "true" if novelty else "false", "true" if change_flag else "false")
+
+
+# Per emit, for Engine.step_block: the line of a non-novel record with four
+# finite costs, whose seven %s slots take t, the encoded symbol, the "%.6f"
+# texts of the four costs and the flag; the encoder; any record's serializer.
+_TRACE_LINES = {"jsonl": (_JSONL_FAST, encode_basestring_ascii, trace_to_jsonl),
+                "csv": ("%s,%s,%s,%s,%s,%s,false,%s", _csv_field, trace_to_csv)}

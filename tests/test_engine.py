@@ -227,12 +227,68 @@ class TestStep:
         with pytest.raises(ValidationError) as expected:
             Observation(t, symbol)
         engine, reference = Engine(small_config()), Engine(small_config())
-        records = []
+        lines = []
         with pytest.raises(ValidationError) as raised:
-            engine.step_block(times + [11], symbols + ["C"], records)
+            engine.step_block(times + [11], symbols + ["C"], lines, "jsonl")
         assert str(raised.value) == str(expected.value)
-        assert records == [reference.step(Observation(*event))
-                           for event in zip(times[:k - 1], symbols[:k - 1])]
+        assert lines == [trace_to_jsonl(reference.step(Observation(*event)))
+                         for event in zip(times[:k - 1], symbols[:k - 1])]
+        assert engine.snapshot_json() == reference.snapshot_json()
+
+    @pytest.mark.parametrize("times, symbols, scored", [
+        ([1, 2, 3], ["A"], 1), ([1], ["A", "B"], 1), ([], ["A"], 0),
+        (iter([1, 2]), iter("AB!"), 2)])
+    def test_step_block_refuses_columns_of_two_lengths(self, times, symbols, scored):
+        # The events of the shorter column are scored, then the fault.
+        engine, reference = Engine(small_config()), Engine(small_config())
+        lines = []
+        with pytest.raises(ValidationError, match="times and symbols differ in length"):
+            engine.step_block(times, symbols, lines, "jsonl")
+        assert lines == [trace_to_jsonl(reference.step(Observation(t, symbol)))
+                         for t, symbol in zip([1, 2][:scored], "AB")]
+        assert engine.snapshot_json() == reference.snapshot_json()
+
+    def test_step_block_passes_on_a_value_error_of_a_column(self):
+        def times():
+            yield 1
+            raise ValueError("no second time")
+        with pytest.raises(ValueError, match="no second time"):
+            Engine(small_config()).step_block(times(), ["A", "B"], [], "jsonl")
+
+    def test_step_block_refuses_an_unknown_emit(self):
+        engine = Engine(small_config())
+        with pytest.raises(ValidationError, match="emit must be 'jsonl' or 'csv'"):
+            engine.step_block([1], ["A"], [], "json")
+        assert engine.events_seen == 0
+
+    # The last event of each stream hits one text identity of step_block
+    # or one fallback to the serializer, as `last` checks.
+    @pytest.mark.parametrize("emit", ["jsonl", "csv"])
+    @pytest.mark.parametrize("overrides, stream, last", [
+        # FIR rate 50/100 (c_ltm 1) at position 4 (c_stm 2): u_clamped is 0.
+        (dict(estimator="fir", window=100), ["A"] * 50 + ["B", "C", "D", "A"],
+         lambda r: r.u_raw == -1.0 and r.u_clamped == 0.0),
+        # A top-of-stack hit: u_raw is c_ltm. The symbol needs quoting.
+        ({}, ['a,"b', 'a,"b'], lambda r: r.c_stm == 0.0 and r.u_raw == r.c_ltm),
+        # "A" has left the FIR window and the floor is off: c_ltm is inf.
+        (dict(estimator="fir", window=1, epsilon="off"), ["A", "B", "A"],
+         lambda r: r.c_ltm == math.inf and not r.novelty),
+        ({}, ["A", "B"], lambda r: r.novelty),
+        # Position 3 on a stack of capacity 3, in a block after hits at 2
+        # at most: the texts of the positions grow to it.
+        (dict(capacity=3), ["A", "B", "A", "C", "B"], lambda r: r.c_stm == math.log2(3)),
+    ], ids=["negative u_raw", "top hit", "infinite c_ltm", "novelty", "deepest hit"])
+    def test_step_block_lines_at_each_identity(self, emit, overrides, stream, last):
+        config = small_config(**overrides)
+        engine, reference = Engine(config), Engine(config)
+        to_line = trace_to_csv if emit == "csv" else trace_to_jsonl
+        records = [reference.step(Observation(t, s)) for t, s in enumerate(stream)]
+        assert last(records[-1])
+        # All but the last event, then the last in a block of its own.
+        lines = []
+        engine.step_block(range(len(stream) - 1), stream[:-1], lines, emit)
+        engine.step_block([len(stream) - 1], stream[-1:], lines, emit)
+        assert lines == list(map(to_line, records))
         assert engine.snapshot_json() == reference.snapshot_json()
 
 
@@ -745,13 +801,17 @@ class TestLeanPathMatchesReference:
         # on as two: one restored from its own snapshot, one from the
         # reference's snapshot converted by as_v4. A gap of 0 repeats a
         # time, which every engine must reject without learning the event.
-        # A fourth engine scores the same events through step_block.
+        # Two more engines score the same events through step_block, one
+        # per emit. The letters of `gaps` name symbols of a drawn alphabet.
         split = data.draw(st.integers(min_value=0, max_value=len(gaps)))
+        alphabet = data.draw(st.lists(awkward_symbols, min_size=10, max_size=10,
+                                      unique=True))
         reference = sweeping_every(v1.Engine(config), prune_every)
         engines = [sweeping_every(Engine(config), prune_every)]
-        # The reference's records (None where it refused the event) and,
-        # at each refused event, its message and its state before it.
-        stream, expected_records, refused = [], [], {}
+        # The reference's lines per emit (None where it refused the event)
+        # and, at each refused event, its message and its state before it.
+        stream, refused = [], {}
+        expected_lines = {"jsonl": [], "csv": []}
 
         def resume():
             return [sweeping_every(Engine.restore_json(text), prune_every)
@@ -759,22 +819,24 @@ class TestLeanPathMatchesReference:
                                  as_v4(reference.snapshot()))]
 
         t = t0
-        for i, (gap, symbol) in enumerate(gaps):
+        for i, (gap, letter) in enumerate(gaps):
             if i == split:
                 engines = resume()
-            obs = Observation(t, symbol)
+            obs = Observation(t, alphabet["ABCDEFGHIJ".index(letter)])
             stream.append(obs)
             try:
                 expected = reference.step(obs)
             except NonMonotonicTimeError as exc:
                 refused[i] = (str(exc), as_v4(reference.snapshot()))
-                expected_records.append(None)
+                for lines in expected_lines.values():
+                    lines.append(None)
                 for engine in engines:
                     with pytest.raises(NonMonotonicTimeError) as raised:
                         engine.step(obs)
                     assert str(raised.value) == str(exc)
             else:
-                expected_records.append(exact(expected))
+                expected_lines["jsonl"].append(ref_trace_to_jsonl(expected))
+                expected_lines["csv"].append(ref_trace_to_csv(expected))
                 for engine in engines:
                     record = engine.step(obs)
                     assert exact(record) == exact(expected)
@@ -786,32 +848,33 @@ class TestLeanPathMatchesReference:
         for engine in engines:
             assert engine.snapshot_json() == as_v4(reference.snapshot())
 
-        # Blocks end where hypothesis draws and at the split, where the
+        # Blocks end where hypothesis draws and at the split, where each
         # block engine is restored from its own snapshot. A refused event
         # ends its call; the rest of its block goes in the next one.
         ends = data.draw(st.sets(st.integers(min_value=0, max_value=len(gaps))))
         times = [obs.t for obs in stream]
         symbols = [obs.symbol for obs in stream]
-        blocked = sweeping_every(Engine(config), prune_every)
-        start = 0
-        for end in sorted(ends | {split, len(gaps)}):
-            if start == split:
-                blocked = sweeping_every(Engine.restore_json(blocked.snapshot_json()),
-                                         prune_every)
-            while start <= end:
-                records = []
-                try:
-                    blocked.step_block(times[start:end], symbols[start:end],
-                                       records)
-                except NonMonotonicTimeError as exc:
-                    at = start + len(records)  # the refused event
-                    assert (str(exc), blocked.snapshot_json()) == refused[at]
-                else:
-                    at = end
-                assert list(map(exact, records)) == expected_records[start:at]
-                start = at + 1
-            start = end
-        assert blocked.snapshot_json() == as_v4(reference.snapshot())
+        for emit, expected in expected_lines.items():
+            blocked = sweeping_every(Engine(config), prune_every)
+            start = 0
+            for end in sorted(ends | {split, len(gaps)}):
+                if start == split:
+                    blocked = sweeping_every(
+                        Engine.restore_json(blocked.snapshot_json()), prune_every)
+                while start <= end:
+                    lines = []
+                    try:
+                        blocked.step_block(times[start:end], symbols[start:end],
+                                           lines, emit)
+                    except NonMonotonicTimeError as exc:
+                        at = start + len(lines)  # the refused event
+                        assert (str(exc), blocked.snapshot_json()) == refused[at]
+                    else:
+                        at = end
+                    assert lines == expected[start:at]
+                    start = at + 1
+                start = end
+            assert blocked.snapshot_json() == as_v4(reference.snapshot())
 
     def test_step_block_leaves_no_stale_rate_behind(self):
         # A rate that w() kept before a block must not serve an update
@@ -820,7 +883,7 @@ class TestLeanPathMatchesReference:
         for engine in engines:
             engine.step(Observation(0, "A"))
             engine.estimator.w("A")
-        engines[0].step_block([1, 2], ["B", "B"], [])
+        engines[0].step_block([1, 2], ["B", "B"], [], "jsonl")
         for t in (1, 2):
             engines[1].step(Observation(t, "B"))
         for engine in engines:

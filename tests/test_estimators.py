@@ -80,6 +80,14 @@ class TestFirEstimator:
         assert fir.w("A") == 0.0
         assert "A" not in fir.tracked_symbols()
 
+    @pytest.mark.parametrize("window", [2.5, 2.0, True, "4", None, 0, -1])
+    def test_rejects_a_window_that_is_no_positive_integer(self, window):
+        # A float window of 2.5 never fills (len(buffer) == 2.5 never holds),
+        # so the buffer grew without end.
+        with pytest.raises(ValidationError) as info:
+            FirEstimator(window)
+        assert info.value.field == "window"
+
     @given(st.lists(symbols, max_size=50), st.integers(min_value=1, max_value=8))
     def test_matches_recount_oracle(self, stream, window):
         fir = FirEstimator(window)

@@ -75,6 +75,13 @@ class TestStmStack:
         # A was evicted, so it reads as never-seen again
         assert stack.observe("A") is None
 
+    @pytest.mark.parametrize("capacity", [2.5, 2.0, True, "2", 0, -1])
+    def test_rejects_a_capacity_that_is_no_positive_integer(self, capacity):
+        # A capacity of 2.5 held 3 symbols: len(stamps) >= 2.5 only at 3.
+        with pytest.raises(ValidationError) as info:
+            StmStack(capacity=capacity)
+        assert info.value.field == "capacity"
+
     @given(
         st.lists(symbols, max_size=60),
         st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
