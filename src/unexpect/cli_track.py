@@ -14,8 +14,8 @@ from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_f
 from .core import UnexpectError, ValidationError
 from .engine import Engine, EngineConfig
 from .estimators import EPSILON_AUTO, EPSILON_OFF
-from .memory import Observation, _event_blocks
-from .traceio import TRACE_CSV_HEADER, _TRACE_LINES
+from .memory import _event_blocks
+from .traceio import TRACE_CSV_HEADER
 
 # EngineConfig field -> the flag that sets it and its range, for the
 # message of a bad value; a ValidationError's field picks the row.
@@ -96,12 +96,11 @@ def _run_engine_over(
     if stability is None:
         score = engine.step_block
     else:
-        # The rate after each event, so one step at a time.
+        # The rate after each event, so one event per step_block call.
         def score(times, symbols, texts, emit):
-            step, rate, window = engine.step, engine.estimator.w, stability[0]
-            to_line = _TRACE_LINES[emit][2]  # trace_to_jsonl or trace_to_csv
+            step_block, rate, window = engine.step_block, engine.estimator.w, stability[0]
             for t, symbol in zip(times, symbols):
-                texts.append(to_line(step(Observation(t, symbol))))
+                step_block((t,), (symbol,), texts, emit)
                 history = histories.get(symbol)
                 if history is None:
                     history = histories[symbol] = deque(maxlen=window)

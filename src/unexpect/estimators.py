@@ -109,12 +109,12 @@ class IirEstimator:
     def __init__(self, alpha: float, step: int = 0,
                  w: Optional[dict[SymbolId, float]] = None,
                  w_step: Optional[dict[SymbolId, int]] = None):
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+        _require("alpha", alpha, (int, float), "in (0, 1)", lambda a: 0.0 < a < 1.0)
         _require("step", step, int, "a nonnegative integer", lambda n: n >= 0)
         self.alpha = alpha
         self._step = step
         w = {} if w is None else _require("w", w, dict, "an object")
+        _symbols("w", list(w))  # strings only, as in FirEstimator's buffer
         for symbol, rate in w.items():
             # Its own message, which names the symbol.
             if (isinstance(rate, bool) or not isinstance(rate, (int, float))

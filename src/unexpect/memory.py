@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .core import (SymbolId, ValidationError, _Value, _decode_json_line, _require,
-                   _require_utf8)
+                   _require_utf8, _symbols)
 
 
 class Observation(_Value):
@@ -29,14 +29,7 @@ class Observation(_Value):
             raise ValidationError(f"time index must be a nonnegative integer, got {t!r}")
         if type(symbol) is not str:
             raise ValidationError(f"symbol must be a string, got {symbol!r}")
-        _set_t(self, t)
-        _set_symbol(self, symbol)
-
-
-# The slots' own setters: read_events makes one Observation per event
-# line, and two direct calls cost less than _fill's loop.
-_set_t = Observation.t.__set__
-_set_symbol = Observation.symbol.__set__
+        self._fill(t, symbol)
 
 
 class StmStack:
@@ -57,7 +50,7 @@ class StmStack:
         if capacity is not None:
             _require("capacity", capacity, int, "an integer >= 1", lambda n: n >= 1)
         self.capacity = capacity
-        top_first = list(dict.fromkeys(items))  # as produced by items()
+        top_first = _symbols("items", list(dict.fromkeys(items)))  # as items() gives
         if capacity is not None and len(top_first) > capacity:
             raise ValidationError("initial items exceed capacity")
         self._symbols: list[SymbolId] = top_first[::-1]  # oldest first

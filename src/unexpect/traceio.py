@@ -22,14 +22,7 @@ def _num(value: Optional[float], absent: str) -> str:
 
 _JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
                '"u_raw": %s, "u_clamped": %s, "novelty": %s, "change_flag": %s}')
-# Nearly every record is a non-novelty with four finite costs, which
-# both serializers render with one format and no _num call. The guard:
-# no cost is None and their sum is finite (NaN and inf carry into the
-# sum; finite costs whose sum overflows take the general template,
-# which renders them the same). _JSONL_FAST takes the costs' texts.
-_JSONL_FAST = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, "u_raw": %s, '
-               '"u_clamped": %s, "novelty": false, "change_flag": %s}')
-_JSONL_FINITE = _JSONL_FAST % ("%s", "%s", "%.6f", "%.6f", "%.6f", "%.6f", "%s")
+_CSV_LINE = "%s,%s,%s,%s,%s,%s,%s,%s"
 # The line trace_to_jsonl writes, for readers that want only the symbol
 # (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
 # matches to the same symbol and to float(group 2): the pattern allows
@@ -55,18 +48,11 @@ def trace_to_jsonl(record: tuple) -> str:
     """The JSONL line of a TraceRecord, without its newline."""
     t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
     # encode_basestring_ascii is what json.dumps does with a str.
-    if (not novelty and c_stm is not None and c_ltm is not None
-            and u_raw is not None and u_clamped is not None
-            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
-        return _JSONL_FINITE % (
-            t, encode_basestring_ascii(symbol), c_stm, c_ltm, u_raw, u_clamped,
-            "true" if change_flag else "false")
     return _JSONL_LINE % (
         t, encode_basestring_ascii(symbol),
         _num(c_stm, "null"), _num(c_ltm, "null"),
         _num(u_raw, "null"), _num(u_clamped, "null"),
         "true" if novelty else "false", "true" if change_flag else "false")
-
 
 
 _CSV_SPECIAL = frozenset(',"\r\n')
@@ -82,14 +68,7 @@ def _csv_field(text: str) -> str:
 def trace_to_csv(record: tuple) -> str:
     """The CSV row of a TraceRecord, without its newline."""
     t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
-    # The guard of trace_to_jsonl's fast path.
-    if (not novelty and c_stm is not None and c_ltm is not None
-            and u_raw is not None and u_clamped is not None
-            and isfinite(c_stm + c_ltm + u_raw + u_clamped)):
-        return "%s,%s,%.6f,%.6f,%.6f,%.6f,false,%s" % (
-            t, _csv_field(symbol), c_stm, c_ltm, u_raw, u_clamped,
-            "true" if change_flag else "false")
-    return "%s,%s,%s,%s,%s,%s,%s,%s" % (
+    return _CSV_LINE % (
         t, _csv_field(symbol),
         _num(c_stm, ""), _num(c_ltm, ""), _num(u_raw, ""), _num(u_clamped, ""),
         "true" if novelty else "false", "true" if change_flag else "false")
@@ -98,5 +77,7 @@ def trace_to_csv(record: tuple) -> str:
 # Per emit, for Engine.step_block: the line of a non-novel record with four
 # finite costs, whose seven %s slots take t, the encoded symbol, the "%.6f"
 # texts of the four costs and the flag; the encoder; any record's serializer.
-_TRACE_LINES = {"jsonl": (_JSONL_FAST, encode_basestring_ascii, trace_to_jsonl),
-                "csv": ("%s,%s,%s,%s,%s,%s,false,%s", _csv_field, trace_to_csv)}
+_NOT_NOVEL = ("%s",) * 6 + ("false", "%s")
+_TRACE_LINES = {
+    "jsonl": (_JSONL_LINE % _NOT_NOVEL, encode_basestring_ascii, trace_to_jsonl),
+    "csv": (_CSV_LINE % _NOT_NOVEL, _csv_field, trace_to_csv)}

@@ -1985,8 +1985,9 @@ def test_replay_sweeps_mid_block_as_step_does(tmp_path, capsys):
 
 @pytest.mark.parametrize("fault_at", [None, _EVENT_BLOCK_LINES + 40])
 def test_stability_trace_equals_the_block_trace(tmp_path, capsys, fault_at):
-    # --stability-* scores one step at a time, for the rate after each
-    # event; its trace, exit code and message are those of the block path.
+    # --stability-* scores one event per step_block call, for the rate
+    # after each event; its trace, exit code and message are those of
+    # whole blocks.
     lines = event_text(canonical_forms(2 * _EVENT_BLOCK_LINES + 50))
     if fault_at is not None:
         lines[fault_at] = '{"t": 3, "s": "A"}\n'
@@ -1999,6 +2000,26 @@ def test_stability_trace_equals_the_block_trace(tmp_path, capsys, fault_at):
     if fault_at is not None:
         assert block[2] == stepped[2] == (
             f"error: line {fault_at + 1}: time 3 does not increase past {fault_at - 1}\n")
+
+
+def test_stability_and_replay_score_through_step_block_alone(tmp_path, capsys,
+                                                             monkeypatch):
+    # track --stability-* and replay never fall back to Engine.step.
+    def step(self, obs):
+        raise AssertionError("Engine.step called")
+
+    monkeypatch.setattr(Engine, "step", step)
+    lines = event_text(canonical_forms(2 * _EVENT_BLOCK_LINES))
+    head = write(tmp_path / "head", "".join(lines[:_EVENT_BLOCK_LINES]))
+    rest = write(tmp_path / "rest", "".join(lines[_EVENT_BLOCK_LINES:]))
+    snap = str(tmp_path / "snap.json")
+    code, out, err = run_cli(capsys, ["track", "-i", head, "--stability-m", "3",
+                                      "--stability-delta", "0.01",
+                                      "--snapshot-out", snap])
+    assert (code, out.count("\n")) == (0, _EVENT_BLOCK_LINES)
+    assert err.startswith("ltm stability over last 3 updates")
+    code, out, err = run_cli(capsys, ["replay", "--snapshot", snap, "-i", rest])
+    assert (code, out.count("\n"), err) == (0, _EVENT_BLOCK_LINES, "")
 
 
 class TestFaultInSecondBlock:

@@ -947,8 +947,9 @@ class TestLeanPathMatchesReference:
                      *[any_float] * 4, st.booleans(), st.booleans()))
     @example((0, "a", math.inf, 1.5, None, None, True, False))
     @example((2 ** 64, "a,b", -0.0, 1e300, -1e-7, 5e-7, False, True))
-    # Edges of the finite-record guard: a sum that overflows, a novelty
-    # with finite costs, one NaN or None among finite costs, and -0.0.
+    # Records that pin the one template of each format against the
+    # reference: finite costs whose sum overflows, a novelty with finite
+    # costs, one NaN or None among finite costs, and -0.0.
     @example((1, "a", 1e308, 1.7e308, 1e308, 1.7e308, False, False))
     @example((1, "a", 1.0, 2.0, 1.0, 1.0, True, False))
     @example((1, "a", 1.0, math.nan, 1.0, 1.0, False, True))

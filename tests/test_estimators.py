@@ -121,9 +121,17 @@ class TestIirEstimator:
         assert total == pytest.approx(1 - 0.9 ** 90, rel=1e-9)
 
     def test_rejects_bad_alpha(self):
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ValidationError):
+        # The type is checked first: a str or None is no TypeError.
+        for bad in (0.0, 1.0, -0.2, 0, 1, math.nan, "0.5", None, True):
+            with pytest.raises(ValidationError) as info:
                 IirEstimator(bad)
+            assert info.value.field == "alpha"
+        with pytest.raises(ValidationError, match=r"^alpha must be in \(0, 1\), got 1.5$"):
+            IirEstimator(1.5)
+
+    def test_rejects_a_symbol_that_is_no_string(self):
+        with pytest.raises(ValidationError, match="w holds a non-string symbol 3"):
+            IirEstimator(0.5, 1, {3: 0.5}, {3: 1})
 
     def test_pruning_drops_faded_symbols(self):
         iir = IirEstimator(0.5)

@@ -75,6 +75,12 @@ class TestStmStack:
         # A was evicted, so it reads as never-seen again
         assert stack.observe("A") is None
 
+    def test_rejects_an_item_that_is_no_string(self):
+        # Any iterable of strings still serves, a generator too.
+        assert StmStack(items=(s for s in "AB")).items() == ["A", "B"]
+        with pytest.raises(ValidationError, match="items holds a non-string symbol 3"):
+            StmStack(items=["a", 3])
+
     @pytest.mark.parametrize("capacity", [2.5, 2.0, True, "2", 0, -1])
     def test_rejects_a_capacity_that_is_no_positive_integer(self, capacity):
         # A capacity of 2.5 held 3 symbols: len(stamps) >= 2.5 only at 3.

@@ -190,3 +190,40 @@ class TestPublicApi:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = {name: line for name, line in imported.items() if name not in used}
         assert unused == {}
+
+    def test_module_defines_no_unused_private_name(self):
+        """Each private module-level name is read somewhere in the package
+        beyond its definition: by name, as an attribute or by an import.
+        The `_cmd_<command>` handlers are exempt: cli._handler finds them
+        by a name it builds."""
+        trees = {}
+        for module in sorted(os.listdir(PACKAGE_DIR)):
+            if module.endswith(".py"):
+                with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
+                    trees[module] = ast.parse(fh.read())
+        read = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+        defined = {}
+        for module, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    names = [target.id for target in ast.walk(node)
+                             if isinstance(target, ast.Name)
+                             and isinstance(target.ctx, ast.Store)]
+                else:
+                    continue
+                for name in names:
+                    if (name.startswith("_") and not name.startswith("__")
+                            and not name.startswith("_cmd_")):
+                        defined[name] = module
+        assert {name: module for name, module in defined.items()
+                if name not in read} == {}
