@@ -97,6 +97,19 @@ def run_once(checkout: str, command: list, workload: str, seed: int,
     return metrics, result["failed"]
 
 
+def refuse_bytecode_cache(checkouts) -> bool:
+    """True, with a message, if a checkout holds a bytecode cache of the
+    package: a run would then skip compiling it, which a start without one
+    pays."""
+    for checkout in checkouts:
+        cache = os.path.join(checkout, "src", "unexpect", "__pycache__")
+        if os.path.isdir(cache):
+            print(f"error: {cache} exists; the benchmark runs with no "
+                  "bytecode cache, so delete it", file=sys.stderr)
+            return True
+    return False
+
+
 def _load_benchmark(checkout: str) -> dict:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         return json.load(fh)
@@ -124,12 +137,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     sides = {"parent": args.parent_dir, "change": args.change_dir}
-    for checkout in sides.values():
-        cache = os.path.join(checkout, "src", "unexpect", "__pycache__")
-        if os.path.isdir(cache):
-            print(f"error: {cache} exists; the benchmark runs with no "
-                  "bytecode cache, so delete it", file=sys.stderr)
-            return 2
+    if refuse_bytecode_cache(sides.values()):
+        return 2
     values = {side: [] for side in sides}
     any_failed = False
     for i in range(args.pairs):

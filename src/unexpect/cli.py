@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import stat
@@ -219,9 +220,10 @@ def _handler(command: str):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _make_parser()
+    """`main()` is the program and freezes the collector before it returns;
+    `main(argv)` is an in-process call and leaves the collector alone."""
     try:
-        args = parser.parse_args(argv)
+        args = _make_parser().parse_args(argv)
         return _handler(args.command)(args)
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -231,6 +233,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnexpectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

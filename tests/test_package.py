@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import importlib
 import json
 import os
@@ -142,6 +143,29 @@ class TestEntryPoint:
             stdin=subprocess.DEVNULL)
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "error: --alpha must be (0, 1) exclusive, got 2.0\n"
+
+    def test_program_freezes_the_collector_before_the_exit(self):
+        # `sys.exit(main())`, as the console script runs it: the objects
+        # alive at exit are frozen, so the exit's collections skip them.
+        entry = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0,"
+            " file=sys.stderr))\n"
+            "from unexpect.cli import main\n"
+            "sys.exit(main())\n")
+        result = subprocess.run(
+            [sys.executable, "-c", entry, "track", "-i", os.devnull,
+             "-o", os.devnull],
+            capture_output=True, text=True, env=package_env(), timeout=60,
+            stdin=subprocess.DEVNULL)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "True\n")
+
+    def test_in_process_call_leaves_the_collector_alone(self):
+        from unexpect.cli import main
+
+        frozen = gc.get_freeze_count()
+        assert main(["track", "-i", os.devnull, "-o", os.devnull]) == 0
+        assert gc.get_freeze_count() == frozen
 
 
 def package_env():
