@@ -12,10 +12,15 @@ once in each checkout on seed K + i, the parent first in even pairs and
 the change first in odd ones. For every end-to-end metric of
 BENCHMARK.json it then prints each side's median and quartiles and the
 pairs each side won under the metric's ``better`` direction; a tie
-counts for neither. The last column says whether a gain may be claimed:
+counts for neither. The claim column says whether a gain may be claimed:
 over at least ten pairs the change wins at least nine tenths of them,
 and its median is better than the parent's by more than the parent's
-interquartile range. Every run's metrics are printed as it ends.
+interquartile range. The verdict column says whether the metric stayed
+within the ``bound`` BENCHMARK.json gives it, as a share of the parent's
+median: ``unresolved`` when the parent's interquartile range is wider
+than that, unless every change run beats every parent run (``ok``);
+else ``worse`` when the change's median is worse than the parent's by
+more than that; else ``ok``. Every run's metrics are printed as it ends.
 
 Each run has PYTHONDONTWRITEBYTECODE=1 in its environment, so that no
 run leaves a bytecode cache for the next; a checkout that already holds
@@ -49,8 +54,9 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def summarize(parent: list, change: list, better: str) -> dict:
-    """One metric over pairs: parent[i] and change[i] ran on one seed."""
+def summarize(parent: list, change: list, better: str, bound: float) -> dict:
+    """One metric over pairs: parent[i] and change[i] ran on one seed;
+    bound is the share of the parent's median it may worsen by."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
     if better not in ("higher", "lower"):
@@ -62,6 +68,12 @@ def summarize(parent: list, change: list, better: str) -> dict:
     c_q1, c_median, c_q3 = quartiles(change)
     pairs = len(parent)
     gain = sign * (c_median - p_median)
+    allowed = bound * abs(p_median)
+    if p_q3 - p_q1 > allowed:
+        beats_all = all(sign * (c - p) > 0 for p in parent for c in change)
+        verdict = "ok" if beats_all else "unresolved"
+    else:
+        verdict = "worse" if -gain > allowed else "ok"
     return {
         "parent": (p_q1, p_median, p_q3),
         "change": (c_q1, c_median, c_q3),
@@ -72,6 +84,7 @@ def summarize(parent: list, change: list, better: str) -> dict:
         "parent_iqr": p_q3 - p_q1,
         "claim": (pairs >= MIN_PAIRS and wins >= WIN_SHARE * pairs
                   and gain > p_q3 - p_q1),
+        "verdict": verdict,
     }
 
 
@@ -159,7 +172,7 @@ def main(argv=None) -> int:
           f"{args.first_seed + args.pairs - 1}")
     print(f"{'metric':16} {'better':6} {'parent q1/median/q3':34} "
           f"{'change q1/median/q3':34} {'won':>7} {'lost':>7} "
-          f"{'gain':>10} {'parent_iqr':>10} claim")
+          f"{'gain':>10} {'parent_iqr':>10} claim verdict")
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
         parent = [m.get(name) for m in values["parent"]]
@@ -168,13 +181,13 @@ def main(argv=None) -> int:
             print(f"{name:16} missing from a run")
             any_failed = True
             continue
-        s = summarize(parent, change, metric["better"])
+        s = summarize(parent, change, metric["better"], metric["bound"])
         print(f"{name:16} {metric['better']:6} "
               f"{'/'.join(map(_fmt, s['parent'])):34} "
               f"{'/'.join(map(_fmt, s['change'])):34} "
               f"{s['wins']:>3}/{s['pairs']:<3} {s['losses']:>3}/{s['pairs']:<3} "
               f"{_fmt(s['gain']):>10} {_fmt(s['parent_iqr']):>10} "
-              f"{'yes' if s['claim'] else 'no'}")
+              f"{'yes' if s['claim'] else 'no':5} {s['verdict']}")
     return 1 if any_failed else 0
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time of one `unexpect` process, split into four phases.
+"""Wall time per phase and peak RSS of one `unexpect` process.
 
 Example:
 
@@ -7,21 +7,28 @@ Example:
         track --input /dev/null --output /dev/null
 
 Runs the command RUNS times on the package in each checkout's src,
-alternating which checkout runs first, and prints per phase each side's
-first quartile, median and third quartile in ms:
+alternating which checkout runs first, and prints per row each side's
+first quartile, median and third quartile; to measure one checkout,
+give it as both. The time rows are in ms:
 
-* start: from the spawn to the first line of the entry, which is the
-  interpreter and its `site`;
+* start: from the fork to the first line of the entry, which is the
+  exec, the interpreter and its `site`;
 * import: ``from unexpect.cli import main``;
 * main: the call of ``main()``;
-* exit: from main's return to ``os.wait4`` in this script, which is the
-  interpreter's teardown;
-* total: from the spawn to ``os.wait4``.
+* exit: from main's return to ``os.wait4``, which is the interpreter's
+  teardown;
+* total: from the fork to ``os.wait4``;
+
+and peak_mb is the process's ``ru_maxrss`` from ``os.wait4``, in KB,
+over 1024, as ``bench/run.py`` reports ``peak_rss_mb``.
 
 The entry is what ``bench/run.py`` runs as `unexpect`,
-``sys.exit(main())``, with the clock read between its lines. The child
-and this script read one clock, ``time.monotonic``, which on Linux is
-system-wide. The child reports its readings on a pipe as main returns.
+``sys.exit(main())``, with the clock, ``time.monotonic``, read between
+its lines and reported on a pipe as main returns. A child's peak starts
+at the RSS of the process that forked it, so each run is forked and
+timed not by this script but by a small launcher, ``python3 -S``
+importing only os, sys and time. Before each run it forks a child that
+exits at once; the largest peak of these is the floor.
 
 The command runs in the current directory with /dev/null as its
 standard input and output (name files with --input and --output); its
@@ -38,12 +45,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import subprocess
 import sys
-import time
 
 from bench_pairs import quartiles, refuse_bytecode_cache
 
-PHASES = ("start", "import", "main", "exit", "total")
+ROWS = ("start", "import", "main", "exit", "total", "peak_mb")
 
 # bench/run.py's `unexpect`, with the clock read between its lines. The
 # readings go to the file descriptor given as {fd}.
@@ -58,40 +65,61 @@ finally:
     os.write({fd}, b"%r %r %r" % (started, imported, time.monotonic()))
 """
 
+# Forks a child that exits at once, then the command; prints the command's
+# exit code, the clock at its fork and reaping, and both peaks in KB.
+LAUNCHER = """\
+import os, sys, time
+null = os.open(os.devnull, os.O_RDWR)
+def run(argv):
+    pid = os.fork()
+    if pid == 0:
+        try:
+            if argv:
+                os.dup2(null, 0)
+                os.dup2(null, 1)
+                os.execv(sys.executable, [sys.executable, "-c", *argv])
+        finally:
+            os._exit(127 if argv else 0)
+    _, status, usage = os.wait4(pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss
+floor = run(None)[1]
+forked = time.monotonic()
+code, peak = run(sys.argv[1:])
+print(code, repr(forked), repr(time.monotonic()), peak, floor)
+"""
+
 
 def run_once(src: str, command: list) -> tuple:
-    """(exit code, {phase: seconds}) of one run of the command."""
+    """(exit code, {row: ms or MB}, the launcher's floor in MB) of one run
+    of the command."""
     read, write = os.pipe()
-    os.set_inheritable(write, True)
-    null = os.open(os.devnull, os.O_RDWR)
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-c", CLI_ENTRY.format(fd=write), *command]
-    try:
-        spawned = time.monotonic()
-        pid = os.posix_spawn(sys.executable, argv, env, file_actions=[
-            (os.POSIX_SPAWN_DUP2, null, 0), (os.POSIX_SPAWN_DUP2, null, 1)])
-        _, status, _ = os.wait4(pid, 0)
-        reaped = time.monotonic()
-    finally:
-        os.close(write)
-        os.close(null)
     with os.fdopen(read, "rb") as fh:
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-S", "-c", LAUNCHER,
+                 CLI_ENTRY.format(fd=write), *command], env=env,
+                pass_fds=(write,), stdout=subprocess.PIPE, text=True,
+                check=True)
+        finally:
+            os.close(write)
         report = fh.read().split()
-    code = os.waitstatus_to_exitcode(status)
+    code, forked, reaped, peak, floor = map(float, proc.stdout.split())
     if len(report) != 3:  # the child ended before main returned
-        return code or 1, {}
+        return int(code) or 1, {}, floor / 1024
     started, imported, returned = map(float, report)
-    return code, {
-        "start": started - spawned,
-        "import": imported - started,
-        "main": returned - imported,
-        "exit": reaped - returned,
-        "total": reaped - spawned,
-    }
+    return int(code), {
+        "start": 1000 * (started - forked),
+        "import": 1000 * (imported - started),
+        "main": 1000 * (returned - imported),
+        "exit": 1000 * (reaped - returned),
+        "total": 1000 * (reaped - forked),
+        "peak_mb": peak / 1024,
+    }, floor / 1024
 
 
 def _fmt(values: list) -> str:
-    return "/".join(f"{1000 * v:.2f}" for v in quartiles(values))
+    return "/".join(f"{v:.2f}" for v in quartiles(values))
 
 
 def main(argv=None) -> int:
@@ -109,24 +137,27 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     if refuse_bytecode_cache(sides.values()):
         return 2
-    times = {side: {phase: [] for phase in PHASES} for side in sides}
+    values = {side: {row: [] for row in ROWS} for side in sides}
+    floor = 0.0
     for i in range(args.runs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             src = os.path.join(os.path.abspath(sides[side]), "src")
-            code, phases = run_once(src, args.command)
+            code, rows, launcher = run_once(src, args.command)
             if code != 0:
                 print(f"error: unexpect {args.command[0]} exited {code} "
                       f"in {sides[side]}", file=sys.stderr)
                 return 1
-            for phase, seconds in phases.items():
-                times[side][phase].append(seconds)
-    print(f"unexpect {' '.join(args.command)}: ms per phase over "
+            for row, value in rows.items():
+                values[side][row].append(value)
+            floor = max(floor, launcher)
+    print(f"unexpect {' '.join(args.command)}: ms per phase and peak_mb over "
           f"{args.runs} alternating runs, q1/median/q3")
-    print(f"{'phase':8} {'parent':24} change")
-    for phase in PHASES:
-        print(f"{phase:8} {_fmt(times['parent'][phase]):24} "
-              f"{_fmt(times['change'][phase])}")
+    print(f"{'row':8} {'parent':24} change")
+    for row in ROWS:
+        print(f"{row:8} {_fmt(values['parent'][row]):24} "
+              f"{_fmt(values['change'][row])}")
+    print(f"launcher floor {floor:.2f} MB")
     return 0
 
 

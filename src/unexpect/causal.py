@@ -74,10 +74,6 @@ class CausalGraph:
         for out in self._adjacency.values():
             out.sort()  # deterministic relaxation order
 
-    @property
-    def nodes(self) -> frozenset[SymbolId]:
-        return frozenset(self._nodes)
-
     def _shortest(self) -> tuple[dict[SymbolId, float], dict[SymbolId, SymbolId]]:
         """Multi-source Dijkstra from all priors; smallest-id tie-breaks."""
         dist: dict[SymbolId, float] = {}

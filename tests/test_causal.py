@@ -224,13 +224,14 @@ class TestFromProbabilities:
         graph, _ = from_probabilities(
             {"M1": 0.5, "M2": 0.0}, {"M1": 0.5, "M2": 0.9}, 0.25
         )
-        assert "M2" not in graph.nodes
+        with pytest.raises(UnknownNodeError):
+            graph.generation_complexity("M2")
 
     def test_zero_likelihood_leaves_prior_only_root(self):
         graph, c_d = from_probabilities(
             {"M1": 0.5, "M2": 0.25}, {"M1": 0.5, "M2": 0.0}, 0.25
         )
-        assert "M2" in graph.nodes
+        assert graph.generation_complexity("M2") == 2.0
         assert graph.explain("O", c_d).best_cause == "M1"
 
     def test_rejects_inconsistent_inputs(self):

@@ -19,20 +19,28 @@ def test_prints_the_quartiles_of_each_phase_on_both_sides(tmp_path):
     proc = run_script(tmp_path, "2", "track", "--input", "events.txt",
                       "--output", "trace.jsonl")
     assert (proc.returncode, proc.stderr) == (0, "")
-    header, columns, *rows = proc.stdout.splitlines()
+    header, columns, *rows, floor_line = proc.stdout.splitlines()
     assert header == ("unexpect track --input events.txt --output trace.jsonl: "
-                      "ms per phase over 2 alternating runs, q1/median/q3")
-    assert columns.split() == ["phase", "parent", "change"]
+                      "ms per phase and peak_mb over 2 alternating runs, "
+                      "q1/median/q3")
+    assert columns.split() == ["row", "parent", "change"]
+    found = re.fullmatch(r"launcher floor ([0-9.]+) MB", floor_line)
+    assert found, floor_line
+    floor = float(found.group(1))
+    assert floor > 0
     number = r"([0-9.]+)/([0-9.]+)/([0-9.]+)"
     medians = {}
-    for row, phase in zip(rows, ("start", "import", "main", "exit", "total"),
-                          strict=True):
-        found = re.fullmatch(rf"{phase} +{number} +{number}", row)
+    for row, name in zip(rows, ("start", "import", "main", "exit", "total",
+                                "peak_mb"), strict=True):
+        found = re.fullmatch(rf"{name} +{number} +{number}", row)
         assert found, row
         values = list(map(float, found.groups()))
         for side in (values[:3], values[3:]):
             assert 0 < side[0] <= side[1] <= side[2]
-        medians[phase] = values[1]
+        if name == "peak_mb":
+            assert floor < values[0] and floor < values[3]
+        else:
+            medians[name] = values[1]
     assert max(medians.values()) == medians["total"]
     trace = (tmp_path / "trace.jsonl").read_text(encoding="utf-8")
     assert [line[:24] for line in trace.splitlines()] == [
