@@ -75,13 +75,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-# Trace lines read, matched and tallied at a time by _pair_from_trace.
+# Lines at a time: trace lines read, matched and tallied by
+# _pair_from_trace, and event lines written by `simulate`.
 _BLOCK_LINES = 1024
 
 
 def _pair_from_trace(lines: Iterable[str],
                      world: Optional[DiscreteDistribution]):
-    """World = empirical symbol frequencies, mind = last seen c_ltm."""
+    """World = empirical symbol frequencies, mind = last seen c_ltm.
+
+    Each item of `lines` is one line, with at most one newline, at its
+    end, as iterating a file gives: an item holding two trace lines
+    would count as one line of a block and could hide a bad line."""
     from .traceio import _JSONL_PATTERN
 
     counts: Counter[str] = Counter()
@@ -232,8 +237,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with _open_output(args.dist_out, "--dist-out") as fh:
             fh.write(dist.to_json() + "\n")
     with _open_output(args.out, "--out") as out:
-        write = out.write
         # encode_basestring_ascii is what json.dumps does with a str.
-        for t, symbol in enumerate(simgen._stream(spec)):
-            write('{"t": %d, "s": %s}\n' % (t, encode_basestring_ascii(symbol)))
+        stream, start = simgen._stream(spec), 0
+        while block := list(islice(stream, _BLOCK_LINES)):
+            out.write("".join([f'{{"t": {t}, "s": {encode_basestring_ascii(symbol)}}}\n'
+                               for t, symbol in enumerate(block, start)]))
+            start += len(block)
     return 0

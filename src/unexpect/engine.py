@@ -283,9 +283,16 @@ class Engine:
         in locals, written back on every exit. If event k raises
         ValidationError (Observation's message, or a column that ends first)
         or NonMonotonicTimeError, `lines` has gained the k - 1 lines before
-        it and the engine is as after k - 1 `step` calls."""
+        it and the engine is as after k - 1 `step` calls.
+
+        Every line comes from the emit's line function in traceio, given
+        the texts of the record's fields: a cost that is absent or infinite
+        (c_stm of a novelty; c_ltm, u_raw and u_clamped when c_ltm is inf,
+        as with epsilon "off") as the emit's absent text, and a common
+        record's costs each formatted only where no equal text can be
+        reused."""
         _require("emit", emit, str, "'jsonl' or 'csv'", _TRACE_LINES.__contains__)
-        template, encode, to_line = _TRACE_LINES[emit]
+        line, encode, absent = _TRACE_LINES[emit]
         # "%.6f" % log2(p) at index p, up to the deepest position met; not state.
         stm_texts = self.__dict__.setdefault("_stm_texts", [None, "0.000000"])
         stack, estimator, detector = self.stack, self.estimator, self.detector
@@ -350,14 +357,16 @@ class Engine:
                 if position is None:
                     seen.add(symbol)
                     n_seen = len(seen)
-                    add(to_line((t, symbol, inf, c_ltm, None, None, True, hits >= min_hits)))
+                    add(line(t, encode(symbol), absent,
+                             ("%.6f" % c_ltm) if c_ltm < inf else absent, absent,
+                             absent, "true", "true" if hits >= min_hits else "false"))
                 else:
                     c_stm = log2(position)
                     u_raw = c_ltm - c_stm
                     u_clamped = 0.0 if u_raw < 0.0 else u_raw
                     if not isfinite(u_clamped):  # c_ltm is inf: no update
-                        add(to_line((t, symbol, c_stm, c_ltm, u_raw, u_clamped,
-                                     False, hits >= min_hits)))
+                        add(line(t, encode(symbol), "%.6f" % c_stm, absent, absent,
+                                 absent, "false", "true" if hits >= min_hits else "false"))
                     else:
                         if events_seen >= warmup:  # ChangeDetector.update
                             ewma = keep * u_clamped + beta * ewma
@@ -371,10 +380,9 @@ class Engine:
                             u_text = "%.6f" % u_raw
                             while len(stm_texts) <= position:  # deepest yet
                                 stm_texts.append("%.6f" % log2(len(stm_texts)))
-                        add(template % (t, encode(symbol), stm_texts[position],
-                                        ltm_text, u_text,
-                                        u_text if u_raw >= 0.0 else "0.000000",
-                                        "true" if hits >= min_hits else "false"))
+                        add(line(t, encode(symbol), stm_texts[position], ltm_text,
+                                 u_text, u_text if u_raw >= 0.0 else "0.000000",
+                                 "false", "true" if hits >= min_hits else "false"))
                 if fir:  # FirEstimator.update
                     if len(buffer) == window:
                         old = pop_oldest()

@@ -119,12 +119,14 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
 # The line `simulate` writes. JSON decodes a line this matches to the
 # same t and s: it allows no leading zero and no raw control character,
 # and the string holds no escape, JSON's or an undecodable byte's. At
-# most 19 digits, so int() always converts t. A line starts at ^ and
-# ends at its newline or the text's end (multi-line mode), so that one
-# findall checks a block of lines.
+# most 19 digits, so int() always converts t. A match is one whole item
+# of a block joined with NULs: it starts at the text's start or after a
+# NUL, and ends with the line's newline and the next NUL, or at the
+# text's end, where the newline may be missing. So one findall checks a
+# block of lines.
 _CANONICAL_EVENT = re.compile(
-    r'^\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f\udc80-\udcff]*)"\}(?:\n|\Z)',
-    re.M)
+    r'(?<![^\x00])\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f\udc80-\udcff]*)"\}'
+    r'(?:\n\x00|\n?\Z)')
 
 # Event lines read ahead and checked at a time by _event_blocks.
 _BLOCK_LINES = 256
@@ -138,12 +140,13 @@ def _event_blocks(lines: Iterable[str]) -> Iterator[tuple]:
     lines = iter(lines)
     start = 0
     while block := list(islice(lines, _BLOCK_LINES)):
-        found = find_all("".join(block))
-        # Each line has at most one newline, at its end, and a match
-        # spans a whole line with its newline, so there are as many
-        # matches as lines only if every line is one as `simulate` writes
-        # it. Any other block goes a line at a time.
-        if len(found) == len(block):
+        text = "\x00".join(block)
+        found = find_all(text)
+        # When no item holds a NUL, a match spans exactly one item, so
+        # there are as many matches as items only if every item is one
+        # line as `simulate` writes it. Any other block goes a line at a
+        # time, where an item of two lines fails as invalid JSON.
+        if len(found) == len(block) == text.count("\x00") + 1:
             times, symbols = zip(*found)
             yield range(start + 1, start + 1 + len(block)), list(map(int, times)), symbols
         else:

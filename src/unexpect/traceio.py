@@ -20,9 +20,19 @@ def _num(value: Optional[float], absent: str) -> str:
     return "%.6f" % value
 
 
-_JSONL_LINE = ('{"t": %s, "symbol": %s, "c_stm": %s, "c_ltm": %s, '
-               '"u_raw": %s, "u_clamped": %s, "novelty": %s, "change_flag": %s}')
-_CSV_LINE = "%s,%s,%s,%s,%s,%s,%s,%s"
+def _jsonl_line(t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag) -> str:
+    """The one JSONL line layout, from the texts of its eight fields: t,
+    the encoded symbol, four costs and two booleans ("true"/"false")."""
+    return (f'{{"t": {t}, "symbol": {symbol}, "c_stm": {c_stm}, "c_ltm": {c_ltm}, '
+            f'"u_raw": {u_raw}, "u_clamped": {u_clamped}, "novelty": {novelty}, '
+            f'"change_flag": {change_flag}}}')
+
+
+def _csv_line(t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag) -> str:
+    """The one CSV row layout, from the same eight field texts."""
+    return f"{t},{symbol},{c_stm},{c_ltm},{u_raw},{u_clamped},{novelty},{change_flag}"
+
+
 # The line trace_to_jsonl writes, for readers that want only the symbol
 # (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
 # matches to the same symbol and to float(group 2): the pattern allows
@@ -48,7 +58,7 @@ def trace_to_jsonl(record: tuple) -> str:
     """The JSONL line of a TraceRecord, without its newline."""
     t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
     # encode_basestring_ascii is what json.dumps does with a str.
-    return _JSONL_LINE % (
+    return _jsonl_line(
         t, encode_basestring_ascii(symbol),
         _num(c_stm, "null"), _num(c_ltm, "null"),
         _num(u_raw, "null"), _num(u_clamped, "null"),
@@ -68,16 +78,14 @@ def _csv_field(text: str) -> str:
 def trace_to_csv(record: tuple) -> str:
     """The CSV row of a TraceRecord, without its newline."""
     t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag = record
-    return _CSV_LINE % (
+    return _csv_line(
         t, _csv_field(symbol),
         _num(c_stm, ""), _num(c_ltm, ""), _num(u_raw, ""), _num(u_clamped, ""),
         "true" if novelty else "false", "true" if change_flag else "false")
 
 
-# Per emit, for Engine.step_block: the line of a non-novel record with four
-# finite costs, whose seven %s slots take t, the encoded symbol, the "%.6f"
-# texts of the four costs and the flag; the encoder; any record's serializer.
-_NOT_NOVEL = ("%s",) * 6 + ("false", "%s")
+# Per emit, for Engine.step_block: the line function, the symbol's
+# encoder and the text of an absent cost.
 _TRACE_LINES = {
-    "jsonl": (_JSONL_LINE % _NOT_NOVEL, encode_basestring_ascii, trace_to_jsonl),
-    "csv": (_CSV_LINE % _NOT_NOVEL, _csv_field, trace_to_csv)}
+    "jsonl": (_jsonl_line, encode_basestring_ascii, "null"),
+    "csv": (_csv_line, _csv_field, "")}

@@ -2182,6 +2182,33 @@ class TestSimulate:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    # Streams longer than two of simulate's write blocks: a changepoint
+    # inside the second block, and symbols that JSON must escape.
+    BLOCKED = {
+        "stationary": {"kind": "stationary", "length": 2 * _BLOCK_LINES + 77,
+                       "seed": 2, "symbols": ['"', "\\", "\x1f", "é", "😀", "a"],
+                       "mass": [0.3, 0.2, 0.2, 0.1, 0.1, 0.1]},
+        "changepoint": {"kind": "changepoint", "length": 3 * _BLOCK_LINES, "seed": 3,
+                        "symbols": ["a", "b", "c"], "mass": [0.8, 0.1, 0.1],
+                        "mass_after": [0.1, 0.1, 0.8], "t_star": _BLOCK_LINES + 300},
+        "bifurcation": {"kind": "bifurcation", "length": 2 * _BLOCK_LINES + 1,
+                        "seed": 4, "base_labels": 50, "offset_values": [0, 7],
+                        "offset_mass": [0.5, 0.5]},
+        "zipf": {"kind": "zipf", "length": 2 * _BLOCK_LINES + 500, "seed": 5,
+                 "alphabet": 300},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BLOCKED))
+    def test_block_writer_matches_generate(self, tmp_path, capsys, kind):
+        spec = self.BLOCKED[kind]
+        path = write(tmp_path / "spec.json", json.dumps(spec))
+        out = tmp_path / "events.jsonl"
+        assert run_cli(capsys, ["simulate", "--spec", path, "--out", str(out)]) == (
+            0, "", "")
+        expected = "".join('{"t": %d, "s": %s}\n' % (obs.t, json.dumps(obs.symbol))
+                           for obs in generate(SourceSpec.from_dict(spec)))
+        assert out.read_bytes() == expected.encode("ascii")
+
     def test_deterministic_output(self, tmp_path, capsys):
         spec = write(tmp_path / "spec.json", json.dumps({
             "kind": "stationary", "length": 100, "seed": 12,

@@ -876,6 +876,31 @@ class TestLeanPathMatchesReference:
                 start = end
             assert blocked.snapshot_json() == as_v4(reference.snapshot())
 
+    @pytest.mark.parametrize("emit", ["jsonl", "csv"])
+    @pytest.mark.parametrize("config, stream", [
+        # Novelties with a finite c_ltm, whose symbols need escaping in
+        # JSON or quoting in CSV, then hits of each.
+        (EngineConfig(warmup=0), ["a,b", '"', "\ud800", "a,b", '"', "\ud800", "a,b"]),
+        # A bounded stack forgets "a" while the FIR window still holds it:
+        # its return is a novelty with a finite c_ltm, even with epsilon off.
+        (EngineConfig(estimator="fir", window=4, capacity=1, epsilon=EPSILON_OFF,
+                      warmup=0), ["a", "b", "a", '"', '"']),
+        # epsilon off with a window of 1: each first occurrence, and the
+        # first hits of "a" and "b", have an infinite c_ltm; the last
+        # event is a hit with a finite one.
+        (EngineConfig(estimator="fir", window=1, epsilon=EPSILON_OFF, warmup=0),
+         ["a", "b", "a", "b", "b"]),
+        (EngineConfig(epsilon=EPSILON_OFF, warmup=0), ["a,b", "a,b", "\ud800"]),
+    ], ids=["finite-novelties", "forgotten-symbol", "infinite-hits", "iir-off"])
+    def test_step_block_branches(self, config, stream, emit):
+        reference = v1.Engine(config)
+        to_line = {"jsonl": ref_trace_to_jsonl, "csv": ref_trace_to_csv}[emit]
+        expected = [to_line(reference.step(Observation(t, symbol)))
+                    for t, symbol in enumerate(stream)]
+        lines = []
+        Engine(config).step_block(range(len(stream)), stream, lines, emit)
+        assert lines == expected
+
     def test_step_block_leaves_no_stale_rate_behind(self):
         # A rate that w() kept before a block must not serve an update
         # after it, as it would not after the same events through step.

@@ -182,6 +182,24 @@ class TestEventParsing:
         with pytest.raises(ValidationError, match="^line 2: invalid JSON"):
             list(read_events(["", "{"]))
 
+    @pytest.mark.parametrize("items", [
+        ['{"t": 0, "s": "a"}\n{"t": 1, "s": "b"}\n', "junk"],
+        ['{"t": 0, "s": "a"}\n{"t": 1, "s": "b"}\n', ""],
+        ['{"t": 0, "s": "a"}\n{"t": 1, ', '"s": "b"}\n'],
+        ['{"t": 0, "s": "a"}\n\x00{"t": 1, "s": "b"}\n', ""],
+    ], ids=["junk", "empty", "split", "nul"])
+    def test_item_of_two_lines_is_not_read_as_one(self, items):
+        # Two canonical lines in one item matched as two events, the count
+        # of items, and the other item was dropped without an error.
+        with pytest.raises(ValidationError, match="^line 1: invalid JSON event: Extra data"):
+            list(read_events(items))
+
+    def test_event_after_other_text_is_a_bare_token(self):
+        # A match must start its item: the tail of line 1 is not an event.
+        items = ['x{"t": 5, "s": "a"}\n', '{"t": 6, "s": "b"}\n']
+        assert list(read_events(items)) == [
+            (1, Observation(0, 'x{"t": 5, "s": "a"}')), (2, Observation(6, "b"))]
+
 
 # -- reference: event parsing through json.loads -----------------------
 #
