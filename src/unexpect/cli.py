@@ -17,7 +17,6 @@ and renamed into place so failures never leave partial files behind.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import json
@@ -25,14 +24,17 @@ import os
 import stat
 import sys
 import tempfile
+from types import SimpleNamespace
 from typing import IO, Iterator, Optional, Sequence
 
 from .core import UnexpectError, ValidationError, _decode_json_line
 
-# This module holds the parser and what every command shares. The
+# This module holds the flags and what every command shares. The
 # handlers live in `cli_track` (track, replay) and `cli_tools` (explain,
 # divergence, simulate); main imports only the one a command runs, so
-# that `simulate` and `divergence` start without the engine.
+# that `simulate` and `divergence` start without the engine. A plain
+# command line is read without argparse, which is imported only for the
+# others (help, abbreviations, errors).
 
 
 class _Exit(Exception):
@@ -47,13 +49,6 @@ def _fail_flag(message: str) -> "_Exit":
 
 def _fail_data(message: str) -> "_Exit":
     return _Exit(2, message)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags by default; the contract here is 1."""
-
-    def error(self, message):
-        raise _fail_flag(message)
 
 
 @contextlib.contextmanager
@@ -150,63 +145,130 @@ def _read_json_file(path: str, what: str, build=None):
     raise _fail_data(f"{what} {path}: {problem}")
 
 
-# -- parser ------------------------------------------------------------
+# -- flags -------------------------------------------------------------
 
-def _make_parser() -> _Parser:
-    parser = _Parser(prog="unexpect", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def _flag(*names, type=str, choices=None, default=None, required=False,
+          help=None):
+    """One row of _COMMANDS: (names, dest, type, choices, default,
+    required, help), where dest is the first name's, as argparse derives
+    it. `type` is str, int or float for a flag that takes a value, and
+    bool for one that takes none and sets True."""
+    return names, names[0][2:].replace("-", "_"), type, choices, default, required, help
+
+
+def _io(emit_choices=("jsonl", "csv")):
+    """--input, --output and --emit, as the stream commands share them."""
+    return (_flag("--input", "-i", help="input path (default stdin)"),
+            _flag("--output", "-o", help="output path (default stdout)"),
+            _flag("--emit", choices=emit_choices, default=emit_choices[0]))
+
+
+# The one place a flag is defined: command -> (its help, its flags), in
+# the order `--help` lists them. _make_parser builds argparse's parser
+# from it, and _read_plain reads a plain command line with it.
+_COMMANDS = {
+    "track": ("score an event stream", _io() + (
+        _flag("--estimator", choices=("iir", "fir")),
+        _flag("--alpha", type=float),
+        _flag("--window", type=int),
+        _flag("--epsilon", help="'auto', 'off', or a float"),
+        _flag("--beta", type=float),
+        _flag("--theta", type=float),
+        _flag("--min-hits", type=int),
+        _flag("--warmup", help="'auto' or an event count"),
+        _flag("--capacity", type=int),
+        _flag("--config", help="JSON config merged under flags"),
+        _flag("--snapshot-out"),
+        _flag("--stability-m", type=int),
+        _flag("--stability-delta", type=float),
+    )),
+    "replay": ("continue a run from a snapshot", _io() + (
+        _flag("--snapshot", required=True),
+        _flag("--snapshot-out"),
+    )),
+    "explain": ("best-cause explanation of a situation", (
+        _flag("--graph", help="causal graph JSON file"),
+        _flag("--bayes", help="probabilistic model JSON file"),
+        _flag("--target", required=True),
+        _flag("--cd", type=float, help="description cost of the target, in bits"),
+        _flag("--output", "-o"),
+    )),
+    "divergence": ("world-vs-mind divergence report", _io(("json", "csv")) + (
+        _flag("--world", help="distribution JSON file"),
+        _flag("--mind", help="code-length JSON file"),
+        _flag("--from-trace", type=bool, default=False,
+              help="build the pair from a trace on input"),
+        _flag("--normalize-mind", type=bool, default=False),
+        _flag("--tau", type=float, default=2.0),
+    )),
+    "simulate": ("generate a synthetic event stream", (
+        _flag("--spec", required=True, help="source spec JSON file"),
+        _flag("--out", help="output path (default stdout)"),
+        _flag("--dist-out",
+              help="also write the generating distribution (stationary/zipf)"),
+    )),
+}
+
+
+def _read_plain(argv: Sequence[str]) -> Optional[dict]:
+    """vars() of the namespace argparse gives for a plain command line:
+    a command, then flags of _COMMANDS by their exact names, a flag that
+    takes a value followed by one that does not start with "-" (or is
+    "-"). None for any other argv, such as help, an abbreviation,
+    `--flag=value`, a negative number, an unknown token, a value that
+    does not convert or is not a choice, or a missing required flag:
+    those are argparse's to read."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][1]
+    by_name = {name: row for row in flags for name in row[0]}
+    args = {"command": argv[0], **{row[1]: row[4] for row in flags}}
+    missing = {row[1] for row in flags if row[5]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        row = by_name.get(token)
+        if row is None:
+            return None
+        _, dest, kind, choices, _, _, _ = row
+        missing.discard(dest)
+        if kind is bool:
+            args[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and value != "-":
+            return None
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    return None if missing else args
+
+
+def _make_parser():
+    """argparse's parser for the flags of _COMMANDS: it reads the command
+    lines _read_plain leaves, and prints help and flag errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse exits 2 on bad flags by default; the contract here is 1."""
+
+        def error(self, message):
+            raise _fail_flag(message)
+
+    parser = Parser(prog="unexpect", description=__doc__,
+                    formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p, emit_choices=("jsonl", "csv")):
-        p.add_argument("--input", "-i", default=None, help="input path (default stdin)")
-        p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-        if emit_choices:
-            p.add_argument("--emit", choices=emit_choices, default=emit_choices[0])
-
-    track = sub.add_parser("track", help="score an event stream")
-    add_io(track)
-    track.add_argument("--estimator", choices=("iir", "fir"), default=None)
-    track.add_argument("--alpha", type=float, default=None)
-    track.add_argument("--window", type=int, default=None)
-    track.add_argument("--epsilon", default=None, help="'auto', 'off', or a float")
-    track.add_argument("--beta", type=float, default=None)
-    track.add_argument("--theta", type=float, default=None)
-    track.add_argument("--min-hits", dest="min_hits", type=int, default=None)
-    track.add_argument("--warmup", default=None, help="'auto' or an event count")
-    track.add_argument("--capacity", type=int, default=None)
-    track.add_argument("--config", default=None, help="JSON config merged under flags")
-    track.add_argument("--snapshot-out", default=None)
-    track.add_argument("--stability-m", type=int, default=None)
-    track.add_argument("--stability-delta", type=float, default=None)
-
-    replay = sub.add_parser("replay", help="continue a run from a snapshot")
-    add_io(replay)
-    replay.add_argument("--snapshot", required=True)
-    replay.add_argument("--snapshot-out", default=None)
-
-    explain = sub.add_parser("explain", help="best-cause explanation of a situation")
-    explain.add_argument("--graph", default=None, help="causal graph JSON file")
-    explain.add_argument("--bayes", default=None, help="probabilistic model JSON file")
-    explain.add_argument("--target", required=True)
-    explain.add_argument("--cd", type=float, default=None,
-                         help="description cost of the target, in bits")
-    explain.add_argument("--output", "-o", default=None)
-
-    div = sub.add_parser("divergence", help="world-vs-mind divergence report")
-    add_io(div, emit_choices=("json", "csv"))
-    div.add_argument("--world", default=None, help="distribution JSON file")
-    div.add_argument("--mind", default=None, help="code-length JSON file")
-    div.add_argument("--from-trace", action="store_true",
-                     help="build the pair from a trace on input")
-    div.add_argument("--normalize-mind", action="store_true")
-    div.add_argument("--tau", type=float, default=2.0)
-
-    sim = sub.add_parser("simulate", help="generate a synthetic event stream")
-    sim.add_argument("--spec", required=True, help="source spec JSON file")
-    sim.add_argument("--out", default=None, help="output path (default stdout)")
-    sim.add_argument("--dist-out", default=None,
-                     help="also write the generating distribution (stationary/zipf)")
-
+    for command, (command_help, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for names, dest, kind, choices, default, required, text in flags:
+            if kind is bool:
+                p.add_argument(*names, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(*names, dest=dest, type=kind, choices=choices,
+                               default=default, required=required, help=text)
     return parser
 
 
@@ -223,8 +285,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """`main()` is the program and freezes the collector before it returns;
     `main(argv)` is an in-process call and leaves the collector alone."""
     try:
-        args = _make_parser().parse_args(argv)
-        return _handler(args.command)(args)
+        args = _read_plain(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = vars(_make_parser().parse_args(argv))
+        return _handler(args["command"])(SimpleNamespace(**args))
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
@@ -12,6 +11,7 @@ from collections import Counter
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
@@ -20,7 +20,7 @@ from .core import (CodeLengthTable, DiscreteDistribution, UnexpectError,
                    _require_utf8)
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
+def _cmd_explain(args: SimpleNamespace) -> int:
     from . import causal
 
     if (args.graph is None) == (args.bayes is None):
@@ -84,9 +84,8 @@ def _pair_from_trace(lines: Iterable[str],
                      world: Optional[DiscreteDistribution]):
     """World = empirical symbol frequencies, mind = last seen c_ltm.
 
-    Each item of `lines` is one line, with at most one newline, at its
-    end, as iterating a file gives: an item holding two trace lines
-    would count as one line of a block and could hide a bad line."""
+    Each item of `lines` is one line, as iterating a file gives; an
+    item holding two trace lines is not a trace record."""
     from .traceio import _JSONL_PATTERN
 
     counts: Counter[str] = Counter()
@@ -97,12 +96,13 @@ def _pair_from_trace(lines: Iterable[str],
     lines = iter(lines)
     lineno = 0
     while block := list(islice(lines, _BLOCK_LINES)):
-        found = find_all("".join(block))
-        # Iterating a file gives each line at most one newline, at its
-        # end, and a match spans a whole line with its newline, so there
-        # are as many matches as lines only if every line is one as
-        # trace_to_jsonl writes it. Such a block is tallied in C.
-        if len(found) == len(block):
+        text = "\x00".join(block)
+        found = find_all(text)
+        # When no item holds a NUL, a match spans exactly one item, so
+        # there are as many matches as items only if every item is one
+        # line as trace_to_jsonl writes it, with one newline at its end
+        # (the last may lack it). Such a block is tallied in C.
+        if len(found) == len(block) == text.count("\x00") + 1:
             counts.update(map(itemgetter(0), found))
             last_c_ltm.update(filter(itemgetter(1), found))
             lineno += len(block)
@@ -160,7 +160,7 @@ def _pair_from_trace(lines: Iterable[str],
     return MachinePair(world, mind)
 
 
-def _cmd_divergence(args: argparse.Namespace) -> int:
+def _cmd_divergence(args: SimpleNamespace) -> int:
     from .divergence import MachinePair, divergences
 
     if not 0.0 < args.tau < math.inf:  # also rejects NaN
@@ -225,7 +225,7 @@ def _load_table(path: str, what: str, cls, values: str):
     return _read_json_file(path, what, build)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: SimpleNamespace) -> int:
     from . import simgen
 
     spec = _read_json_file(args.spec, "spec", simgen.SourceSpec.from_dict)

@@ -3,11 +3,11 @@ the engine and the estimators."""
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import sys
 from collections import deque
+from types import SimpleNamespace
 from typing import IO, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
@@ -34,7 +34,7 @@ _FLAG_RANGES = {
 }
 
 
-def _build_config(args: argparse.Namespace) -> EngineConfig:
+def _build_config(args: SimpleNamespace) -> EngineConfig:
     """Merge config file values under explicit flags; EngineConfig checks
     them, and a fault exits 1 naming the flag."""
     merged = EngineConfig().to_dict()
@@ -131,7 +131,7 @@ def _run_engine_over(
         )
 
 
-def _cmd_track(args: argparse.Namespace) -> int:
+def _cmd_track(args: SimpleNamespace) -> int:
     stability = None
     if (args.stability_m is None) != (args.stability_delta is None):
         raise _fail_flag("--stability-m and --stability-delta go together")
@@ -146,11 +146,11 @@ def _cmd_track(args: argparse.Namespace) -> int:
     return _score(Engine(_build_config(args)), args, stability)
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: SimpleNamespace) -> int:
     return _score(_read_json_file(args.snapshot, "snapshot", Engine.restore), args)
 
 
-def _score(engine: Engine, args: argparse.Namespace,
+def _score(engine: Engine, args: SimpleNamespace,
            stability: Optional[tuple[int, float]] = None) -> int:
     """Score the input into the output, then write the snapshot if asked."""
     with _open_input(args.input) as lines, _open_output(args.output, "--output") as out:

@@ -41,17 +41,19 @@ def _csv_line(t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag) -
 # digits of t, so that a t int() would refuse is left to JSON. c_ltm is
 # a cost its reader accepts as is: no sign, and at most 308 integer
 # digits, so its float is finite (-0.000000 and longer costs are left to
-# JSON). A line starts at ^ and ends at its newline or the text's end
-# (multi-line mode), so that one findall checks a block of lines.
-# Compiled by its reader, not at import.
+# JSON). A match is one whole item of a block joined with NULs: it
+# starts at the text's start or after a NUL, and ends with the line's
+# newline and the next NUL, or at the text's end, where the newline may
+# be missing. So one findall checks a block of lines. Compiled by its
+# reader, not at import.
 _COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
 _JSONL_PATTERN = (
-    r'(?m)^\{"t": (?:0|[1-9][0-9]{0,18}), '
+    r'(?<![^\x00])\{"t": (?:0|[1-9][0-9]{0,18}), '
     r'"symbol": "([^"\\\x00-\x1f\udc80-\udcff]*)", '
     r'"c_stm": (?:null|' + _COST + r'), '
     r'"c_ltm": (?:null|((?:0|[1-9][0-9]{0,307})\.[0-9]{6})), '
     r'"u_raw": (?:null|' + _COST + r'), "u_clamped": (?:null|' + _COST + r'), '
-    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}(?:\n|\Z)')
+    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}(?:\n\x00|\n?\Z)')
 
 
 def trace_to_jsonl(record: tuple) -> str:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unexpect
-from unexpect.cli import _Exit, _fail_data, main
+from unexpect.cli import _COMMANDS, _Exit, _fail_data, _make_parser, _read_plain, main
 from unexpect.cli_tools import _BLOCK_LINES, _pair_from_trace
 from unexpect.cli_track import _run_engine_over
 from unexpect.core import (
@@ -176,6 +176,16 @@ class TestTrack:
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["track", "--nonsense"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [["--in", "EVENTS"], ["--input=EVENTS"]],
+                             ids=["abbreviated", "equals"])
+    def test_argparse_forms_run_like_the_full_form(self, tmp_path, capsys, flag):
+        events = write(tmp_path / "events.jsonl", EVENTS)
+        flag = [part.replace("EVENTS", events) for part in flag]
+        argv = ["track", "--alpha", "0.9", *flag]
+        assert _read_plain(argv) is None  # left to argparse
+        assert run_cli(capsys, argv) == run_cli(
+            capsys, ["track", "--alpha", "0.9", "--input", events])
 
     def test_non_monotonic_time_exits_two_with_line(self, capsys, monkeypatch):
         bad = '{"t": 3, "s": "A"}\n{"t": 3, "s": "B"}\n'
@@ -1808,6 +1818,18 @@ class TestTraceReaderMatchesReference:
             ref_pair_from_trace, lines, world)
 
 
+    def test_an_item_of_two_lines_is_not_a_trace_record(self):
+        # As many matches as items, but the second item is not a record:
+        # it was once dropped, and the first item's symbol counted twice.
+        line = trace_to_jsonl(TraceRecord(0, "a", None, 1.0, None, None,
+                                          True, False)) + "\n"
+        lines = [line + line, "junk"]
+        outcome = pair_outcome(_pair_from_trace, lines, None)
+        assert outcome == pair_outcome(ref_pair_from_trace, lines, None)
+        assert outcome[:2] == ("exit", 2)
+        assert outcome[2].startswith("line 1: not a trace record: Extra data")
+
+
 @pytest.mark.parametrize("source", ["lf-file", "crlf-file", "lf-stdin",
                                     "crlf-stdin"])
 def test_trace_past_two_blocks_reads_the_same_every_way(tmp_path, source):
@@ -1923,6 +1945,124 @@ def event_text(forms):
     """The lines of the forms, each with its own 0-based index as t."""
     return [(form % i if "%d" in form else form) + "\n"
             for i, form in enumerate(forms)]
+
+
+PARSER = _make_parser()
+
+
+def argparse_vars(argv):
+    """vars() of the namespace argparse gives for argv, or None where it
+    exits, on help or on a flag error."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(PARSER.parse_args(argv))
+    except (_Exit, SystemExit):
+        return None
+
+
+def shown(args):
+    """args with each value as its repr, which tells 1 from 1.0 and a NaN
+    from another."""
+    return {key: repr(value) for key, value in args.items()}
+
+
+numbers = st.one_of(st.integers(-10, 10 ** 6).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+flag_values = st.one_of(
+    st.sampled_from(["-", "", "-1", "-0.5", "0", "7", "0.25", "1e3", "nan",
+                     "x", "xml", "auto", "a b", "--input", "-i", "-h", "--"]),
+    numbers, st.text(max_size=3))
+# What else an argv may hold: unknown tokens and help.
+odd_tokens = st.sampled_from(["--bogus", "-x", "x", "-", "--", "-h", "--help",
+                              "track"])
+
+
+def valid_value(draw, kind, choices):
+    """A value the flag accepts, which does not start with "-" but may
+    be "-"."""
+    if choices is not None:
+        return draw(st.sampled_from(choices))
+    if kind is int:
+        return str(draw(st.integers(0, 10 ** 6)))
+    if kind is float:
+        return repr(abs(draw(st.floats())))
+    return draw(st.one_of(st.just("-"), st.text(max_size=4).filter(
+        lambda text: not text.startswith("-"))))
+
+
+@st.composite
+def any_argvs(draw):
+    """Command lines drawn from the flag table: exact long and short
+    flags with good and bad values, repeated or missing flags,
+    abbreviations, --flag=value, unknown tokens and no command."""
+    command = draw(st.sampled_from([*_COMMANDS, None]))
+    argv = [] if command is None else [command]
+    flags = _COMMANDS[command][1] if command else _COMMANDS["track"][1]
+    for _ in range(draw(st.integers(0, 6))):
+        names, _, kind, choices, _, _, _ = draw(st.sampled_from(flags))
+        name = draw(st.sampled_from(names))
+        value = (valid_value(draw, kind, choices) if draw(st.booleans())
+                 else draw(flag_values))
+        form = draw(st.sampled_from(
+            ["exact", "exact", "exact", "bare", "abbreviated", "equals", "odd"]))
+        if form == "exact":
+            argv += [name] if kind is bool else [name, value]
+        elif form == "bare":  # a flag with no value, or a bool one with one
+            argv += [name, value] if kind is bool else [name]
+        elif form == "abbreviated":
+            argv.append(name[:draw(st.integers(2, max(2, len(name) - 1)))])
+            if kind is not bool:
+                argv.append(value)
+        elif form == "equals":
+            argv.append(f"{name}={value}")
+        else:
+            argv.append(draw(odd_tokens))
+    return argv
+
+
+@st.composite
+def plain_argvs(draw):
+    """Command lines the reader takes: exact flags with values they
+    accept, every required flag among them."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    flags = _COMMANDS[command][1]
+    rows = draw(st.lists(st.sampled_from(flags), max_size=6))
+    rows = draw(st.permutations(rows + [row for row in flags if row[5]]))
+    argv = [command]
+    for names, _, kind, choices, _, _, _ in rows:
+        argv.append(draw(st.sampled_from(names)))
+        if kind is not bool:
+            argv.append(valid_value(draw, kind, choices))
+    return argv
+
+
+class TestPlainReaderMatchesArgparse:
+    """_read_plain against argparse's parser built from the same table:
+    None, or exactly the namespace argparse gives."""
+
+    @settings(deadline=None, max_examples=600)
+    @given(any_argvs())
+    @example(["track", "--alpha", "-1"])
+    @example(["track", "--input", "--output", "x"])
+    @example(["replay", "--snapshot", "s", "--snapshot", "t", "-i", "-"])
+    @example(["divergence", "--from-trace", "--from-trace", "--tau", "nan"])
+    @example(["explain", "--target", ""])
+    @example(["simulate", "--spec"])
+    @example(["simulate"])
+    @example([])
+    def test_reader_is_none_or_argparse(self, argv):
+        plain = _read_plain(argv)
+        if plain is not None:
+            expected = argparse_vars(argv)
+            assert expected is not None
+            assert shown(plain) == shown(expected)
+
+    @settings(deadline=None, max_examples=300)
+    @given(plain_argvs())
+    def test_reader_takes_a_plain_command_line(self, argv):
+        plain = _read_plain(argv)
+        assert plain is not None
+        assert shown(plain) == shown(argparse_vars(argv))
 
 
 class TestEventBlocksMatchReference:

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import gc
 import importlib
@@ -50,7 +49,8 @@ class TestLazyPackage:
         (so only the package's own imports count), loads only the
         submodules it runs, and neither `dataclasses` nor `inspect`:
         only `track` and `replay` load the engine and the estimators,
-        and they do not load the other commands' handlers."""
+        and they do not load the other commands' handlers. A plain
+        command line is read without `argparse`, `gettext` or `locale`."""
         src = os.path.dirname(os.path.dirname(unexpect.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         spec = tmp_path / "spec.json"
@@ -85,7 +85,8 @@ class TestLazyPackage:
                 "from unexpect.cli import main\n"
                 f"code = main({argv!r})\n"
                 "print(json.dumps([code, sorted(m for m in sys.modules if"
-                " m.startswith('unexpect') or m in ('dataclasses', 'inspect'))]))\n"
+                " m.startswith('unexpect') or m in ('dataclasses', 'inspect',"
+                " 'argparse', 'gettext', 'locale'))]))\n"
             )
             result = subprocess.run(
                 [sys.executable, "-S", "-c", script], capture_output=True,
@@ -114,12 +115,11 @@ class TestEntryPoint:
         assert callable(getattr(importlib.import_module(module), name))
 
     def test_every_command_resolves_to_its_handler(self):
-        from unexpect.cli import _handler, _make_parser
+        from unexpect.cli import _COMMANDS, _handler, _make_parser
 
-        parser = _make_parser()
-        subparsers = next(action for action in parser._actions
-                          if isinstance(action, argparse._SubParsersAction))
-        assert tuple(subparsers.choices) == COMMANDS
+        assert tuple(_COMMANDS) == COMMANDS
+        # The parser built from the table offers the same commands.
+        assert "{%s}" % ",".join(COMMANDS) in _make_parser().format_usage()
         for command in COMMANDS:
             handler = _handler(command)
             assert callable(handler) and handler.__name__ == f"_cmd_{command}"
