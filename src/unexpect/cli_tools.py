@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from collections import Counter
 from itertools import islice
@@ -15,9 +14,9 @@ from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
-from .core import (CodeLengthTable, DiscreteDistribution, UnexpectError,
-                   ValidationError, _decode_json_line, _numbers, _require,
-                   _require_utf8)
+from .core import (CodeLengthTable, DiscreteDistribution, ImproperDistributionError,
+                   KraftViolationError, UnexpectError, ValidationError,
+                   _decode_json_line, _line_blocks, _numbers, _require, _require_utf8)
 
 
 def _cmd_explain(args: SimpleNamespace) -> int:
@@ -91,25 +90,14 @@ def _pair_from_trace(lines: Iterable[str],
     counts: Counter[str] = Counter()
     # symbol -> its last c_ltm: a JSON number, or a canonical line's text
     last_c_ltm: dict = {}
-    # Compiled here, so that no other command pays for it.
-    find_all = re.compile(_JSONL_PATTERN).findall
-    lines = iter(lines)
-    lineno = 0
-    while block := list(islice(lines, _BLOCK_LINES)):
-        text = "\x00".join(block)
-        found = find_all(text)
-        # When no item holds a NUL, a match spans exactly one item, so
-        # there are as many matches as items only if every item is one
-        # line as trace_to_jsonl writes it, with one newline at its end
-        # (the last may lack it). Such a block is tallied in C.
-        if len(found) == len(block) == text.count("\x00") + 1:
+    for first, block, found in _line_blocks(lines, _JSONL_PATTERN, _BLOCK_LINES):
+        if found is not None:  # tallied in C
             counts.update(map(itemgetter(0), found))
             last_c_ltm.update(filter(itemgetter(1), found))
-            lineno += len(block)
             continue
         # Any other block goes a line at a time: a blank line is skipped
         # and any other takes the JSON path.
-        for lineno, line in enumerate(block, lineno + 1):
+        for lineno, line in enumerate(block, first):
             if not line.strip():
                 continue
             try:
@@ -181,7 +169,11 @@ def _cmd_divergence(args: SimpleNamespace) -> int:
         mind = _load_table(args.mind, "mind file", CodeLengthTable, "bits")
         pair = MachinePair(world, mind)
 
-    report = divergences(pair, tau=args.tau, normalize_mind=args.normalize_mind)
+    try:
+        report = divergences(pair, tau=args.tau, normalize_mind=args.normalize_mind)
+    except (ImproperDistributionError, KraftViolationError) as exc:  # Kraft sum not 1
+        message = str(exc).removesuffix(" (set normalize_mind to rescale)")
+        raise _fail_data(f"{message} (pass --normalize-mind to rescale)") from None
 
     with _open_output(args.output, "--output") as out:
         payload = report.to_dict()

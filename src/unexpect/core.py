@@ -14,7 +14,8 @@ import json
 import math
 import re
 import sys
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 SymbolId = str
 BitLength = float
@@ -157,6 +158,34 @@ def _require_utf8(line: str) -> None:
     if found is not None:
         raise ValidationError(
             f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8")
+
+
+# Pieces of the lines `simulate` and `track` write, which JSON decodes
+# to the same values: a t of at most 19 digits with no leading zero, so
+# int() always converts it, and a string with no escape, JSON's or an
+# undecodable byte's, and no raw control character.
+_T = r'(?:0|[1-9][0-9]{0,18})'
+_PLAIN_STRING = r'"([^"\\\x00-\x1f\udc80-\udcff]*)"'
+
+
+def _line_blocks(lines: Iterable[str], line_pattern: str, size: int) -> Iterator[tuple]:
+    """(1-based number of its first line, block, groups) per block of up
+    to `size` items of `lines`; groups is findall's, one per item, if
+    every item is one line that line_pattern matches whole, else None.
+    The items are joined with NULs, and a match must start the text or
+    follow a NUL, and end with its newline and the next NUL, or at the
+    text's end, where the newline may be missing."""
+    find_all = re.compile(r'(?<![^\x00])' + line_pattern + r'(?:\n\x00|\n?\Z)').findall
+    lines, first = iter(lines), 1
+    while block := list(islice(lines, size)):
+        text = "\x00".join(block)
+        found = find_all(text)
+        # When no item holds a NUL, a match spans exactly one item, so
+        # there are as many matches as items only if every item is one
+        # matching line with one newline, at its end (the last may lack it).
+        yield first, block, (found if len(found) == len(block) == text.count("\x00") + 1
+                             else None)
+        first += len(block)
 
 
 class _Value:

@@ -459,6 +459,9 @@ class Engine:
                 f"snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
         try:
             config = EngineConfig.from_dict(snapshot["config"])
+            unknown = snapshot["config"].keys() - config._fields
+            if unknown:  # as track --config rejects them
+                raise ValidationError(f"config: unknown key(s) {sorted(unknown)}")
             engine = cls(config)
             engine.events_seen = events_seen = _require(
                 "events_seen", snapshot["events_seen"], int,

@@ -8,13 +8,11 @@ costs 0 bits the second time, and a symbol never seen costs infinity.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left
-from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from .core import (SymbolId, ValidationError, _Value, _decode_json_line, _require,
-                   _require_utf8, _symbols)
+from .core import (SymbolId, ValidationError, _PLAIN_STRING, _T, _Value,
+                   _decode_json_line, _line_blocks, _require, _require_utf8, _symbols)
 
 
 class Observation(_Value):
@@ -116,57 +114,41 @@ def _parse_stripped(stripped: str, lineno: int) -> Observation:
     return Observation(lineno, stripped)
 
 
-# The line `simulate` writes. JSON decodes a line this matches to the
-# same t and s: it allows no leading zero and no raw control character,
-# and the string holds no escape, JSON's or an undecodable byte's. At
-# most 19 digits, so int() always converts t. A match is one whole item
-# of a block joined with NULs: it starts at the text's start or after a
-# NUL, and ends with the line's newline and the next NUL, or at the
-# text's end, where the newline may be missing. So one findall checks a
-# block of lines.
-_CANONICAL_EVENT = re.compile(
-    r'(?<![^\x00])\{"t": (0|[1-9][0-9]{0,18}), "s": "([^"\\\x00-\x1f\udc80-\udcff]*)"\}'
-    r'(?:\n\x00|\n?\Z)')
+# The line `simulate` writes, for _line_blocks: JSON decodes a line this
+# matches to the same t and s.
+_CANONICAL_EVENT = r'\{"t": (' + _T + r'), "s": ' + _PLAIN_STRING + r'\}'
 
 # Event lines read ahead and checked at a time by _event_blocks.
-_BLOCK_LINES = 256
+_EVENT_BLOCK_LINES = 256
 
 
 def _event_blocks(lines: Iterable[str]) -> Iterator[tuple]:
     """read_events' events as columns, one (line numbers, times, symbols)
-    triple per block of _BLOCK_LINES lines. A faulty line ends the run: the
-    columns of its block's events before it come first, then ValidationError."""
-    find_all = _CANONICAL_EVENT.findall
-    lines = iter(lines)
-    start = 0
-    while block := list(islice(lines, _BLOCK_LINES)):
-        text = "\x00".join(block)
-        found = find_all(text)
-        # When no item holds a NUL, a match spans exactly one item, so
-        # there are as many matches as items only if every item is one
-        # line as `simulate` writes it. Any other block goes a line at a
-        # time, where an item of two lines fails as invalid JSON.
-        if len(found) == len(block) == text.count("\x00") + 1:
+    triple per block of _EVENT_BLOCK_LINES lines. A faulty line ends the
+    run: its block's columns before it come first, then ValidationError."""
+    for first, block, found in _line_blocks(lines, _CANONICAL_EVENT, _EVENT_BLOCK_LINES):
+        if found is not None:
             times, symbols = zip(*found)
-            yield range(start + 1, start + 1 + len(block)), list(map(int, times)), symbols
-        else:
-            line_numbers, times, symbols = [], [], []
-            for i, line in enumerate(block, start):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    if not stripped.isascii():
-                        _require_utf8(stripped)
-                    obs = _parse_stripped(stripped, i)
-                except ValidationError as exc:
-                    yield line_numbers, times, symbols
-                    raise ValidationError(f"line {i + 1}: {exc}") from None
-                line_numbers.append(i + 1)
-                times.append(obs.t)
-                symbols.append(obs.symbol)
-            yield line_numbers, times, symbols
-        start += len(block)
+            yield range(first, first + len(block)), list(map(int, times)), symbols
+            continue
+        # Any other block goes a line at a time, where an item of two
+        # lines fails as invalid JSON.
+        line_numbers, times, symbols = [], [], []
+        for lineno, line in enumerate(block, first):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                if not stripped.isascii():
+                    _require_utf8(stripped)
+                obs = _parse_stripped(stripped, lineno - 1)
+            except ValidationError as exc:
+                yield line_numbers, times, symbols
+                raise ValidationError(f"line {lineno}: {exc}") from None
+            line_numbers.append(lineno)
+            times.append(obs.t)
+            symbols.append(obs.symbol)
+        yield line_numbers, times, symbols
 
 
 def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
@@ -174,7 +156,7 @@ def read_events(lines: Iterable[str]) -> Iterator[tuple[int, Observation]]:
 
     Each item of `lines` is one line, with at most one newline, at its
     end, as iterating a file or splitlines(keepends=True) gives; up to
-    _BLOCK_LINES lines are read ahead.
+    _EVENT_BLOCK_LINES lines are read ahead.
 
     A line that holds a surrogate escape of a byte that is not UTF-8
     (U+DC80-U+DCFF) is rejected, naming the byte.

@@ -10,6 +10,8 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Optional
 
+from .core import _PLAIN_STRING, _T
+
 TRACE_CSV_HEADER = "t,symbol,c_stm,c_ltm,u_raw,u_clamped,novelty,change_flag"
 
 
@@ -33,27 +35,19 @@ def _csv_line(t, symbol, c_stm, c_ltm, u_raw, u_clamped, novelty, change_flag) -
     return f"{t},{symbol},{c_stm},{c_ltm},{u_raw},{u_clamped},{novelty},{change_flag}"
 
 
-# The line trace_to_jsonl writes, for readers that want only the symbol
-# (group 1) and c_ltm (group 2, None for null). JSON decodes a line this
-# matches to the same symbol and to float(group 2): the pattern allows
-# no leading zero, no exponent and no raw control character, and the
-# symbol holds no escape, JSON's or an undecodable byte's. At most 19
-# digits of t, so that a t int() would refuse is left to JSON. c_ltm is
-# a cost its reader accepts as is: no sign, and at most 308 integer
-# digits, so its float is finite (-0.000000 and longer costs are left to
-# JSON). A match is one whole item of a block joined with NULs: it
-# starts at the text's start or after a NUL, and ends with the line's
-# newline and the next NUL, or at the text's end, where the newline may
-# be missing. So one findall checks a block of lines. Compiled by its
-# reader, not at import.
+# The line trace_to_jsonl writes, for _line_blocks in readers that want
+# only the symbol (group 1) and c_ltm (group 2, None for null). JSON
+# decodes a line this matches to the same symbol and to float(group 2):
+# the pattern allows no leading zero and no exponent. c_ltm is a cost
+# its reader accepts as is: no sign, and at most 308 integer digits, so
+# its float is finite (-0.000000 and longer costs are left to JSON).
 _COST = r'-?(?:0|[1-9][0-9]*)\.[0-9]{6}'
 _JSONL_PATTERN = (
-    r'(?<![^\x00])\{"t": (?:0|[1-9][0-9]{0,18}), '
-    r'"symbol": "([^"\\\x00-\x1f\udc80-\udcff]*)", '
+    r'\{"t": ' + _T + r', "symbol": ' + _PLAIN_STRING + r', '
     r'"c_stm": (?:null|' + _COST + r'), '
     r'"c_ltm": (?:null|((?:0|[1-9][0-9]{0,307})\.[0-9]{6})), '
     r'"u_raw": (?:null|' + _COST + r'), "u_clamped": (?:null|' + _COST + r'), '
-    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}(?:\n\x00|\n?\Z)')
+    r'"novelty": (?:true|false), "change_flag": (?:true|false)\}')
 
 
 def trace_to_jsonl(record: tuple) -> str:

@@ -24,13 +24,14 @@ from unexpect.core import (
     DiscreteDistribution,
     UnexpectError,
     ValidationError,
+    _line_blocks,
 )
 from unexpect.divergence import MachinePair, divergences
 from unexpect.engine import (Engine, EngineConfig, TraceRecord, run_stream,
                              trace_to_jsonl)
-from unexpect.memory import _BLOCK_LINES as _EVENT_BLOCK_LINES
 from unexpect.memory import (
     _CANONICAL_EVENT,
+    _EVENT_BLOCK_LINES,
     Observation,
     _decode_json_line,
     read_events,
@@ -514,6 +515,9 @@ class TestSnapshotReplay:
                                ("estimator", ("w", "w_step")),
                                ("detector", ("ewma", "hits")))
           for field in fields],
+        # As `track --config` rejects it; replay once ignored it.
+        pytest.param("config", {"junk": 1}, "config: unknown key(s) ['junk']",
+                     id="config-unknown-key"),
     ])
     def test_hand_edited_snapshot_names_the_field(self, tmp_path, capsys, field,
                                                   value, message):
@@ -851,12 +855,12 @@ class TestInputNotUtf8:
             expected = list(generate(SourceSpec.from_dict(spec)))
             assert len(lines) == len(expected) == spec["length"]
             for line, obs in zip(lines, expected):
-                assert (bool(_CANONICAL_EVENT.fullmatch(line))
-                        == obs.symbol.isascii())
+                _, _, found = next(_line_blocks([line], _CANONICAL_EVENT, 1))
+                assert (found is not None) == obs.symbol.isascii()
             assert [obs for _, obs in read_events(lines)] == expected
         assert {obs.symbol for obs in expected} == set(wide_spec["symbols"])
         escaped = self.EVENTS.decode("utf-8", "surrogateescape").splitlines()
-        assert _CANONICAL_EVENT.fullmatch(escaped[1]) is None
+        assert next(_line_blocks([escaped[1]], _CANONICAL_EVENT, 1))[2] is None
 
 
 class TestClosedStandardStreams:
@@ -1144,6 +1148,29 @@ class TestDivergenceCommand:
             ["divergence", "--world", world, "--mind", mind, "--normalize-mind"],
         )
         assert code == 0
+
+    def test_mind_below_one_names_the_flag(self, tmp_path, capsys):
+        # The message named the library's normalize_mind parameter.
+        world = write(tmp_path / "w.json",
+                      json.dumps({"symbols": ["a", "b"], "mass": [0.5, 0.5]}))
+        mind = write(tmp_path / "m.json",
+                     json.dumps({"symbols": ["a", "b"], "bits": [2.0, 2.0]}))
+        assert run_cli(capsys, ["divergence", "--world", world, "--mind", mind]) == (
+            2, "", "error: mind Kraft sum 0.5 < 1; the mind-relative divergence "
+            "needs a complete code (pass --normalize-mind to rescale)\n")
+
+    def test_mind_above_one_names_the_flag(self, tmp_path, capsys):
+        # The message gave no remedy.
+        world = write(tmp_path / "w.json",
+                      json.dumps({"symbols": ["a", "b"], "mass": [0.5, 0.5]}))
+        mind = write(tmp_path / "m.json",
+                     json.dumps({"symbols": ["a", "b"], "bits": [0.5, 1.0]}))
+        kraft = 2.0 ** -0.5 + 0.5
+        assert run_cli(capsys, ["divergence", "--world", world, "--mind", mind]) == (
+            2, "", f"error: mind Kraft sum {kraft!r} exceeds 1; not a proper code "
+            "(pass --normalize-mind to rescale)\n")
+        assert run_cli(capsys, ["divergence", "--world", world, "--mind", mind,
+                                "--normalize-mind"])[0] == 0
 
     @pytest.mark.parametrize("mass, bits", [
         ([0.5, 0.5], [0, 1023]), ([0.5, 0.5], [0, 1030]),
@@ -1819,15 +1846,17 @@ class TestTraceReaderMatchesReference:
 
 
     def test_an_item_of_two_lines_is_not_a_trace_record(self):
-        # As many matches as items, but the second item is not a record:
-        # it was once dropped, and the first item's symbol counted twice.
+        # As many matches as items, but the first item holds two lines: the
+        # other item was once dropped, and the first item's symbol counted
+        # twice. The shapes of the event reader's framing test.
         line = trace_to_jsonl(TraceRecord(0, "a", None, 1.0, None, None,
                                           True, False)) + "\n"
-        lines = [line + line, "junk"]
-        outcome = pair_outcome(_pair_from_trace, lines, None)
-        assert outcome == pair_outcome(ref_pair_from_trace, lines, None)
-        assert outcome[:2] == ("exit", 2)
-        assert outcome[2].startswith("line 1: not a trace record: Extra data")
+        for lines in ([line + line, "junk"], [line + line, ""],
+                      [line + line[:20], line[20:]], [line + "\x00" + line, ""]):
+            outcome = pair_outcome(_pair_from_trace, lines, None)
+            assert outcome == pair_outcome(ref_pair_from_trace, lines, None)
+            assert outcome[:2] == ("exit", 2)
+            assert outcome[2].startswith("line 1: not a trace record: Extra data")
 
 
 @pytest.mark.parametrize("source", ["lf-file", "crlf-file", "lf-stdin",

@@ -513,6 +513,14 @@ class TestSnapshots:
         with pytest.raises(VersionMismatchError, match="^alpha must be in"):
             Engine.restore(snap)
 
+    def test_unknown_config_key_is_a_version_mismatch(self):
+        # It was ignored, though track --config rejects it.
+        snap = Engine(small_config()).snapshot()
+        snap["config"]["junk"] = 1
+        with pytest.raises(VersionMismatchError,
+                           match=r"^config: unknown key\(s\) \['junk'\]$"):
+            Engine.restore(snap)
+
     @pytest.mark.parametrize("part, key, value", [
         ("estimator", "w_step", [9, 9]),  # the estimator's own check
         ("detector", "hits", -1),  # the detector's own check

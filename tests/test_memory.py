@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from unexpect.core import ValidationError
 from unexpect.engine import Engine
 from unexpect.memory import (
-    _BLOCK_LINES,
+    _EVENT_BLOCK_LINES,
     Observation,
     StmStack,
     _decode_json_line,
@@ -381,7 +381,7 @@ file_lines = st.lists((json_lines() | texts).map(
 
 
 class TestReadEventsAcrossBlocks:
-    """read_events checks _BLOCK_LINES lines per regex pass; the drawn
+    """read_events checks _EVENT_BLOCK_LINES lines per regex pass; the drawn
     lines sit before and after `pad` canonical lines, so that they
     straddle the ends of the first and second block. A faulty line must
     come after every event before it, as one line at a time gives."""
@@ -389,13 +389,13 @@ class TestReadEventsAcrossBlocks:
     @settings(deadline=None, max_examples=150)
     @given(file_lines, st.integers(0, 5),
            st.one_of(st.integers(0, 4),
-                     st.integers(_BLOCK_LINES - 4, _BLOCK_LINES + 1),
-                     st.integers(2 * _BLOCK_LINES - 4, 2 * _BLOCK_LINES + 8)))
+                     st.integers(_EVENT_BLOCK_LINES - 4, _EVENT_BLOCK_LINES + 1),
+                     st.integers(2 * _EVENT_BLOCK_LINES - 4, 2 * _EVENT_BLOCK_LINES + 8)))
     # A bad line as the first line of the second block and in its middle.
-    @example(['{"t": 1\n'], 0, _BLOCK_LINES)
-    @example(['{"t": 1\n'], 0, _BLOCK_LINES + _BLOCK_LINES // 2)
-    @example(['a\udcffb\n', "A\n"], 1, _BLOCK_LINES + 1)
-    @example(["\n", "A\n"], 0, _BLOCK_LINES - 1)
+    @example(['{"t": 1\n'], 0, _EVENT_BLOCK_LINES)
+    @example(['{"t": 1\n'], 0, _EVENT_BLOCK_LINES + _EVENT_BLOCK_LINES // 2)
+    @example(['a\udcffb\n', "A\n"], 1, _EVENT_BLOCK_LINES + 1)
+    @example(["\n", "A\n"], 0, _EVENT_BLOCK_LINES - 1)
     def test_blocks_match_reference(self, drawn, at, pad):
         lines = drawn[:at] + canonical_lines(pad) + drawn[at:]
         expected = run_until_fault(ref_read_events(lines))
