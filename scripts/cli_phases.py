@@ -19,16 +19,20 @@ give it as both. The time rows are in ms:
   teardown;
 * total: from the fork to ``os.wait4``;
 
-and peak_mb is the process's ``ru_maxrss`` from ``os.wait4``, in KB,
-over 1024, as ``bench/run.py`` reports ``peak_rss_mb``.
+peak_mb is the process's ``ru_maxrss`` from ``os.wait4``, in KB,
+over 1024, as ``bench/run.py`` reports ``peak_rss_mb``; and lines is
+the count of source lines (newlines) of the package's modules that the
+run had loaded when main returned, counted in the checkout's src: what
+the start compiled.
 
 The entry is what ``bench/run.py`` runs as `unexpect`,
 ``sys.exit(main())``, with the clock, ``time.monotonic``, read between
-its lines and reported on a pipe as main returns. A child's peak starts
-at the RSS of the process that forked it, so each run is forked and
-timed not by this script but by a small launcher, ``python3 -S``
-importing only os, sys and time. Before each run it forks a child that
-exits at once; the largest peak of these is the floor.
+its lines and reported on a pipe as main returns, together with the
+names of the loaded modules. A child's peak starts at the RSS of the
+process that forked it, so each run is forked and timed not by this
+script but by a small launcher, ``python3 -S`` importing only os, sys
+and time. Before each run it forks a child that exits at once; the
+largest peak of these is the floor.
 
 The command runs in the current directory with /dev/null as its
 standard input and output (name files with --input and --output); its
@@ -50,10 +54,11 @@ import sys
 
 from bench_pairs import quartiles, refuse_bytecode_cache
 
-ROWS = ("start", "import", "main", "exit", "total", "peak_mb")
+ROWS = ("start", "import", "main", "exit", "total", "peak_mb", "lines")
 
 # bench/run.py's `unexpect`, with the clock read between its lines. The
-# readings go to the file descriptor given as {fd}.
+# readings, then the names of the package's modules loaded, go to the
+# file descriptor given as {fd}.
 CLI_ENTRY = """\
 import os, sys, time
 started = time.monotonic()
@@ -62,7 +67,9 @@ imported = time.monotonic()
 try:
     sys.exit(main())
 finally:
-    os.write({fd}, b"%r %r %r" % (started, imported, time.monotonic()))
+    returned = time.monotonic()
+    loaded = [m for m in sys.modules if m.split(".")[0] == "unexpect"]
+    os.write({fd}, " ".join([*map(repr, (started, imported, returned)), *loaded]).encode())
 """
 
 # Forks a child that exits at once, then the command; prints the command's
@@ -89,9 +96,21 @@ print(code, repr(forked), repr(time.monotonic()), peak, floor)
 """
 
 
+def source_lines(src: str, modules: list) -> int:
+    """The lines of the source files under `src` of the named modules."""
+    total = 0
+    for module in modules:
+        path = os.path.join(src, *module.split("."))
+        if os.path.isdir(path):
+            path = os.path.join(path, "__init__")
+        with open(path + ".py", "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def run_once(src: str, command: list) -> tuple:
-    """(exit code, {row: ms or MB}, the launcher's floor in MB) of one run
-    of the command."""
+    """(exit code, {row: ms, MB or lines}, the launcher's floor in MB) of
+    one run of the command."""
     read, write = os.pipe()
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     with os.fdopen(read, "rb") as fh:
@@ -103,11 +122,11 @@ def run_once(src: str, command: list) -> tuple:
                 check=True)
         finally:
             os.close(write)
-        report = fh.read().split()
+        report = fh.read().decode().split()
     code, forked, reaped, peak, floor = map(float, proc.stdout.split())
-    if len(report) != 3:  # the child ended before main returned
+    if len(report) < 3:  # the child ended before main returned
         return int(code) or 1, {}, floor / 1024
-    started, imported, returned = map(float, report)
+    started, imported, returned = map(float, report[:3])
     return int(code), {
         "start": 1000 * (started - forked),
         "import": 1000 * (imported - started),
@@ -115,11 +134,13 @@ def run_once(src: str, command: list) -> tuple:
         "exit": 1000 * (reaped - returned),
         "total": 1000 * (reaped - forked),
         "peak_mb": peak / 1024,
+        "lines": source_lines(src, report[3:]),
     }, floor / 1024
 
 
-def _fmt(values: list) -> str:
-    return "/".join(f"{v:.2f}" for v in quartiles(values))
+def _fmt(values: list, row: str) -> str:
+    digits = 0 if row == "lines" else 2
+    return "/".join(f"{v:.{digits}f}" for v in quartiles(values))
 
 
 def main(argv=None) -> int:
@@ -151,12 +172,12 @@ def main(argv=None) -> int:
             for row, value in rows.items():
                 values[side][row].append(value)
             floor = max(floor, launcher)
-    print(f"unexpect {' '.join(args.command)}: ms per phase and peak_mb over "
+    print(f"unexpect {' '.join(args.command)}: ms per phase, peak_mb and lines over "
           f"{args.runs} alternating runs, q1/median/q3")
     print(f"{'row':8} {'parent':24} change")
     for row in ROWS:
-        print(f"{row:8} {_fmt(values['parent'][row]):24} "
-              f"{_fmt(values['change'][row])}")
+        print(f"{row:8} {_fmt(values['parent'][row], row):24} "
+              f"{_fmt(values['change'][row], row)}")
     print(f"launcher floor {floor:.2f} MB")
     return 0
 

@@ -14,10 +14,7 @@ import importlib
 # only the modules it runs.
 _SUBMODULE_OF = {name: module for module, names in {
     "causal": ("CausalGraph", "Explanation", "from_probabilities"),
-    "core": (
-        "BitLength", "CodeLengthTable", "DiscreteDistribution", "SymbolId",
-        "UnexpectError", "bits_from_probability", "distribution_from_code",
-    ),
+    "core": ("BitLength", "SymbolId", "UnexpectError"),
     "divergence": (
         "DivergenceReport", "MachinePair", "cross_entropy", "divergences",
         "entropy", "kl", "memory_cost_ordered", "memory_cost_unordered",
@@ -29,6 +26,10 @@ _SUBMODULE_OF = {name: module for module, names in {
     "estimators": ("FirEstimator", "IirEstimator"),
     "memory": ("Observation", "StmStack", "read_events"),
     "simgen": ("SourceSpec", "SplitMix64", "generate", "zipf_distribution"),
+    "tables": (
+        "CodeLengthTable", "DiscreteDistribution", "bits_from_probability",
+        "distribution_from_code",
+    ),
 }.items() for name in names}
 
 __version__ = "0.1.0"

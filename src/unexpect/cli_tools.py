@@ -14,9 +14,10 @@ from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_file
-from .core import (CodeLengthTable, DiscreteDistribution, ImproperDistributionError,
-                   KraftViolationError, UnexpectError, ValidationError,
-                   _decode_json_line, _line_blocks, _numbers, _require, _require_utf8)
+from .core import (ImproperDistributionError, KraftViolationError, UnexpectError,
+                   ValidationError, _decode_json_line, _line_blocks, _require,
+                   _require_utf8)
+from .tables import CodeLengthTable, DiscreteDistribution, _numbers
 
 
 def _cmd_explain(args: SimpleNamespace) -> int:

@@ -23,16 +23,18 @@ from typing import Optional
 
 from .core import (
     BitLength,
-    CodeLengthTable,
-    DiscreteDistribution,
     IdentityMismatchError,
     ImproperDistributionError,
     KraftViolationError,
-    MASS_TOLERANCE,
     SupportMismatchError,
     SymbolId,
     ValidationError,
     _Value,
+)
+from .tables import (
+    MASS_TOLERANCE,
+    CodeLengthTable,
+    DiscreteDistribution,
     distribution_from_code,
 )
 

@@ -29,11 +29,8 @@ from .core import (
     NonMonotonicTimeError,
     SymbolId,
     ValidationError,
-    VersionMismatchError,
     _Value,
-    _decode_json_line,
     _require,
-    _symbols,
 )
 from .estimators import (
     EPSILON_AUTO,
@@ -447,96 +444,22 @@ class Engine:
 
     @classmethod
     def restore(cls, snapshot: dict) -> "Engine":
-        """Rebuild an engine from its config and state. The stack, estimator
-        and detector check their own state; this checks the facts that span
-        them and maps positions to symbols. Every fault is a VersionMismatchError."""
-        if not isinstance(snapshot, dict) or "format_version" not in snapshot:
-            raise VersionMismatchError("not an engine snapshot")
-        version = snapshot["format_version"]
-        # Its own message, which names the version expected.
-        if type(version) is not int or version != SNAPSHOT_VERSION:
-            raise VersionMismatchError(
-                f"snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
-        try:
-            config = EngineConfig.from_dict(snapshot["config"])
-            unknown = snapshot["config"].keys() - config._fields
-            if unknown:  # as track --config rejects them
-                raise ValidationError(f"config: unknown key(s) {sorted(unknown)}")
-            engine = cls(config)
-            engine.events_seen = events_seen = _require(
-                "events_seen", snapshot["events_seen"], int,
-                "a nonnegative integer", lambda n: n >= 0)
-            # last_t is null exactly before the first event; each event's t
-            # is >= 0 and above the one before, so events_seen <= last_t + 1.
-            engine.last_t = last_t = _require(
-                "last_t", snapshot["last_t"], int if events_seen else type(None),
-                "a nonnegative integer" if events_seen else "null while events_seen is 0",
-                lambda t: t is None or t >= 0)
-            if events_seen and events_seen > last_t + 1:
-                raise ValidationError(f"events_seen must be at most last_t + 1 "
-                                      f"({last_t + 1}), got {events_seen}")
-            stack = _symbols("stack", snapshot["stack"], distinct=True)
-            engine.stack = StmStack(capacity=config.capacity, items=stack)
-            off_stack = _symbols("seen_off_stack", snapshot["seen_off_stack"],
-                                 distinct=True)
-            repeated = sorted(set(stack).intersection(off_stack))
-            if repeated:
-                raise ValidationError(
-                    f"seen_off_stack repeats stack symbol {repeated[0]!r}")
-            if off_stack and config.capacity is None:
-                raise ValidationError(
-                    "seen_off_stack must be empty for an unbounded stack")
-            order = [*stack, *off_stack]
-            if len(order) > events_seen:  # each seen symbol came from an event
-                raise ValidationError(
-                    f"stack and seen_off_stack hold {len(order)} symbols, more "
-                    f"than events_seen ({events_seen})")
-            engine._seen = set(order)
-            estimator, detector = snapshot["estimator"], snapshot["detector"]
-            if config.estimator == "iir":
-                entries = [_require(name, estimator[name], list,
-                                    f"a list of {len(order)} entries",
-                                    lambda v: len(v) == len(order))
-                           for name in ("w", "w_step")]
-                # A null in one list only leaves a symbol in one dict only,
-                # which the estimator rejects; step is events_seen.
-                w, w_step = ({s: v for s, v in zip(order, values) if v is not None}
-                             for values in entries)
-                engine.estimator = IirEstimator(config.alpha, events_seen, w, w_step)
-            else:
-                buffer = _require("buffer", estimator["buffer"], list, "a list")
-                # type() rejects a bool; the range keeps order[-1] unread.
-                for i in buffer:
-                    if type(i) is not int or not 0 <= i < len(order):
-                        raise ValidationError(f"buffer must hold positions in "
-                                              f"[0, {len(order)}), got {i!r}")
-                engine.estimator = FirEstimator(config.window, [order[i] for i in buffer])
-                # Every event the engine scored went through the window.
-                if len(buffer) != min(events_seen, config.window):
-                    raise ValidationError(
-                        f"buffer holds {len(buffer)} symbols, not min(events_seen, "
-                        f"window) = {min(events_seen, config.window)}")
-            engine.detector = ChangeDetector(
-                config.beta, config.theta, config.min_hits, detector["ewma"],
-                detector["hits"])
-        except KeyError as exc:
-            raise VersionMismatchError(f"{exc.args[0]} is missing") from None
-        except (TypeError, ValueError) as exc:  # e.g. an estimator of "x"
-            raise VersionMismatchError(f"malformed snapshot: {exc}") from None
-        except ValidationError as exc:
-            raise VersionMismatchError(str(exc)) from None
-        return engine
+        """Rebuild an engine from `snapshot()`'s state; every fault is a
+        VersionMismatchError. The checks live in `unexpect.restore`,
+        loaded on the first call, so that `track` never compiles them."""
+        from .restore import restore
+
+        return restore(cls, snapshot)
 
     def snapshot_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def restore_json(cls, text: str) -> "Engine":
-        try:
-            obj = _decode_json_line(text)
-        except (json.JSONDecodeError, ValidationError) as exc:
-            raise VersionMismatchError(f"unreadable snapshot: {exc}") from None
-        return cls.restore(obj)
+        """`restore` of a `snapshot_json()` text."""
+        from .restore import restore_json
+
+        return restore_json(cls, text)
 
 
 def run_stream(

@@ -22,8 +22,8 @@ from bisect import bisect_right
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .core import (DiscreteDistribution, InvalidSpecError, SymbolId,
-                   ValidationError, _Value, _numbers, _require)
+from .core import InvalidSpecError, SymbolId, ValidationError, _Value, _require
+from .tables import DiscreteDistribution, _numbers
 
 if TYPE_CHECKING:
     from .memory import Observation

@@ -15,11 +15,6 @@ import pytest
 from test_causal import brute_force_cost, random_dag
 
 from unexpect.causal import CausalGraph, from_probabilities
-from unexpect.core import (
-    CodeLengthTable,
-    DiscreteDistribution,
-    bits_from_probability,
-)
 from unexpect.divergence import (
     MachinePair,
     divergences,
@@ -31,6 +26,11 @@ from unexpect.engine import Engine, EngineConfig, trace_to_jsonl
 from unexpect.estimators import FirEstimator, IirEstimator
 from unexpect.memory import StmStack
 from unexpect.simgen import SourceSpec, SplitMix64, generate
+from unexpect.tables import (
+    CodeLengthTable,
+    DiscreteDistribution,
+    bits_from_probability,
+)
 
 
 def report(tag: str, ok: bool, detail: str) -> None:

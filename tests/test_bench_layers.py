@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from unexpect.core import DiscreteDistribution
 from unexpect.engine import Engine, EngineConfig, TraceRecord
 from unexpect.simgen import SourceSpec, generate
+from unexpect.tables import DiscreteDistribution
 
 _LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 _spec = importlib.util.spec_from_file_location("bench_layers", _LAYERS)

@@ -20,8 +20,6 @@ from unexpect.cli import _COMMANDS, _Exit, _fail_data, _make_parser, _read_plain
 from unexpect.cli_tools import _BLOCK_LINES, _pair_from_trace
 from unexpect.cli_track import _run_engine_over
 from unexpect.core import (
-    CodeLengthTable,
-    DiscreteDistribution,
     UnexpectError,
     ValidationError,
     _line_blocks,
@@ -37,6 +35,7 @@ from unexpect.memory import (
     read_events,
 )
 from unexpect.simgen import SourceSpec, generate
+from unexpect.tables import CodeLengthTable, DiscreteDistribution
 from unexpect.traceio import TRACE_CSV_HEADER, trace_to_csv
 
 
@@ -518,6 +517,12 @@ class TestSnapshotReplay:
         # As `track --config` rejects it; replay once ignored it.
         pytest.param("config", {"junk": 1}, "config: unknown key(s) ['junk']",
                      id="config-unknown-key"),
+        # So does each other part: no key of a snapshot goes unread.
+        pytest.param("junk", 1, "top level: unknown key(s) ['junk']",
+                     id="top-level-unknown-key"),
+        *[pytest.param(part, {"junk": 1}, f"{part}: unknown key(s) ['junk']",
+                       id=f"{part}-unknown-key")
+          for part in ("estimator", "detector")],
     ])
     def test_hand_edited_snapshot_names_the_field(self, tmp_path, capsys, field,
                                                   value, message):
@@ -608,6 +613,9 @@ class TestSnapshotReplay:
          "buffer must hold positions in [0, 2), got -1"),
         (["--estimator", "fir", "--window", "50"], {"buffer": [True]},
          "buffer must hold positions in [0, 2), got True"),
+        # A key of the other estimator's state is read by neither.
+        (["--estimator", "fir", "--window", "50"], {"w": [0.5, 0.5]},
+         "estimator: unknown key(s) ['w']"),
         # The state of format 3, which named each symbol.
         (["--alpha", "0.9"], {"w": {"A": 0.5, "B": 0.4}},
          "w must be a list of 2 entries, got {'A': 0.5, 'B': 0.4}"),
@@ -621,7 +629,7 @@ class TestSnapshotReplay:
             "fir-buffer-object", "fir-buffer-empty-object", "w-pair-list",
             "w_step-pair-list", "fir-buffer-short", "fir-buffer-empty",
             "fir-buffer-short-of-window", "fir-buffer-negative",
-            "fir-buffer-bool", "w-object", "w_step-too-long"])
+            "fir-buffer-bool", "fir-w-unknown-key", "w-object", "w_step-too-long"])
     def test_hand_edited_estimator_state_names_the_field(
             self, tmp_path, capsys, flags, edits, message):
         # Restored as given, a rate of "x" failed at the first A, a

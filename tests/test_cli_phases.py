@@ -21,7 +21,7 @@ def test_prints_the_quartiles_of_each_phase_on_both_sides(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     header, columns, *rows, floor_line = proc.stdout.splitlines()
     assert header == ("unexpect track --input events.txt --output trace.jsonl: "
-                      "ms per phase and peak_mb over 2 alternating runs, "
+                      "ms per phase, peak_mb and lines over 2 alternating runs, "
                       "q1/median/q3")
     assert columns.split() == ["row", "parent", "change"]
     found = re.fullmatch(r"launcher floor ([0-9.]+) MB", floor_line)
@@ -31,7 +31,7 @@ def test_prints_the_quartiles_of_each_phase_on_both_sides(tmp_path):
     number = r"([0-9.]+)/([0-9.]+)/([0-9.]+)"
     medians = {}
     for row, name in zip(rows, ("start", "import", "main", "exit", "total",
-                                "peak_mb"), strict=True):
+                                "peak_mb", "lines"), strict=True):
         found = re.fullmatch(rf"{name} +{number} +{number}", row)
         assert found, row
         values = list(map(float, found.groups()))
@@ -39,12 +39,30 @@ def test_prints_the_quartiles_of_each_phase_on_both_sides(tmp_path):
             assert 0 < side[0] <= side[1] <= side[2]
         if name == "peak_mb":
             assert floor < values[0] and floor < values[3]
+        elif name == "lines":
+            # One checkout on both sides: the same modules, every run.
+            assert values == [track_lines()] * 6
         else:
             medians[name] = values[1]
     assert max(medians.values()) == medians["total"]
     trace = (tmp_path / "trace.jsonl").read_text(encoding="utf-8")
     assert [line[:24] for line in trace.splitlines()] == [
         '{"t": 0, "symbol": "a", ', '{"t": 1, "symbol": "b", ']
+
+
+def track_lines():
+    """The source lines of the package modules that `track` loads, counted
+    from the modules' own files in a fresh interpreter."""
+    script = (
+        "import os, sys\n"
+        "from unexpect.cli import main\n"
+        "main(['track', '--input', os.devnull, '--output', os.devnull])\n"
+        "print(sum(open(m.__file__, 'rb').read().count(b'\\n')\n"
+        "          for n, m in sys.modules.items() if n.split('.')[0] == 'unexpect'))\n")
+    proc = subprocess.run([sys.executable, "-S", "-B", "-c", script],
+                          env={"PYTHONPATH": str(_ROOT / "src")},
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout)
 
 
 def test_a_failed_run_exits_one(tmp_path):

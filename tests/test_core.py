@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from unexpect.cli_tools import _load_table
 from unexpect.core import (
-    CodeLengthTable,
-    DiscreteDistribution,
     ImproperDistributionError,
     KraftViolationError,
     ValidationError,
     _require,
     _symbols,
+)
+from unexpect.tables import (
+    CodeLengthTable,
+    DiscreteDistribution,
     bits_from_probability,
     distribution_from_code,
 )

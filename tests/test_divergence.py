@@ -5,13 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unexpect.core import (
-    CodeLengthTable,
-    DiscreteDistribution,
     ImproperDistributionError,
     KraftViolationError,
     SupportMismatchError,
     ValidationError,
-    bits_from_probability,
 )
 from unexpect.divergence import (
     MachinePair,
@@ -28,6 +25,11 @@ from unexpect.divergence import (
     variety_star,
 )
 from unexpect.simgen import SplitMix64
+from unexpect.tables import (
+    CodeLengthTable,
+    DiscreteDistribution,
+    bits_from_probability,
+)
 
 
 def dist(*mass, prefix="s"):

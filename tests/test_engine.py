@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unexpect.core import (
-    DiscreteDistribution,
     NonMonotonicTimeError,
     ValidationError,
     VersionMismatchError,
@@ -27,6 +26,7 @@ from unexpect.engine import (
 from unexpect.estimators import EPSILON_AUTO, EPSILON_OFF, IirEstimator
 from unexpect.memory import Observation
 from unexpect.simgen import SourceSpec, generate
+from unexpect.tables import DiscreteDistribution
 from unexpect.traceio import _csv_field
 
 import engine_v1 as v1

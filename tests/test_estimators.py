@@ -168,7 +168,7 @@ class TestJensenGap:
         import math
         import statistics
 
-        from unexpect.core import DiscreteDistribution
+        from unexpect.tables import DiscreteDistribution
         from unexpect.memory import StmStack
         from unexpect.simgen import SourceSpec, generate
 

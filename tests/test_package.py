@@ -49,8 +49,10 @@ class TestLazyPackage:
         (so only the package's own imports count), loads only the
         submodules it runs, and neither `dataclasses` nor `inspect`:
         only `track` and `replay` load the engine and the estimators,
-        and they do not load the other commands' handlers. A plain
-        command line is read without `argparse`, `gettext` or `locale`."""
+        and they do not load the other commands' handlers, nor the
+        distribution tables; only `replay` loads the snapshot reader,
+        `restore`. A plain command line is read without `argparse`,
+        `gettext` or `locale`."""
         src = os.path.dirname(os.path.dirname(unexpect.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         spec = tmp_path / "spec.json"
@@ -65,14 +67,14 @@ class TestLazyPackage:
         scoring = base + ["unexpect.cli_track", "unexpect.engine",
                           "unexpect.estimators", "unexpect.memory",
                           "unexpect.traceio"]
-        tools = base + ["unexpect.cli_tools"]
+        tools = base + ["unexpect.cli_tools", "unexpect.tables"]
         stages = [
             (["simulate", "--spec", str(spec), "--out", events],
              tools + ["unexpect.simgen"]),
             (["track", "-i", events, "-o", trace, "--snapshot-out", snap],
              scoring),
             (["replay", "--snapshot", snap, "-i", os.devnull, "-o", os.devnull],
-             scoring),
+             scoring + ["unexpect.restore"]),
             (["divergence", "--from-trace", "--normalize-mind", "-i", trace,
               "-o", os.devnull],
              tools + ["unexpect.divergence", "unexpect.traceio"]),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from unexpect.core import DiscreteDistribution, InvalidSpecError
+from unexpect.core import InvalidSpecError
 from unexpect.simgen import (
     SourceSpec,
     SplitMix64,
@@ -17,6 +17,7 @@ from unexpect.simgen import (
     stationary_distribution,
     zipf_distribution,
 )
+from unexpect.tables import DiscreteDistribution
 
 
 def spec_stationary(mass, seed=0, length=1000, symbols=None):

@@ -22,9 +22,6 @@ from hypothesis import strategies as st
 from unexpect import estimators
 from unexpect.causal import Explanation
 from unexpect.core import (
-    MASS_TOLERANCE,
-    CodeLengthTable,
-    DiscreteDistribution,
     ImproperDistributionError,
     InvalidSpecError,
     SupportMismatchError,
@@ -35,6 +32,11 @@ from unexpect.engine import ChangeDetector, EngineConfig
 from unexpect.estimators import EPSILON_AUTO, EpsilonSpec, resolve_epsilon
 from unexpect.memory import Observation
 from unexpect.simgen import SourceSpec
+from unexpect.tables import (
+    MASS_TOLERANCE,
+    CodeLengthTable,
+    DiscreteDistribution,
+)
 
 SymbolId = str
 BitLength = float
