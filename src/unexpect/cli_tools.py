@@ -17,7 +17,6 @@ from .cli import _fail_data, _fail_flag, _open_input, _open_output, _read_json_f
 from .core import (ImproperDistributionError, KraftViolationError, UnexpectError,
                    ValidationError, _decode_json_line, _line_blocks, _require,
                    _require_utf8)
-from .tables import CodeLengthTable, DiscreteDistribution, _numbers
 
 
 def _cmd_explain(args: SimpleNamespace) -> int:
@@ -86,6 +85,7 @@ def _pair_from_trace(lines: Iterable[str],
 
     Each item of `lines` is one line, as iterating a file gives; an
     item holding two trace lines is not a trace record."""
+    from .tables import CodeLengthTable, DiscreteDistribution
     from .traceio import _JSONL_PATTERN
 
     counts: Counter[str] = Counter()
@@ -151,6 +151,7 @@ def _pair_from_trace(lines: Iterable[str],
 
 def _cmd_divergence(args: SimpleNamespace) -> int:
     from .divergence import MachinePair, divergences
+    from .tables import CodeLengthTable, DiscreteDistribution
 
     if not 0.0 < args.tau < math.inf:  # also rejects NaN
         raise _fail_flag(f"--tau must be finite and > 0, got {args.tau}")
@@ -206,6 +207,8 @@ def _cmd_divergence(args: SimpleNamespace) -> int:
 
 def _load_table(path: str, what: str, cls, values: str):
     """A {"symbols": [str, ...], values: [number, ...]} file as `cls`."""
+    from .tables import _numbers
+
     def build(obj):
         symbols = obj["symbols"]
         # Not _symbols: these messages name the file's "symbols" key.

@@ -1,8 +1,7 @@
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import astuple, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,9 +26,8 @@ from unexpect.estimators import EPSILON_AUTO, EPSILON_OFF, IirEstimator
 from unexpect.memory import Observation
 from unexpect.simgen import SourceSpec, generate
 from unexpect.tables import DiscreteDistribution
-from unexpect.traceio import _csv_field
 
-import engine_v1 as v1
+from reference import Reference, RefTraceRecord, ref_trace_to_csv, ref_trace_to_jsonl
 
 symbols = st.sampled_from(["A", "B", "C", "D"])
 
@@ -42,28 +40,6 @@ def small_config(**overrides):
     defaults = dict(estimator="iir", alpha=0.9, warmup=0)
     defaults.update(overrides)
     return EngineConfig(**defaults)
-
-
-# Snapshot format 1, as the engine of that format wrote them after the
-# events A, B, C, A at t = 0..3 (capacity 2, so "B" was evicted).
-V1_IIR_SNAPSHOT = (
-    '{"config": {"alpha": 0.5, "beta": 0.95, "capacity": 2, "epsilon": "auto", '
-    '"estimator": "iir", "min_hits": 20, "prune": false, "theta": 1.0, '
-    '"warmup": 0, "window": 10000}, "detector": {"beta": 0.95, "ewma": 0.0, '
-    '"hits": 0, "min_hits": 20, "theta": 1.0}, "estimator": {"alpha": 0.5, '
-    '"alphabet": ["A", "B", "C"], "counts": {"A": 2, "B": 1, "C": 1}, '
-    '"epsilon": "auto", "events_seen": 4, "kind": "iir", "last_t": 3, '
-    '"prune": false, "step": 4, "w": {"A": 0.5625, "B": 0.5, "C": 0.5}, '
-    '"w_step": {"A": 4, "B": 2, "C": 3}}, "format_version": 1, "last_t": 3, '
-    '"stack": ["A", "C"]}')
-V1_FIR_SNAPSHOT = (
-    '{"config": {"alpha": 0.999, "beta": 0.95, "capacity": 2, '
-    '"epsilon": "auto", "estimator": "fir", "min_hits": 20, "prune": false, '
-    '"theta": 1.0, "warmup": 0, "window": 3}, "detector": {"beta": 0.95, '
-    '"ewma": 0.0, "hits": 0, "min_hits": 20, "theta": 1.0}, "estimator": '
-    '{"alphabet": ["A", "B", "C"], "buffer": ["B", "C", "A"], "events_seen": 4, '
-    '"kind": "fir", "last_t": 3, "registered": [], "window": 3}, '
-    '"format_version": 1, "last_t": 3, "stack": ["A", "C"]}')
 
 
 class TestChangeDetector:
@@ -456,33 +432,14 @@ class TestSnapshots:
                 i for i, v in enumerate(state.get("w_step", [])) if v is None]
             assert Engine.restore_json(text).snapshot_json() == text
 
-    @pytest.mark.parametrize("snapshot, config", [
-        (V1_IIR_SNAPSHOT, small_config(alpha=0.5, capacity=2)),
-        (V1_FIR_SNAPSHOT, EngineConfig(estimator="fir", window=3, capacity=2,
-                                       warmup=0)),
-    ], ids=["iir", "fir"])
-    def test_version_1_snapshot_resumes_byte_identically(self, snapshot, config):
-        # Written at format 1 after the events A, B, C, A at t = 0..3. The
-        # engine restores only the current format; as_v4, which the
-        # differential test uses, carries the state over.
-        with pytest.raises(VersionMismatchError,
-                           match="^snapshot version 1, expected 4$"):
-            Engine.restore_json(snapshot)
-        stream = observations("ABCADBEA")
-        whole = Engine(config)
-        expected = [whole.step(obs) for obs in stream]
-        resumed = Engine.restore_json(as_v4(json.loads(snapshot)))
-        assert resumed.events_seen == 4
-        assert resumed.snapshot()["seen_off_stack"] == ["B"]
-        assert [resumed.step(obs) for obs in stream[4:]] == expected[4:]
-        assert resumed.snapshot_json() == whole.snapshot_json()
-
     def test_version_mismatch(self):
-        engine = Engine(small_config())
-        snap = engine.snapshot()
-        snap["format_version"] = 99
-        with pytest.raises(VersionMismatchError):
-            Engine.restore(snap)
+        # Formats 1-3 are refused as any unknown one is, naming both.
+        snap = Engine(small_config()).snapshot()
+        for version in (1, 2, 3, 99):
+            snap["format_version"] = version
+            with pytest.raises(VersionMismatchError,
+                               match=f"^snapshot version {version}, expected 4$"):
+                Engine.restore_json(json.dumps(snap))
 
     def test_corrupted_snapshot_never_partially_restores(self):
         with pytest.raises(VersionMismatchError):
@@ -639,72 +596,6 @@ class TestConfigValidation:
         assert EngineConfig.from_dict(config.to_dict()) == config
 
 
-# -- references ---------------------------------------------------------
-#
-# engine_v1 is the engine of snapshot format 1, copied verbatim (see its
-# docstring). The serializers and RefIirEstimator below are the per-event
-# path from before that engine was made lean, copied verbatim with a ref_
-# or Ref prefix: a frozen-dataclass record, fields rendered one by one,
-# and an IIR update that recomputes the rate instead of reusing it.
-
-
-@dataclass(frozen=True, slots=True)
-class RefTraceRecord:
-    t: int
-    symbol: str
-    c_stm: float
-    c_ltm: float
-    u_raw: Optional[float]
-    u_clamped: Optional[float]
-    novelty: bool
-    change_flag: bool
-
-
-class RefIirEstimator(v1.IirEstimator):
-    def w(self, symbol):
-        stored = self._w.get(symbol)
-        if stored is None:
-            return 0.0
-        return stored * self.alpha ** (self._step - self._w_step[symbol])
-
-    def update(self, obs):
-        self._check_time(obs)
-        self._note(obs)
-        sym = obs.symbol
-        current = self.w(sym)  # new symbols start at 0 before their update
-        self._w[sym] = (1.0 - self.alpha) + self.alpha * current
-        self._w_step[sym] = self._step + 1
-        self._counts[sym] += 1
-        self._step += 1
-        if self.prune and self._step % self._PRUNE_EVERY == 0:
-            self._sweep()
-
-
-def ref_num(value: Optional[float]) -> Optional[str]:
-    if value is None or not math.isfinite(value):
-        return None
-    return f"{value:.6f}"
-
-
-def ref_trace_to_jsonl(record) -> str:
-    parts = [f'"t": {record.t}', f'"symbol": {json.dumps(record.symbol)}']
-    for name in ("c_stm", "c_ltm", "u_raw", "u_clamped"):
-        rendered = ref_num(getattr(record, name))
-        parts.append(f'"{name}": {rendered if rendered is not None else "null"}')
-    parts.append(f'"novelty": {"true" if record.novelty else "false"}')
-    parts.append(f'"change_flag": {"true" if record.change_flag else "false"}')
-    return "{" + ", ".join(parts) + "}"
-
-
-def ref_trace_to_csv(record) -> str:
-    cells = [str(record.t), _csv_field(record.symbol)]
-    for name in ("c_stm", "c_ltm", "u_raw", "u_clamped"):
-        cells.append(ref_num(getattr(record, name)) or "")
-    cells.append("true" if record.novelty else "false")
-    cells.append("true" if record.change_flag else "false")
-    return ",".join(cells)
-
-
 def exact(values) -> tuple:
     """Field values with floats as their IEEE-754 bits, so -0.0 != 0.0
     and NaN == NaN; other values with their type."""
@@ -714,35 +605,8 @@ def exact(values) -> tuple:
 
 def sweeping_every(engine, events: int):
     """The engine, with its IIR prune sweep every `events` events."""
-    if isinstance(engine, v1.Engine):
-        engine.estimator._PRUNE_EVERY = events
-    else:
-        engine._PRUNE_EVERY = events
+    engine._PRUNE_EVERY = events
     return engine
-
-
-def as_v4(old: dict) -> str:
-    """A format-1 snapshot in the current format: the event count and
-    the seen set move out of the estimator, each part keeps only what
-    config does not hold, the IIR step (the event count) goes, and the
-    estimator gives each symbol by its position in stack + seen_off_stack."""
-    estimator, stack = old["estimator"], old["stack"]
-    order = stack + sorted(set(estimator["alphabet"]) - set(stack))
-    if estimator["kind"] == "iir":
-        state = {key: [estimator[key].get(symbol) for symbol in order]
-                 for key in ("w", "w_step")}
-    else:
-        state = {"buffer": [order.index(symbol) for symbol in estimator["buffer"]]}
-    return json.dumps({
-        "format_version": 4,
-        "config": old["config"],
-        "last_t": old["last_t"],
-        "events_seen": estimator["events_seen"],
-        "stack": stack,
-        "seen_off_stack": order[len(stack):],
-        "estimator": state,
-        "detector": {key: old["detector"][key] for key in ("ewma", "hits")},
-    }, sort_keys=True, separators=(",", ":"))
 
 
 diff_configs = st.builds(
@@ -785,17 +649,17 @@ iir_calls = st.one_of(
 )
 
 
-def iir_state_bits(state: dict) -> tuple:
-    """The step, w and w_step of an IIR state_dict, rates as their bits."""
-    return (state["step"], {s: exact([rate]) for s, rate in state["w"].items()},
-            state["w_step"])
+def iir_state_bits(step: int, entries: dict) -> tuple:
+    """An IIR step and its {symbol: (stored rate, step stored at)},
+    rates as their bits."""
+    return step, {s: (exact([rate]), at) for s, (rate, at) in entries.items()}
 
 
 class TestLeanPathMatchesReference:
-    """The engine against the format-1 engine and the older per-event
-    path: the same records to the bit, the same serialized lines, and
-    the same state after a resume from its own snapshot or from the
-    reference's state converted to the current format."""
+    """The engine against the naive scorer of tests/reference.py: the
+    same records to the bit, the same serialized lines, and the same
+    snapshot JSON, also after a resume from its own snapshot or from
+    the reference's."""
 
     @settings(deadline=None, max_examples=300)
     @given(diff_configs,
@@ -807,14 +671,14 @@ class TestLeanPathMatchesReference:
     def test_step_and_serializers(self, config, prune_every, gaps, t0, data):
         # The reference runs uninterrupted. At the split the engine goes
         # on as two: one restored from its own snapshot, one from the
-        # reference's snapshot converted by as_v4. A gap of 0 repeats a
+        # reference's. A gap of 0 repeats a
         # time, which every engine must reject without learning the event.
         # Two more engines score the same events through step_block, one
         # per emit. The letters of `gaps` name symbols of a drawn alphabet.
         split = data.draw(st.integers(min_value=0, max_value=len(gaps)))
         alphabet = data.draw(st.lists(awkward_symbols, min_size=10, max_size=10,
                                       unique=True))
-        reference = sweeping_every(v1.Engine(config), prune_every)
+        reference = Reference(config, prune_every)
         engines = [sweeping_every(Engine(config), prune_every)]
         # The reference's lines per emit (None where it refused the event)
         # and, at each refused event, its message and its state before it.
@@ -824,7 +688,7 @@ class TestLeanPathMatchesReference:
         def resume():
             return [sweeping_every(Engine.restore_json(text), prune_every)
                     for text in (engines[0].snapshot_json(),
-                                 as_v4(reference.snapshot()))]
+                                 reference.snapshot_json())]
 
         t = t0
         for i, (gap, letter) in enumerate(gaps):
@@ -833,9 +697,9 @@ class TestLeanPathMatchesReference:
             obs = Observation(t, alphabet["ABCDEFGHIJ".index(letter)])
             stream.append(obs)
             try:
-                expected = reference.step(obs)
+                expected = reference.step(obs.t, obs.symbol)
             except NonMonotonicTimeError as exc:
-                refused[i] = (str(exc), as_v4(reference.snapshot()))
+                refused[i] = (str(exc), reference.snapshot_json())
                 for lines in expected_lines.values():
                     lines.append(None)
                 for engine in engines:
@@ -847,14 +711,14 @@ class TestLeanPathMatchesReference:
                 expected_lines["csv"].append(ref_trace_to_csv(expected))
                 for engine in engines:
                     record = engine.step(obs)
-                    assert exact(record) == exact(expected)
+                    assert exact(record) == exact(astuple(expected))
                     assert trace_to_jsonl(record) == ref_trace_to_jsonl(expected)
                     assert trace_to_csv(record) == ref_trace_to_csv(expected)
             t += gap
         if split == len(gaps):
             engines = resume()
         for engine in engines:
-            assert engine.snapshot_json() == as_v4(reference.snapshot())
+            assert engine.snapshot_json() == reference.snapshot_json()
 
         # Blocks end where hypothesis draws and at the split, where each
         # block engine is restored from its own snapshot. A refused event
@@ -882,7 +746,7 @@ class TestLeanPathMatchesReference:
                     assert lines == expected[start:at]
                     start = at + 1
                 start = end
-            assert blocked.snapshot_json() == as_v4(reference.snapshot())
+            assert blocked.snapshot_json() == reference.snapshot_json()
 
     @pytest.mark.parametrize("emit", ["jsonl", "csv"])
     @pytest.mark.parametrize("config, stream", [
@@ -901,9 +765,9 @@ class TestLeanPathMatchesReference:
         (EngineConfig(epsilon=EPSILON_OFF, warmup=0), ["a,b", "a,b", "\ud800"]),
     ], ids=["finite-novelties", "forgotten-symbol", "infinite-hits", "iir-off"])
     def test_step_block_branches(self, config, stream, emit):
-        reference = v1.Engine(config)
+        reference = Reference(config)
         to_line = {"jsonl": ref_trace_to_jsonl, "csv": ref_trace_to_csv}[emit]
-        expected = [to_line(reference.step(Observation(t, symbol)))
+        expected = [to_line(reference.step(t, symbol))
                     for t, symbol in enumerate(stream)]
         lines = []
         Engine(config).step_block(range(len(stream)), stream, lines, emit)
@@ -927,13 +791,13 @@ class TestLeanPathMatchesReference:
         # The sweep at step 1024 drops "b", the last symbol it reads; the
         # next event is "b", whose rate must restart from zero.
         config = EngineConfig(alpha=0.99, prune=True, warmup=0)
-        engine, reference = Engine(config), v1.Engine(config)
+        engine, reference = Engine(config), Reference(config)
         stream = ["a", "b"] + ["a"] * 1022 + ["b", "a", "b"]
         for t, symbol in enumerate(stream):
-            obs = Observation(t, symbol)
-            assert exact(engine.step(obs)) == exact(reference.step(obs))
+            assert exact(engine.step(Observation(t, symbol))) == exact(
+                astuple(reference.step(t, symbol)))
         assert "b" in engine.estimator.tracked_symbols()
-        assert engine.snapshot_json() == as_v4(reference.snapshot())
+        assert engine.snapshot_json() == reference.snapshot_json()
 
     @settings(max_examples=300)
     @given(st.sampled_from([0.5, 0.9, 0.99]), st.lists(iir_calls, max_size=50))
@@ -949,31 +813,27 @@ class TestLeanPathMatchesReference:
     def test_iir_rate_reuse_under_any_call_order(self, alpha, calls):
         # The engine calls w(s) right before update(s); other callers
         # may call w, update and sweep in any order, and update must not
-        # reuse a rate that no longer holds. Against the format-1
-        # estimator, which keeps a (symbol, step, rate) tuple, and
-        # RefIirEstimator, which keeps nothing: the same rates and the
-        # same state, to the bit, after any interleaving of w, update,
-        # sweep and a state_dict round trip.
+        # reuse a rate that no longer holds. Against the reference's IIR,
+        # which keeps no rate between calls: the same rates and the same
+        # state, to the bit, after any interleaving of w, update, sweep
+        # and a state_dict round trip of the estimator.
         estimator = IirEstimator(alpha)
-        references = [v1.IirEstimator(alpha), RefIirEstimator(alpha)]
+        reference = Reference(EngineConfig(alpha=alpha))
         for t, (call, arg) in enumerate(calls):
             if call == "w":
-                rate = exact([estimator.w(arg)])
-                assert [exact([ref.w(arg)]) for ref in references] == [rate] * 2
+                assert exact([estimator.w(arg)]) == exact([reference.w(arg)])
             elif call == "update":
-                for est in [estimator, *references]:
-                    est.update(Observation(t, arg))
+                estimator.update(Observation(t, arg))
+                reference.update(arg)
             elif call == "sweep":
                 estimator.sweep(arg)
-                for ref in references:
-                    ref.epsilon_spec = arg  # the format-1 sweep's floor
-                    ref._sweep()
+                reference.sweep(arg)
             else:
                 estimator = IirEstimator(alpha, **estimator.state_dict())
-                references = [type(ref).from_state_dict(ref.state_dict())
-                              for ref in references]
-            state = iir_state_bits(estimator.state_dict())
-            assert [iir_state_bits(ref.state_dict()) for ref in references] == [state] * 2
+            state = estimator.state_dict()
+            assert iir_state_bits(state["step"], {
+                s: (rate, state["w_step"][s]) for s, rate in state["w"].items()
+            }) == iir_state_bits(reference.events_seen, reference.rates)
 
     @settings(max_examples=500)
     @given(st.tuples(st.integers(min_value=0, max_value=2 ** 80), awkward_symbols,

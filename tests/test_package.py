@@ -49,10 +49,10 @@ class TestLazyPackage:
         (so only the package's own imports count), loads only the
         submodules it runs, and neither `dataclasses` nor `inspect`:
         only `track` and `replay` load the engine and the estimators,
-        and they do not load the other commands' handlers, nor the
-        distribution tables; only `replay` loads the snapshot reader,
-        `restore`. A plain command line is read without `argparse`,
-        `gettext` or `locale`."""
+        and they do not load the other commands' handlers; only
+        `simulate` and `divergence` load the distribution tables, and
+        only `replay` loads the snapshot reader, `restore`. A plain
+        command line is read without `argparse`, `gettext` or `locale`."""
         src = os.path.dirname(os.path.dirname(unexpect.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         spec = tmp_path / "spec.json"
@@ -67,17 +67,17 @@ class TestLazyPackage:
         scoring = base + ["unexpect.cli_track", "unexpect.engine",
                           "unexpect.estimators", "unexpect.memory",
                           "unexpect.traceio"]
-        tools = base + ["unexpect.cli_tools", "unexpect.tables"]
+        tools = base + ["unexpect.cli_tools"]
         stages = [
             (["simulate", "--spec", str(spec), "--out", events],
-             tools + ["unexpect.simgen"]),
+             tools + ["unexpect.simgen", "unexpect.tables"]),
             (["track", "-i", events, "-o", trace, "--snapshot-out", snap],
              scoring),
             (["replay", "--snapshot", snap, "-i", os.devnull, "-o", os.devnull],
              scoring + ["unexpect.restore"]),
             (["divergence", "--from-trace", "--normalize-mind", "-i", trace,
               "-o", os.devnull],
-             tools + ["unexpect.divergence", "unexpect.traceio"]),
+             tools + ["unexpect.divergence", "unexpect.tables", "unexpect.traceio"]),
             (["explain", "--graph", str(graph), "--target", "s", "--cd", "3",
               "-o", os.devnull], tools + ["unexpect.causal"]),
         ]
@@ -178,6 +178,10 @@ def package_env():
 
 PACKAGE_DIR = os.path.dirname(unexpect.__file__)
 README = os.path.join(os.path.dirname(os.path.dirname(PACKAGE_DIR)), "README.md")
+# The package's modules by file name, and the tests' reference scorer.
+LINTED = {name: os.path.join(PACKAGE_DIR, name)
+          for name in os.listdir(PACKAGE_DIR) if name.endswith(".py")}
+LINTED["tests/reference.py"] = os.path.join(os.path.dirname(__file__), "reference.py")
 
 
 class TestPublicApi:
@@ -193,13 +197,12 @@ class TestPublicApi:
         assert (missing, extra) == (set(), set())
         assert len(documented) == len(unexpect.__all__)  # one bullet each
 
-    @pytest.mark.parametrize("module", sorted(
-        name for name in os.listdir(PACKAGE_DIR) if name.endswith(".py")))
+    @pytest.mark.parametrize("module", sorted(LINTED))
     def test_module_uses_every_name_it_imports(self, module):
         """A stdlib stand-in for pyflakes' F401: each imported name is read
         somewhere in the module, unless its import line says `# noqa: F401`
         (a re-export)."""
-        with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
+        with open(LINTED[module], encoding="utf-8") as fh:
             source = fh.read()
         lines = source.splitlines()
         tree = ast.parse(source)
