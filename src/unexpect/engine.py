@@ -420,17 +420,20 @@ class Engine:
     def snapshot(self) -> dict:
         """JSON-serializable state; restoring replays bit-identically. Only
         `stack` and `seen_off_stack` name a symbol; the estimator's state
-        gives each by its position in their concatenation, `order`."""
+        gives each by its position in their concatenation, `order`. The one
+        writer of the format: `restore` takes each part's keys from it."""
         stack = self.stack.items()
         # Empty unless a bounded stack has evicted symbols.
         off_stack = sorted(self._seen.difference(stack))
         order = stack + off_stack
-        state = self.estimator.state_dict()
         if self.config.estimator == "fir":
             position = dict(zip(order, range(len(order))))
-            state["buffer"] = list(map(position.__getitem__, state["buffer"]))
+            state = {"buffer": [position[symbol] for symbol in self.estimator._buffer]}
         else:  # null where a prune sweep forgot the rate; step is events_seen
-            state = {key: list(map(state[key].get, order)) for key in ("w", "w_step")}
+            get = self.estimator._entries.get
+            entries = [get(symbol, (None, None)) for symbol in order]
+            state = {"w": [rate for rate, _ in entries],
+                     "w_step": [step for _, step in entries]}
         return {
             "format_version": SNAPSHOT_VERSION,
             "config": self.config.to_dict(),

@@ -13,11 +13,10 @@ that rare or unseen symbols stay finite.
 
 from __future__ import annotations
 
-import math
-from collections import Counter, deque
-from typing import Optional, Sequence, Union
+from collections import deque
+from typing import Optional, Union
 
-from .core import SymbolId, ValidationError, _require, _symbols
+from .core import SymbolId, ValidationError, _require
 from .memory import Observation
 
 # Sentinel config values for the smoothing floor.
@@ -48,19 +47,15 @@ class FirEstimator:
     """Sliding-window average of match indicators over the last N events.
 
     w(x) is exactly count(x in window) / N, so before the window fills
-    the rates sum to (events so far) / N, and to 1 afterwards. A restored
-    estimator starts from the `buffer` of its `state_dict`, oldest first.
+    the rates sum to (events so far) / N, and to 1 afterwards.
     """
 
-    def __init__(self, window: int, buffer: Sequence[SymbolId] = ()):
+    def __init__(self, window: int):
         self.window = _require("window", window, int, "an integer >= 1", lambda n: n >= 1)
-        # Strings only: no event could match anything else.
-        self._buffer: deque[SymbolId] = deque(_symbols("buffer", buffer))
-        if len(self._buffer) > window:  # it would never shrink
-            raise ValidationError(f"buffer holds {len(self._buffer)} symbols, "
-                                  f"more than the window of {window}")
-        # The count of each symbol in the window.
-        self._counts: dict[SymbolId, int] = dict(Counter(self._buffer))
+        # The symbols in the window, oldest first, and the count of each;
+        # `Engine.snapshot` writes the window and `unexpect.restore` fills both.
+        self._buffer: deque[SymbolId] = deque()
+        self._counts: dict[SymbolId, int] = {}
 
     def update(self, obs: Observation) -> None:
         buffer = self._buffer
@@ -82,9 +77,6 @@ class FirEstimator:
     def tracked_symbols(self) -> list[SymbolId]:
         return list(self._counts)
 
-    def state_dict(self) -> dict:
-        return {"buffer": list(self._buffer)}
-
 
 # IirEstimator's kept symbol when w() has kept nothing: equal to no symbol.
 _NOTHING = object()
@@ -97,51 +89,20 @@ class IirEstimator:
     stored value plus the step of last materialization reconstruct the
     current value as stored * alpha^(steps since). This keeps updates
     O(1) per event regardless of alphabet size, and is preserved
-    exactly by snapshots so replay stays bit-identical. A restored
-    estimator starts from the `step`, `w` and `w_step` of its `state_dict`.
+    exactly by snapshots so replay stays bit-identical.
 
     Each symbol has one entry, [stored rate, step stored at]. `w()` keeps
     the entry it read and the rate it computed, and the `update()` of the
     same symbol that follows (as in `Engine.step`) writes both slots of
-    that entry in place, so an event costs one dict lookup.
+    that entry in place, so an event costs one dict lookup. `Engine.snapshot`
+    writes the entries and `unexpect.restore` fills them.
     """
 
-    def __init__(self, alpha: float, step: int = 0,
-                 w: Optional[dict[SymbolId, float]] = None,
-                 w_step: Optional[dict[SymbolId, int]] = None):
-        _require("alpha", alpha, (int, float), "in (0, 1)", lambda a: 0.0 < a < 1.0)
-        _require("step", step, int, "a nonnegative integer", lambda n: n >= 0)
-        self.alpha = alpha
-        self._step = step
-        w = {} if w is None else _require("w", w, dict, "an object")
-        _symbols("w", list(w))  # strings only, as in FirEstimator's buffer
-        for symbol, rate in w.items():
-            # Its own message, which names the symbol.
-            if (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                    or not 0.0 <= rate <= 1.0):  # also rejects NaN
-                raise ValidationError(
-                    f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
-        w_step = {} if w_step is None else _require("w_step", w_step, dict,
-                                                     "an object")
-        if w_step.keys() != w.keys():
-            odd = sorted(w_step.keys() ^ w.keys())[0]
-            raise ValidationError(
-                f"w_step must hold the symbols of w, and only those; {odd!r} "
-                f"is in {'w_step' if odd in w_step else 'w'} only")
-        for symbol, when in w_step.items():
-            # Its own message, which names the symbol and the bound.
-            if type(when) is not int or not 0 <= when <= step:
-                raise ValidationError(
-                    f"w_step must hold steps in [0, {step}], got {when!r} for {symbol!r}")
-        # Each update adds 1 - alpha to the rates and scales them by alpha,
-        # so no run can make the decayed rates sum to more than 1.
-        total = math.fsum(rate * alpha ** (step - w_step[symbol])
-                          for symbol, rate in w.items())
-        if total > 1.0 + 1e-9:
-            raise ValidationError(
-                f"w must hold rates that sum to at most 1 after decay, got {total!r}")
-        self._entries: dict[SymbolId, list] = {
-            symbol: [rate, w_step[symbol]] for symbol, rate in w.items()}
+    def __init__(self, alpha: float):
+        self.alpha = _require("alpha", alpha, (int, float), "in (0, 1)",
+                              lambda a: 0.0 < a < 1.0)
+        self._step = 0
+        self._entries: dict[SymbolId, list] = {}
         # The symbol of the last w(), its entry (None if it has none) and
         # the rate w() returned; not state. update() and sweep() set the
         # symbol to _NOTHING, so a kept rate never outlives its step.
@@ -187,12 +148,6 @@ class IirEstimator:
 
     def tracked_symbols(self) -> list[SymbolId]:
         return list(self._entries)
-
-    def state_dict(self) -> dict:
-        entries = self._entries
-        return {"step": self._step,
-                "w": {symbol: entry[0] for symbol, entry in entries.items()},
-                "w_step": {symbol: entry[1] for symbol, entry in entries.items()}}
 
 
 Estimator = Union[FirEstimator, IirEstimator]

@@ -8,35 +8,30 @@ their first call; `track` writes snapshots and never compiles it.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from math import fsum
 
 from .core import (ValidationError, VersionMismatchError, _decode_json_line, _require,
                    _symbols)
 from .engine import SNAPSHOT_VERSION, ChangeDetector, EngineConfig
-from .estimators import FirEstimator, IirEstimator
 from .memory import StmStack
 
-# The keys of each part of a snapshot, as `Engine.snapshot` writes them;
-# the estimator's keys depend on its kind.
-_TOP_KEYS = ("format_version", "config", "last_t", "events_seen",
-             "seen_off_stack", "stack", "estimator", "detector")
-_ESTIMATOR_KEYS = {"iir": ("w", "w_step"), "fir": ("buffer",)}
-_DETECTOR_KEYS = ("ewma", "hits")
 
-
-def _known_keys(part: str, obj: dict, keys) -> None:
-    """ValidationError naming `part` if `obj` holds a key not in `keys`, as
-    `track --config` rejects one: a key that nothing reads would be lost
-    without a word."""
-    unknown = obj.keys() - keys
-    if unknown:
-        raise ValidationError(f"{part}: unknown key(s) {sorted(unknown)}")
+def _part(name: str, obj, keys) -> dict:
+    """`obj`, if it is an object with the keys `keys` of the part `name`;
+    else ValidationError naming the part and each missing or unknown key."""
+    _require(name, obj, dict, "an object")
+    for kind, odd in (("missing", keys - obj.keys()), ("unknown", obj.keys() - keys)):
+        if odd:
+            raise ValidationError(f"{name}: {kind} key(s) {sorted(odd)}")
+    return obj
 
 
 def restore(cls, snapshot: dict):
-    """A `cls` engine rebuilt from its config and state. The stack,
-    estimator and detector check their own state; this checks the facts
-    that span them, maps positions to symbols, and rejects a key that
-    format 4 does not write. Every fault is a VersionMismatchError."""
+    """A `cls` engine rebuilt from its config and state. Each part has the
+    keys that a fresh engine's `snapshot()` writes; this checks every value
+    and the facts that span the parts, maps positions to symbols and fills
+    the estimator. Every fault is a VersionMismatchError."""
     if not isinstance(snapshot, dict) or "format_version" not in snapshot:
         raise VersionMismatchError("not an engine snapshot")
     version = snapshot["format_version"]
@@ -45,9 +40,13 @@ def restore(cls, snapshot: dict):
         raise VersionMismatchError(
             f"snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
     try:
-        config = EngineConfig.from_dict(snapshot["config"])
-        _known_keys("config", snapshot["config"], config._fields)
+        _part("top level", snapshot, cls().snapshot().keys())
+        config = EngineConfig.from_dict(
+            _part("config", snapshot["config"], EngineConfig._fields))
         engine = cls(config)
+        fresh = engine.snapshot()
+        estimator = _part("estimator", snapshot["estimator"], fresh["estimator"].keys())
+        detector = _part("detector", snapshot["detector"], fresh["detector"].keys())
         engine.events_seen = events_seen = _require(
             "events_seen", snapshot["events_seen"], int,
             "a nonnegative integer", lambda n: n >= 0)
@@ -66,28 +65,51 @@ def restore(cls, snapshot: dict):
                              distinct=True)
         repeated = sorted(set(stack).intersection(off_stack))
         if repeated:
-            raise ValidationError(
-                f"seen_off_stack repeats stack symbol {repeated[0]!r}")
+            raise ValidationError(f"seen_off_stack repeats stack symbol {repeated[0]!r}")
+        # A symbol leaves only a full stack, which never shrinks.
         if off_stack and config.capacity is None:
-            raise ValidationError(
-                "seen_off_stack must be empty for an unbounded stack")
+            raise ValidationError("seen_off_stack must be empty for an unbounded stack")
+        if off_stack and len(stack) < config.capacity:
+            raise ValidationError(f"seen_off_stack must be empty while the stack holds "
+                                  f"fewer than capacity ({config.capacity}) symbols")
         order = [*stack, *off_stack]
         if len(order) > events_seen:  # each seen symbol came from an event
             raise ValidationError(
                 f"stack and seen_off_stack hold {len(order)} symbols, more "
                 f"than events_seen ({events_seen})")
         engine._seen = set(order)
-        estimator, detector = snapshot["estimator"], snapshot["detector"]
         if config.estimator == "iir":
-            entries = [_require(name, estimator[name], list,
-                                f"a list of {len(order)} entries",
-                                lambda v: len(v) == len(order))
-                       for name in _ESTIMATOR_KEYS["iir"]]
-            # A null in one list only leaves a symbol in one dict only,
-            # which the estimator rejects; step is events_seen.
-            w, w_step = ({s: v for s, v in zip(order, values) if v is not None}
-                         for values in entries)
-            engine.estimator = IirEstimator(config.alpha, events_seen, w, w_step)
+            rates, steps = (_require(name, estimator[name], list,
+                                     f"a list of {len(order)} entries",
+                                     lambda v: len(v) == len(order))
+                            for name in ("w", "w_step"))
+            iir = engine.estimator
+            for symbol, rate, when in zip(order, rates, steps):
+                if rate is None and when is None:  # a rate a prune sweep forgot
+                    if not config.prune:
+                        raise ValidationError(f"w must hold a rate for each symbol while "
+                                              f"prune is off, got null for {symbol!r}")
+                    continue
+                if rate is None or when is None:
+                    raise ValidationError(
+                        f"w_step must hold the symbols of w, and only those; "
+                        f"{symbol!r} is in {'w' if when is None else 'w_step'} only")
+                if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                        or not 0.0 <= rate <= 1.0):  # also rejects NaN
+                    raise ValidationError(
+                        f"w must hold rates in [0, 1], got {rate!r} for {symbol!r}")
+                if type(when) is not int or not 0 <= when <= events_seen:
+                    raise ValidationError(f"w_step must hold steps in [0, "
+                                          f"{events_seen}], got {when!r} for {symbol!r}")
+                iir._entries[symbol] = [rate, when]
+            iir._step = events_seen
+            # Each update adds 1 - alpha to the rates and scales them by
+            # alpha, so no run makes the decayed rates sum to more than 1.
+            total = fsum(rate * config.alpha ** (events_seen - when)
+                         for rate, when in iir._entries.values())
+            if total > 1.0 + 1e-9:
+                raise ValidationError(f"w must hold rates that sum to at most 1 "
+                                      f"after decay, got {total!r}")
         else:
             buffer = _require("buffer", estimator["buffer"], list, "a list")
             # type() rejects a bool; the range keeps order[-1] unread.
@@ -95,20 +117,21 @@ def restore(cls, snapshot: dict):
                 if type(i) is not int or not 0 <= i < len(order):
                     raise ValidationError(f"buffer must hold positions in "
                                           f"[0, {len(order)}), got {i!r}")
-            engine.estimator = FirEstimator(config.window, [order[i] for i in buffer])
             # Every event the engine scored went through the window.
             if len(buffer) != min(events_seen, config.window):
                 raise ValidationError(
                     f"buffer holds {len(buffer)} symbols, not min(events_seen, "
                     f"window) = {min(events_seen, config.window)}")
-        _known_keys("estimator", estimator, _ESTIMATOR_KEYS[config.estimator])
+            engine.estimator._buffer.extend(order[i] for i in buffer)
+            engine.estimator._counts.update(Counter(engine.estimator._buffer))
         engine.detector = ChangeDetector(
-            config.beta, config.theta, config.min_hits, detector["ewma"],
-            detector["hits"])
-        _known_keys("detector", detector, _DETECTOR_KEYS)
-        _known_keys("top level", snapshot, _TOP_KEYS)
-    except KeyError as exc:
-        raise VersionMismatchError(f"{exc.args[0]} is missing") from None
+            config.beta, config.theta, config.min_hits, **detector)
+        # The detector learns only from the events scored after the warm-up.
+        armed = max(events_seen - engine.warmup, 0)
+        if detector["hits"] > armed or not armed and detector["ewma"]:
+            raise ValidationError(
+                f"detector must hold hits <= {armed}{'' if armed else ' and ewma 0.0'} "
+                f"after {events_seen} events with warmup {engine.warmup}, got {detector}")
     except (TypeError, ValueError) as exc:  # e.g. an estimator of "x"
         raise VersionMismatchError(f"malformed snapshot: {exc}") from None
     except ValidationError as exc:

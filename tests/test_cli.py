@@ -390,6 +390,13 @@ class TestOutputPaths:
         assert os.listdir(tmp_path / "adir") == []
 
 
+# Each part of a snapshot and its keys, as `Engine.snapshot` writes the
+# IIR state of the runs that TestSnapshotReplay edits.
+_SNAPSHOT = Engine().snapshot()
+SNAPSHOT_PARTS = {"top level": list(_SNAPSHOT), **{
+    part: list(value) for part, value in _SNAPSHOT.items() if isinstance(value, dict)}}
+
+
 class TestSnapshotReplay:
     def make_stream(self, tmp_path, n=40, split=25, symbols=None):
         symbols = symbols or ["AB"[t % 2] for t in range(n)]
@@ -505,24 +512,26 @@ class TestSnapshotReplay:
                      "(25), got 26", id="events_seen-past-clock"),
         pytest.param("events_seen", 2**70, "events_seen must be at most "
                      f"last_t + 1 (25), got {2**70}", id="events_seen-huge"),
-        *[(field, None, f"{field} is missing")
-          for field in ("config", "last_t", "events_seen", "seen_off_stack",
-                        "stack", "estimator", "detector")],
+        # A symbol leaves only a full stack: B was evicted from a stack of
+        # capacity 1, not 2.
+        pytest.param("config", {"capacity": 2}, "seen_off_stack must be empty while "
+                     "the stack holds fewer than capacity (2) symbols",
+                     id="seen_off_stack-under-a-stack-not-full"),
         # No field has a default: a missing one would take it silently.
-        *[(f"{part}.{field}", None, f"{field} is missing")
-          for part, fields in (("config", EngineConfig._fields),
-                               ("estimator", ("w", "w_step")),
-                               ("detector", ("ewma", "hits")))
-          for field in fields],
-        # As `track --config` rejects it; replay once ignored it.
-        pytest.param("config", {"junk": 1}, "config: unknown key(s) ['junk']",
-                     id="config-unknown-key"),
-        # So does each other part: no key of a snapshot goes unread.
+        # Deleting `estimator` and `config.estimator` once gave one message.
+        # (Without format_version, a file is not an engine snapshot.)
+        *[pytest.param(field, None, f"{part}: missing key(s) [{key!r}]",
+                       id=f"{field}-None-{key} is missing")
+          for part, keys in SNAPSHOT_PARTS.items() for key in keys
+          for field in [key if part == "top level" else f"{part}.{key}"]
+          if key != "format_version"],
+        # As `track --config` rejects it; replay once ignored it. So does
+        # each other part: no key of a snapshot goes unread.
         pytest.param("junk", 1, "top level: unknown key(s) ['junk']",
                      id="top-level-unknown-key"),
         *[pytest.param(part, {"junk": 1}, f"{part}: unknown key(s) ['junk']",
                        id=f"{part}-unknown-key")
-          for part in ("estimator", "detector")],
+          for part in SNAPSHOT_PARTS if part != "top level"],
     ])
     def test_hand_edited_snapshot_names_the_field(self, tmp_path, capsys, field,
                                                   value, message):
@@ -536,7 +545,7 @@ class TestSnapshotReplay:
         # A field "part.name" is inside a part; a dict value edits a part.
         *parts, name = field.split(".")
         owner = state[parts[0]] if parts else state
-        if message.endswith("is missing"):
+        if "missing key" in message:
             del owner[name]
         elif isinstance(value, dict):
             owner[name].update(value)
@@ -560,7 +569,7 @@ class TestSnapshotReplay:
         (["--alpha", "0.9"], {"w": [True, 0.5]},
          "w must hold rates in [0, 1], got True for 'A'"),
         (["--estimator", "fir", "--window", "2"], {"buffer": [0] * 4},
-         "buffer holds 4 symbols, more than the window of 2"),
+         "buffer holds 4 symbols, not min(events_seen, window) = 2"),
         # A null in one list only: a symbol with a rate and no step, or
         # a step and no rate.
         (["--alpha", "0.9"], {"w_step": [None, 24]},
@@ -568,6 +577,10 @@ class TestSnapshotReplay:
         (["--alpha", "0.9"], {"w": [0.5, None]},
          "w_step must hold the symbols of w, and only those; 'B' is in "
          "w_step only"),
+        # Only a prune sweep forgets a rate; with prune off, c_ltm of the
+        # next A came from the floor.
+        (["--alpha", "0.9"], {"w": [None, 0.4], "w_step": [None, 24]},
+         "w must hold a rate for each symbol while prune is off, got null for 'A'"),
         (["--alpha", "0.9"], {"w_step": [1.5, 24]},
          "w_step must hold steps in [0, 25], got 1.5 for 'A'"),
         (["--alpha", "0.9"], {"w_step": [26, 24]},
@@ -575,7 +588,7 @@ class TestSnapshotReplay:
         (["--estimator", "fir", "--window", "2"], {"buffer": ["A", 1]},
          "buffer must hold positions in [0, 2), got 'A'"),
         (["--estimator", "fir", "--window", "2"], {"buffer": None},
-         "buffer is missing"),
+         "estimator: missing key(s) ['buffer']"),
         # An entry past the stack and seen_off_stack stands for a symbol
         # on neither list.
         (["--alpha", "0.9"], {"w": [0.5, 0.4, 0.01], "w_step": [25, 24, 25]},
@@ -622,8 +635,8 @@ class TestSnapshotReplay:
         (["--alpha", "0.9"], {"w_step": [25, 24, 25]},
          "w_step must be a list of 2 entries, got [25, 24, 25]"),
     ], ids=["w-string", "w-above-one", "w-bool", "fir-buffer",
-            "w_step-lacks-a-symbol", "w_step-extra-symbol", "w_step-float",
-            "w_step-past-step", "fir-buffer-int", "fir-buffer-missing",
+            "w_step-lacks-a-symbol", "w_step-extra-symbol", "w-null-without-prune",
+            "w_step-float", "w_step-past-step", "fir-buffer-int", "fir-buffer-missing",
             "w-unseen-symbol", "fir-buffer-unseen-symbol", "w-sum-above-one",
             "w-unseen-symbol-high-rate", "fir-buffer-string",
             "fir-buffer-object", "fir-buffer-empty-object", "w-pair-list",
@@ -641,7 +654,7 @@ class TestSnapshotReplay:
                          "--snapshot-out", str(snap), "--output", os.devnull])
         state = json.loads(snap.read_text())
         for key, value in edits.items():
-            if message.endswith("is missing"):
+            if "missing key" in message:
                 del state["estimator"][key]
             else:
                 state["estimator"][key] = value
@@ -651,25 +664,44 @@ class TestSnapshotReplay:
         assert (code, out) == (2, "")
         assert err == f"error: snapshot {snap}: {message}\n"
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("ewma", float("nan"), "ewma must be a finite number >= 0, got nan"),
-        ("ewma", "x", "ewma must be a finite number >= 0, got 'x'"),
-        ("ewma", -1.0, "ewma must be a finite number >= 0, got -1.0"),
-        ("hits", "x", "hits must be a nonnegative integer, got 'x'"),
-        ("hits", -5, "hits must be a nonnegative integer, got -5"),
-        ("hits", 2.0, "hits must be a nonnegative integer, got 2.0"),
+    # Each row replaces the named fields of the detector state, after 25
+    # events.
+    @pytest.mark.parametrize("flags, edits, message", [
+        (["--warmup", "0"], {"ewma": float("nan")},
+         "ewma must be a finite number >= 0, got nan"),
+        (["--warmup", "0"], {"ewma": "x"}, "ewma must be a finite number >= 0, got 'x'"),
+        (["--warmup", "0"], {"ewma": -1.0}, "ewma must be a finite number >= 0, got -1.0"),
+        (["--warmup", "0"], {"hits": "x"}, "hits must be a nonnegative integer, got 'x'"),
+        (["--warmup", "0"], {"hits": -5}, "hits must be a nonnegative integer, got -5"),
+        (["--warmup", "0"], {"hits": 2.0}, "hits must be a nonnegative integer, got 2.0"),
+        # The detector learns from no event of the warm-up, and from each
+        # event after it at most once. Restored, the first row's state
+        # raised change_flag on the next event, still in the warm-up.
+        (["--alpha", "0.9"], {"ewma": 5.0, "hits": 25},
+         "detector must hold hits <= 0 and ewma 0.0 after 25 events with "
+         "warmup 30, got {'ewma': 5.0, 'hits': 25}"),
+        (["--alpha", "0.9"], {"ewma": 0.5},
+         "detector must hold hits <= 0 and ewma 0.0 after 25 events with "
+         "warmup 30, got {'ewma': 0.5, 'hits': 0}"),
+        (["--warmup", "20"], {"ewma": 0.5, "hits": 6},
+         "detector must hold hits <= 5 after 25 events with warmup 20, "
+         "got {'ewma': 0.5, 'hits': 6}"),
+        (["--warmup", "0"], {"ewma": 0.5, "hits": 26},
+         "detector must hold hits <= 25 after 25 events with warmup 0, "
+         "got {'ewma': 0.5, 'hits': 26}"),
     ], ids=["ewma-nan", "ewma-string", "ewma-negative", "hits-string",
-            "hits-negative", "hits-float"])
+            "hits-negative", "hits-float", "hits-in-warm-up", "ewma-in-warm-up",
+            "hits-past-warm-up", "hits-past-events"])
     def test_hand_edited_detector_state_names_the_field(
-            self, tmp_path, capsys, field, value, message):
+            self, tmp_path, capsys, flags, edits, message):
         # Restored as given, hits of "x" failed at the first flag test
         # and an ewma of NaN, or hits of -5, replayed with exit 0.
         _, head, tail = self.make_stream(tmp_path)
         snap = tmp_path / "snap.json"
-        run_cli(capsys, ["track", "--input", head, "--warmup", "0",
+        run_cli(capsys, ["track", "--input", head, *flags,
                          "--snapshot-out", str(snap), "--output", os.devnull])
         state = json.loads(snap.read_text())
-        state["detector"][field] = value
+        state["detector"].update(edits)
         snap.write_text(json.dumps(state))
         code, out, err = run_cli(
             capsys, ["replay", "--snapshot", str(snap), "--input", tail])
@@ -1510,7 +1542,7 @@ MISSING_KEY = {
     "model": ("evidence", "malformed: 'evidence'"),
     "world": ("mass", "malformed: 'mass'"),
     "mind": ("bits", "malformed: 'bits'"),
-    "snapshot": ("stack", "stack is missing"),
+    "snapshot": ("stack", "top level: missing key(s) ['stack']"),
     "spec": ("length", "spec missing field: 'length'"),
 }
 

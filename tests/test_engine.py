@@ -116,7 +116,7 @@ class TestStep:
         # symbol at stack position 4 with w = 0.25: both costs are 2 bits
         config = small_config(epsilon="off")
         engine = Engine(config)
-        engine.estimator = IirEstimator(config.alpha, 0, {"D": 0.25}, {"D": 0})
+        engine.estimator._entries["D"] = [0.25, 0]
         for t, sym in enumerate(["D", "C", "B", "A"]):
             engine.stack.observe(sym)
         record = engine.step(Observation(0, "D"))
@@ -639,7 +639,7 @@ any_float = st.one_of(
 
 
 # Calls on an IirEstimator: w and update of a symbol, a sweep with a
-# floor, or a round trip through state_dict.
+# floor, or a round trip through Engine.snapshot and Engine.restore.
 iir_calls = st.one_of(
     st.tuples(st.sampled_from(["w", "update"]), st.sampled_from("ABC")),
     st.tuples(st.just("sweep"), st.one_of(
@@ -816,7 +816,7 @@ class TestLeanPathMatchesReference:
         # reuse a rate that no longer holds. Against the reference's IIR,
         # which keeps no rate between calls: the same rates and the same
         # state, to the bit, after any interleaving of w, update, sweep
-        # and a state_dict round trip of the estimator.
+        # and a snapshot round trip of an engine that holds the estimator.
         estimator = IirEstimator(alpha)
         reference = Reference(EngineConfig(alpha=alpha))
         for t, (call, arg) in enumerate(calls):
@@ -828,12 +828,16 @@ class TestLeanPathMatchesReference:
             elif call == "sweep":
                 estimator.sweep(arg)
                 reference.sweep(arg)
-            else:
-                estimator = IirEstimator(alpha, **estimator.state_dict())
-            state = estimator.state_dict()
-            assert iir_state_bits(state["step"], {
-                s: (rate, state["w_step"][s]) for s, rate in state["w"].items()
-            }) == iir_state_bits(reference.events_seen, reference.rates)
+            else:  # an engine whose stack holds each symbol with a rate
+                engine = Engine(EngineConfig(alpha=alpha))
+                engine.estimator, engine.events_seen = estimator, estimator._step
+                engine.last_t = estimator._step - 1 if estimator._step else None
+                for symbol in estimator._entries:
+                    engine.stack.observe(symbol)
+                engine._seen = set(estimator._entries)
+                estimator = Engine.restore(engine.snapshot()).estimator
+            assert (iir_state_bits(estimator._step, estimator._entries)
+                    == iir_state_bits(reference.events_seen, reference.rates))
 
     @settings(max_examples=500)
     @given(st.tuples(st.integers(min_value=0, max_value=2 ** 80), awkward_symbols,
